@@ -48,38 +48,57 @@ def piecewise_cbrt_antiderivative(u, d: float, a: float, mu1: float):
     return np.where(np.abs(u) <= 1.0, core, tails)
 
 
-def make_activation_fn(name: str, params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    """Build a scalar activation from the registry.
+def _tabulated(p):
+    xs, ys = np.asarray(p["x"], dtype=float), np.asarray(p["y"], dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
+        raise ValueError("tabulated activation needs matching 1D x/y arrays")
+    return lambda s: np.interp(s, xs, ys), None
 
-    Registry entries: affine, scaled_sine, piecewise_cbrt, saturation,
-    identity, tabulated (linear interpolation).
-    """
-    if name == "affine":
-        a, b = params["a"], params["b"]
-        return lambda s: a * np.asarray(s, dtype=float) + b
-    if name == "identity":
-        return lambda s: np.asarray(s, dtype=float)
-    if name == "scaled_sine":
-        a, b, c = params["a"], params["b"], params["c"]
-        return lambda s: a + b * np.asarray(s, dtype=float) + c * np.sin(s)
-    if name == "piecewise_cbrt":
-        d, aa, mu1 = params["d"], params["a_weight"], params["mu1"]
-        return lambda s: piecewise_cbrt(s, d, aa, mu1)
-    if name == "saturation":
-        lo, hi = params.get("lo", -1.0), params.get("hi", 1.0)
-        return lambda s: np.clip(s, lo, hi)
-    if name == "tabulated":
-        xs = np.asarray(params["x"], dtype=float)
-        ys = np.asarray(params["y"], dtype=float)
-        if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-            raise ValueError("tabulated activation needs matching 1D x/y arrays")
-        return lambda s: np.interp(s, xs, ys)
-    raise KeyError(f"unknown activation '{name}'")
+
+# The activation registry: name -> builder(params) returning the activation
+# and its antiderivative vanishing at 0 (None where there is no closed form),
+# both elementwise on float arrays of any shape.
+ACTIVATIONS = {
+    "affine": lambda p: (lambda s: p["a"] * s + p["b"],
+                         lambda s: 0.5 * p["a"] * s**2 + p["b"] * s),
+    "identity": lambda p: (lambda s: s.copy(), lambda s: 0.5 * s**2),
+    "scaled_sine": lambda p: (
+        lambda s: p["a"] + p["b"] * s + p["c"] * np.sin(s),
+        lambda s: p["a"] * s + 0.5 * p["b"] * s**2 + p["c"] * (1.0 - np.cos(s))),
+    "piecewise_cbrt": lambda p: (
+        lambda s: piecewise_cbrt(s, p["d"], p["a_weight"], p["mu1"]),
+        lambda s: piecewise_cbrt_antiderivative(s, p["d"], p["a_weight"], p["mu1"])),
+    "saturation": lambda p: (lambda s: np.clip(s, p.get("lo", -1.0), p.get("hi", 1.0)),
+                             None),
+    "tabulated": _tabulated,
+}
+
+
+def _registry_entry(name: str, params: dict) -> tuple[Callable, Callable | None]:
+    if name not in ACTIVATIONS:
+        raise KeyError(f"unknown activation '{name}'")
+    return ACTIVATIONS[name](dict(params))
+
+
+def make_activation_fn(name: str, params: dict) -> Callable[[np.ndarray], np.ndarray]:
+    """Build a scalar activation from the registry."""
+    fn, _ = _registry_entry(name, params)
+    return lambda s: fn(np.asarray(s, dtype=float))
+
+
+def make_activation_antiderivative(name: str, params: dict) -> Callable[[np.ndarray], np.ndarray]:
+    """Antiderivative (vanishing at 0) for registry activations that admit one."""
+    _, antiderivative = _registry_entry(name, params)
+    if antiderivative is None:
+        raise KeyError(f"no closed antiderivative for activation '{name}'")
+    return lambda s: antiderivative(np.asarray(s, dtype=float))
 
 
 @dataclass(frozen=True)
 class Activation:
-    """Per-neuron scalar activations with declared Lipschitz constants."""
+    """Per-neuron scalar activations with declared Lipschitz constants.
+
+    is_uniform is True when every neuron has the same name and params."""
 
     names: tuple[str, ...]
     params: tuple[tuple, ...]          # frozen (key, value) pairs per neuron
@@ -90,6 +109,11 @@ class Activation:
             raise ValueError("per-neuron field lengths differ")
         if any(g <= 0 for g in self.lipschitz):
             raise ValueError("Lipschitz constants must be positive")
+        # compiled once; a uniform bundle is applied in one vectorised call
+        object.__setattr__(self, "_fns", tuple(
+            make_activation_fn(name, dict(p)) for name, p in zip(self.names, self.params)))
+        object.__setattr__(self, "is_uniform", len(set(self.names)) <= 1
+                           and all(p == self.params[0] for p in self.params))
 
     @classmethod
     def uniform(cls, name: str, params: dict, lipschitz: float, n: int) -> "Activation":
@@ -111,14 +135,16 @@ class Activation:
         return np.diag(self.lipschitz)
 
     def component(self, i: int) -> Callable[[np.ndarray], np.ndarray]:
-        return make_activation_fn(self.names[i], dict(self.params[i]))
+        return self._fns[i]
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         """Apply componentwise; v has the component index on axis 0."""
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.n:
             raise ValueError(f"expected {self.n} components, got {v.shape[0]}")
-        return np.stack([self.component(i)(v[i]) for i in range(self.n)])
+        if self.is_uniform:
+            return self._fns[0](v)
+        return np.stack([fn(vi) for fn, vi in zip(self._fns, v)])
 
 
 @dataclass(frozen=True)

@@ -82,8 +82,10 @@ def _parse_system(doc: dict) -> tuple[SwitchedNetwork, Grid]:
 
 
 def dump_system(network: SwitchedNetwork, grid: Grid) -> dict:
-    """Inverse of load_system for the representable subset."""
+    """Inverse of load_system; one activation name and params for all neurons."""
     act = network.activation
+    if not act.is_uniform:
+        raise ValueError("system files hold one activation name and params for all neurons")
     return {
         "schema_version": SCHEMA_VERSION,
         "modes": [

@@ -1,15 +1,16 @@
 """Time integration of the delayed system with state-dependent switching.
 
 First-order IMEX stepping: diffusion backward-Euler (unconditionally stable
-against the D/h^2 stiffness), reaction and delay terms forward. Delay lookup
-interpolates linearly in a ring buffer spanning the delay window, matching
-the scheme order. A simulation run is single-threaded and deterministic.
+against the D/h^2 stiffness), reaction and delay terms forward. The field
+and ODE integrators share one stepping loop whose implicit part is the
+Helmholtz solve or the identity. Delay lookup interpolates linearly in a
+window spanning the delay, matching the scheme order. A simulation run is
+single-threaded and deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .certificates import mode_margin_matrix
 from .geometry import Grid, first_eigenvalue, helmholtz_solve, l2_inner
-from .model import CGSystem, Mode, SwitchedNetwork
+from .model import CGSystem, Mode, SwitchedNetwork, constant_delay
 
 BLOWUP_FACTOR = 1e6
 
@@ -31,13 +32,21 @@ class HistoryUnderrunError(RuntimeError):
 
 
 class History:
-    """Ring buffer of (time, state) snapshots spanning at least the delay."""
+    """Delay window of (time, state) entries spanning at least the delay.
+
+    Times sit in a numpy array that lookups search directly, and each live
+    entry holds one stored copy of the state. Entries no longer reachable by
+    a lookup are released on push; the live ones move to the front of the
+    time array, doubled if need be, when it fills.
+    """
 
     def __init__(self, tau: float):
         if tau < 0:
             raise ValueError("delay bound must be nonnegative")
         self.tau = tau
-        self._buf: deque[tuple[float, np.ndarray]] = deque()
+        self._times = np.empty(16)
+        self._states: list[np.ndarray | None] = []   # None once released
+        self._start = 0                               # oldest live entry
 
     @classmethod
     def from_sampler(cls, sampler: Callable[[float], np.ndarray], tau: float,
@@ -51,32 +60,38 @@ class History:
         return hist
 
     def push(self, t: float, u: np.ndarray) -> None:
-        if self._buf and t <= self._buf[-1][0]:
+        start, end = self._start, len(self._states)
+        if end > start and t <= self._times[end - 1]:
             raise ValueError("history times must be strictly increasing")
-        self._buf.append((t, u.copy()))
-        # trim entries no longer reachable by a delay lookup
-        while len(self._buf) > 2 and self._buf[1][0] <= t - self.tau:
-            self._buf.popleft()
-
-    @property
-    def latest_time(self) -> float:
-        return self._buf[-1][0]
+        if end == len(self._times):
+            live = self._times[start:end].copy()
+            if 2 * len(live) > len(self._times):
+                self._times = np.empty(2 * len(self._times))
+            self._times[:len(live)] = live
+            del self._states[:start]
+            start, end = 0, len(live)
+        self._times[end] = t
+        self._states.append(u.copy())
+        while end - start >= 2 and self._times[start + 1] <= t - self.tau:
+            self._states[start] = None
+            start += 1
+        self._start = start
 
     def value(self, t: float) -> np.ndarray:
         """Linear interpolation between stored snapshots."""
-        if not self._buf:
+        start, end = self._start, len(self._states)
+        if start == end:
             raise HistoryUnderrunError("history is empty")
-        if t < self._buf[0][0] - 1e-12:
+        times = self._times[start:end]
+        if t < times[0] - 1e-12:
             raise HistoryUnderrunError(
-                f"requested t={t} before stored window start {self._buf[0][0]}")
-        if t >= self._buf[-1][0]:
-            return self._buf[-1][1]
-        times = [entry[0] for entry in self._buf]
-        j = int(np.searchsorted(times, t, side="right"))
-        t0, u0 = self._buf[j - 1]
-        t1, u1 = self._buf[j]
+                f"requested t={t} before stored window start {float(times[0])}")
+        if t >= times[-1]:
+            return self._states[-1]
+        j = start + max(1, int(np.searchsorted(times, t, side="right")))
+        t0, t1 = self._times[j - 1], self._times[j]
         w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * u0 + w * u1
+        return (1.0 - w) * self._states[j - 1] + w * self._states[j]
 
 
 @dataclass(frozen=True)
@@ -95,19 +110,15 @@ class SimConfig:
     dt: float
     horizon: float
     switching: bool = False
-    switching_cadence: int = 1
     hysteresis: float = 0.0
     switching_form: str = "integrated"
     impulses: ImpulseSchedule | None = None
     stationary: Sequence[np.ndarray] | None = None
-    initial_mode: int = 0
     snapshot_stride: int = 0
 
     def __post_init__(self):
         if self.dt <= 0 or self.horizon <= 0:
             raise ValueError("dt and horizon must be positive")
-        if self.switching_cadence < 1:
-            raise ValueError("switching cadence must be >= 1")
         if self.hysteresis < 0:
             raise ValueError("hysteresis slack must be nonnegative")
         if self.switching_form not in ("integrated", "pointwise"):
@@ -121,10 +132,6 @@ class Trajectory:
     modes: np.ndarray
     switch_count: int
     snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
-
-    @property
-    def norm(self) -> np.ndarray:
-        return np.sqrt(np.maximum(self.V, 0.0))
 
 
 @dataclass(frozen=True)
@@ -178,30 +185,74 @@ def apply_impulse(u: np.ndarray, M: np.ndarray, N: np.ndarray,
     return out.reshape(u.shape)
 
 
-def _mode_rhs(mode: Mode, activation, stationary_flat: np.ndarray | None):
-    """Reaction term of the deviation system for one mode.
+def _recentred(activation, n: int, centre: np.ndarray | None = None):
+    """f(u) = g(centre + u) - g(centre) on (n, k) arrays, so f(0) = 0 exactly;
+    the centre defaults to zero."""
+    if centre is None:
+        g0 = activation(np.zeros((n, 1)))
+        return lambda flat: activation(flat) - g0
+    gc = activation(centre)
+    return lambda flat: activation(centre + flat) - gc
 
-    With stationary profile y*, f(u) = g(y* + u) - g(y*); with the default
-    zero profile, f(u) = g(u) - g(0) so u = 0 stays exactly invariant.
+
+def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
+         explicit, implicit, norm2, guard, switch=None) -> Trajectory:
+    """The stepping loop shared by simulate and simulate_ode.
+
+    A step is u <- implicit(mode, u + dt * explicit(mode, t, u, u_delay)), then
+    the impulses due, the history push and the blow-up guard, whose bound is
+    guard(hist, u0). switch(u, mode) returns the new mode and recentred state.
     """
-    if stationary_flat is None:
-        g0 = None
+    dt = config.dt
+    if tau > 0 and dt > tau:
+        raise ValueError("dt must not exceed the delay bound")
+    hist = History.from_sampler(phi, tau, dt)
+    u = np.array(hist.value(0.0), dtype=float)
+    if u.shape != shape:
+        raise ValueError(f"initial state has shape {u.shape}, expected {shape}")
+    bound = guard(hist, u)
 
-        def f(flat):
-            nonlocal g0
-            if g0 is None:
-                g0 = activation(np.zeros((mode.n, 1)))
-            return activation(flat) - g0
-    else:
-        gstar = activation(stationary_flat)
+    steps = int(round(config.horizon / dt))
+    times = np.empty(steps + 1)
+    V = np.empty(steps + 1)
+    modes = np.zeros(steps + 1, dtype=int)
+    mode = switch_count = 0
+    snapshots: list[tuple[float, np.ndarray]] = []
+    imp = config.impulses
+    imp_times = sorted(imp.times) if imp is not None else []
+    imp_ptr = 0
 
-        def f(flat):
-            return activation(stationary_flat + flat) - gstar
-
-    def rhs(flat, flat_delay):
-        return -mode.C @ flat + mode.A @ f(flat) + mode.B @ f(flat_delay)
-
-    return rhs
+    t = 0.0
+    times[0], V[0] = t, norm2(u)
+    if config.snapshot_stride:
+        snapshots.append((t, u.copy()))
+    for k in range(1, steps + 1):
+        if switch is not None:
+            new_mode, u = switch(u, mode)
+            if new_mode != mode:
+                mode = new_mode
+                switch_count += 1
+        if tau > 0:
+            d = delay(t)
+            if not 0.0 <= d <= tau:
+                raise ValueError(f"delay at t={t} is {d}, outside [0, {tau}]")
+            u_delay = hist.value(t - d)
+        else:
+            u_delay = u
+        u = implicit(mode, u + dt * explicit(mode, t, u, u_delay))
+        t = k * dt
+        while imp_ptr < len(imp_times) and imp_times[imp_ptr] <= t + 1e-12:
+            u = apply_impulse(u, imp.M, imp.N, imp.h, hist, imp_times[imp_ptr],
+                              imp.tau)
+            imp_ptr += 1
+        hist.push(t, u)
+        v = norm2(u)
+        if not math.isfinite(v) or v > bound:
+            raise BlowUpError(f"norm blew up at t={t:.4g} (V={v:.3e})")
+        times[k], V[k], modes[k] = t, v, mode
+        if config.snapshot_stride and k % config.snapshot_stride == 0:
+            snapshots.append((t, u.copy()))
+    return Trajectory(times, V, modes, switch_count, snapshots)
 
 
 def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
@@ -210,17 +261,10 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
 
     All modes share the given grid; the switching matrices are rebuilt with
     the shared domain's first eigenvalue. phi(s) supplies the initial field
-    for s in [-tau, 0] with shape (n, *grid.shape).
+    for s in [-tau, 0] with shape (n, *grid.shape). The blow-up guard is
+    1e6 times the largest squared norm of five samples of phi.
     """
-    n = network.n
-    dt, tau = config.dt, network.tau_max
-    if tau > 0 and dt > tau:
-        raise ValueError("dt must not exceed the delay bound")
-    hist = History.from_sampler(phi, tau, dt)
-    u = hist.value(0.0).copy()
-    if u.shape != (n,) + grid.shape:
-        raise ValueError("initial field shape does not match the grid")
-
+    n, tau = network.n, network.tau_max
     stationary = config.stationary
     if stationary is not None and len(stationary) != network.N:
         raise ValueError("need one stationary profile per mode")
@@ -230,70 +274,40 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     ]
     Q = [mode_margin_matrix(m, network.activation.G, network.gamma, network.q,
                             tau, network.Psi) for m in shared_modes]
-    rhs_fns = []
-    for k, m in enumerate(shared_modes):
-        st = None
-        if stationary is not None:
-            st = np.asarray(stationary[k], float).reshape(n, -1)
-        rhs_fns.append(_mode_rhs(m, network.activation, st))
+    profiles = ([None] * network.N if stationary is None
+                else [np.asarray(st, float) for st in stationary])
+    # reaction terms recentred at each mode's stationary profile y*
+    fs = [_recentred(network.activation, n, st if st is None else st.reshape(n, -1))
+          for st in profiles]
+    coef = [1.0 / (config.dt * np.diag(m.D)) for m in shared_modes]
 
-    if tau > 0:
-        phi_sup2 = max(l2_inner(grid, hist.value(s), hist.value(s))
-                       for s in np.linspace(-tau, 0, 5))
-    else:
-        phi_sup2 = l2_inner(grid, u, u)
-    guard = BLOWUP_FACTOR * max(phi_sup2, 1e-300)
+    def explicit(mode, t, u, u_delay):
+        m, f = shared_modes[mode], fs[mode]
+        flat, flat_delay = u.reshape(n, -1), u_delay.reshape(n, -1)
+        return (-m.C @ flat + m.A @ f(flat) + m.B @ f(flat_delay)).reshape(u.shape)
 
-    mode_idx = config.initial_mode
-    steps = int(round(config.horizon / dt))
-    times = np.empty(steps + 1)
-    V = np.empty(steps + 1)
-    modes_rec = np.empty(steps + 1, dtype=int)
-    switch_count = 0
-    snapshots: list[tuple[float, np.ndarray]] = []
+    def implicit(mode, x):
+        # backward Euler on D Lap: (c - Lap) u_i = c x_i with c = 1 / (dt D_i)
+        out = np.empty_like(x)
+        for i, c in enumerate(coef[mode]):
+            out[i] = helmholtz_solve(grid, c, c * x[i])
+        return out
 
-    d_diag = [np.diag(m.D) for m in shared_modes]
-    imp = config.impulses
-    imp_times = sorted(imp.times) if imp is not None else []
-    imp_ptr = 0
+    def switch(u, mode):
+        new_mode = switching_decide(u, grid, Q, mode, config.hysteresis,
+                                    config.switching_form)
+        if new_mode != mode and stationary is not None:
+            u = u + (profiles[mode] - profiles[new_mode]).reshape(u.shape)
+        return new_mode, u
 
-    t = 0.0
-    times[0], V[0], modes_rec[0] = t, l2_inner(grid, u, u), mode_idx
-    if config.snapshot_stride:
-        snapshots.append((t, u.copy()))
-    for k in range(1, steps + 1):
-        if config.switching and (k - 1) % config.switching_cadence == 0:
-            new_mode = switching_decide(u, grid, Q, mode_idx, config.hysteresis,
-                                        config.switching_form)
-            if new_mode != mode_idx:
-                if stationary is not None:
-                    delta = (np.asarray(stationary[mode_idx], float)
-                             - np.asarray(stationary[new_mode], float))
-                    u = u + delta.reshape(u.shape)
-                mode_idx = new_mode
-                switch_count += 1
-        u_delay = hist.value(t - network.delay(t)) if tau > 0 else u
-        flat = u.reshape(n, -1)
-        react = rhs_fns[mode_idx](flat, u_delay.reshape(n, -1))
-        rhs_field = flat + dt * react
-        new = np.empty_like(u)
-        for i in range(n):
-            c = 1.0 / (dt * d_diag[mode_idx][i])
-            new[i] = helmholtz_solve(grid, c, c * rhs_field[i].reshape(grid.shape))
-        t = k * dt
-        u = new
-        while imp_ptr < len(imp_times) and imp_times[imp_ptr] <= t + 1e-12:
-            u = apply_impulse(u, imp.M, imp.N, imp.h, hist, imp_times[imp_ptr],
-                              imp.tau)
-            imp_ptr += 1
-        hist.push(t, u)
-        v = l2_inner(grid, u, u)
-        if not math.isfinite(v) or v > guard:
-            raise BlowUpError(f"norm blew up at t={t:.4g} (V={v:.3e})")
-        times[k], V[k], modes_rec[k] = t, v, mode_idx
-        if config.snapshot_stride and k % config.snapshot_stride == 0:
-            snapshots.append((t, u.copy()))
-    return Trajectory(times, V, modes_rec, switch_count, snapshots)
+    norm2 = lambda u: l2_inner(grid, u, u)
+
+    def guard(hist, u0):
+        samples = np.linspace(-tau, 0, 5) if tau > 0 else (0.0,)
+        return BLOWUP_FACTOR * max(max(norm2(hist.value(s)) for s in samples), 1e-300)
+
+    return _run(phi, (n,) + grid.shape, tau, network.delay, config, explicit,
+                implicit, norm2, guard, switch if config.switching else None)
 
 
 def ode_from_mode(mode: Mode, activation, deviation: bool = False):
@@ -302,16 +316,12 @@ def ode_from_mode(mode: Mode, activation, deviation: bool = False):
     deviation=True drops J and recenters g at 0 (the zero solution is then
     exactly invariant).
     """
-    if deviation:
-        g0 = activation(np.zeros((mode.n, 1)))[:, 0]
+    f = _recentred(activation, mode.n) if deviation else activation
+    J = 0.0 if deviation else mode.J
 
-        def rhs(t, u, u_delay):
-            return (-mode.C @ u + mode.A @ (activation(u[:, None])[:, 0] - g0)
-                    + mode.B @ (activation(u_delay[:, None])[:, 0] - g0))
-    else:
-        def rhs(t, u, u_delay):
-            return (-mode.C @ u + mode.A @ activation(u[:, None])[:, 0]
-                    + mode.B @ activation(u_delay[:, None])[:, 0] + mode.J)
+    def rhs(t, u, u_delay):
+        return (-mode.C @ u + mode.A @ f(u[:, None])[:, 0]
+                + mode.B @ f(u_delay[:, None])[:, 0] + J)
     return rhs
 
 
@@ -343,42 +353,17 @@ def ode_from_cg(cg: CGSystem):
 def simulate_ode(rhs, n: int, tau: float, config: SimConfig,
                  phi: Callable[[float], np.ndarray],
                  delay: Callable[[float], float] | None = None) -> Trajectory:
-    """Forward-Euler integration of n delayed ODEs with the shared machinery.
+    """Forward-Euler integration of n delayed ODEs with the shared stepping loop.
 
     rhs(t, u, u_delay) -> du/dt. V records the squared Euclidean norm, so
-    the decay-rate estimator applies unchanged.
+    the decay-rate estimator applies unchanged. The blow-up guard is 1e6
+    times max(|u0|^2, 1); the delay defaults to the constant tau.
     """
-    dt = config.dt
-    if tau > 0 and dt > tau:
-        raise ValueError("dt must not exceed the delay bound")
-    delay = delay or (lambda t: tau)
-    hist = History.from_sampler(phi, tau, dt)
-    u = np.array(hist.value(0.0), dtype=float)
-    if u.shape != (n,):
-        raise ValueError("initial state must have shape (n,)")
-    guard = BLOWUP_FACTOR * max(float(u @ u), 1.0)
-    steps = int(round(config.horizon / dt))
-    times = np.empty(steps + 1)
-    V = np.empty(steps + 1)
-    imp = config.impulses
-    imp_times = sorted(imp.times) if imp is not None else []
-    imp_ptr = 0
-    t = 0.0
-    times[0], V[0] = t, float(u @ u)
-    for k in range(1, steps + 1):
-        u_delay = hist.value(t - delay(t)) if tau > 0 else u
-        u = u + dt * rhs(t, u, u_delay)
-        t = k * dt
-        while imp_ptr < len(imp_times) and imp_times[imp_ptr] <= t + 1e-12:
-            u = apply_impulse(u, imp.M, imp.N, imp.h, hist, imp_times[imp_ptr],
-                              imp.tau)
-            imp_ptr += 1
-        hist.push(t, u)
-        v = float(u @ u)
-        if not math.isfinite(v) or v > guard:
-            raise BlowUpError(f"norm blew up at t={t:.4g} (V={v:.3e})")
-        times[k], V[k] = t, v
-    return Trajectory(times, V, np.zeros(steps + 1, dtype=int), 0)
+    norm2 = lambda u: float(u @ u)
+    return _run(phi, (n,), tau, delay or constant_delay(tau), config,
+                explicit=lambda mode, t, u, u_delay: rhs(t, u, u_delay),
+                implicit=lambda mode, x: x, norm2=norm2,
+                guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0))
 
 
 def estimate_decay_rate(trajectory: Trajectory, window_fraction: float = 0.5

@@ -18,8 +18,9 @@ import scipy.sparse.linalg as spla
 
 from .geometry import (Grid, RectDomain, apply_laplacian, helmholtz_solve,
                        l2_inner, l2_norm, laplacian_matrix)
-from .model import (Activation, Mode, make_activation_fn,
-                    piecewise_cbrt, piecewise_cbrt_antiderivative)
+from .model import (Activation, Mode, make_activation_antiderivative,
+                    make_activation_fn, piecewise_cbrt,
+                    piecewise_cbrt_antiderivative)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
@@ -180,23 +181,6 @@ class EnergyFunctional:
         fn = make_activation_fn(p["name"], dict(p["fn_params"]))
         Fn = make_activation_antiderivative(p["name"], dict(p["fn_params"]))
         return w * Fn(u), w * fn(u)
-
-
-def make_activation_antiderivative(name: str, params: dict):
-    """Antiderivative (vanishing at 0) for registry activations that admit one."""
-    if name == "affine":
-        a, b = params["a"], params["b"]
-        return lambda s: 0.5 * a * np.asarray(s, float) ** 2 + b * np.asarray(s, float)
-    if name == "identity":
-        return lambda s: 0.5 * np.asarray(s, float) ** 2
-    if name == "scaled_sine":
-        a, b, c = params["a"], params["b"], params["c"]
-        return lambda s: (a * np.asarray(s, float) + 0.5 * b * np.asarray(s, float) ** 2
-                          + c * (1.0 - np.cos(s)))
-    if name == "piecewise_cbrt":
-        d, aa, mu1 = params["d"], params["a_weight"], params["mu1"]
-        return lambda s: piecewise_cbrt_antiderivative(s, d, aa, mu1)
-    raise KeyError(f"no closed antiderivative for activation '{name}'")
 
 
 def energy_eval(functional: EnergyFunctional, grid: Grid, u: np.ndarray) -> float:

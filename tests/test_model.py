@@ -70,6 +70,20 @@ class TestActivationRegistry:
         with pytest.raises(KeyError):
             make_activation_fn("nope", {})
 
+    @pytest.mark.parametrize("name,params", [
+        ("affine", {"a": 2.0, "b": -1.0}), ("identity", {}),
+        ("scaled_sine", {"a": 9.75, "b": 0.5, "c": 0.25e-6}),
+        ("piecewise_cbrt", {"d": 0.1, "a_weight": 1.0, "mu1": 12.0}),
+        ("saturation", {"lo": -0.5, "hi": 2.0}),
+        ("tabulated", {"x": [-1.0, 0.0, 3.0], "y": [0.0, 1.0, -2.0]})])
+    def test_uniform_bundle_matches_components(self, name, params):
+        act = Activation.uniform(name, params, 1.0, 3)
+        v = np.random.default_rng(5).normal(scale=3.0, size=(3, 7, 9))
+        out = act(v)
+        np.testing.assert_array_equal(
+            out, np.stack([act.component(i)(v[i]) for i in range(3)]))
+        assert not np.shares_memory(out, v)
+
     def test_bundle_apply(self):
         act = Activation.per_neuron([
             ("affine", {"a": 1.0, "b": 0.0}, 1.0),

@@ -5,7 +5,7 @@ import pytest
 
 from rdnet import cli, presets
 from rdnet.geometry import Grid
-from rdnet.model import SwitchedNetwork
+from rdnet.model import Activation, SwitchedNetwork
 from rdnet.schema import (SCHEMA_VERSION, SystemFileError, dump_system,
                           load_system, write_field_csv, write_report,
                           write_trajectory_csv)
@@ -33,6 +33,14 @@ class TestSchema:
             np.testing.assert_array_equal(a.J, b.J)
         np.testing.assert_array_equal(loaded.Psi, net.Psi)
         assert loaded.activation.lipschitz == net.activation.lipschitz
+
+    def test_mixed_activation_not_dumped(self):
+        net = presets.switched_benchmark(1)
+        mixed = Activation.per_neuron([("affine", {"a": 1.0, "b": 0.0}, 1.0),
+                                       ("saturation", {}, 1.0)])
+        net = SwitchedNetwork(net.modes, mixed, net.tau_max, net.Psi, net.q, net.gamma)
+        with pytest.raises(ValueError, match="activation"):
+            dump_system(net, Grid(net.modes[0].domain, (15, 15)))
 
     def test_malformed_json_reports_line(self, tmp_path):
         f = tmp_path / "bad.json"

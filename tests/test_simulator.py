@@ -52,6 +52,36 @@ class TestHistory:
         assert hist.value(0.0)[0] == pytest.approx(0.0)
 
 
+    def test_values_survive_later_pushes(self):
+        # the caller reuses one state buffer, as a stepping loop may
+        hist, buf = History(0.5), np.empty(2)
+        for k in range(4):
+            buf[:] = k, -k
+            hist.push(0.1 * k, buf)
+        at_node = hist.value(0.1)
+        at_latest = hist.value(0.3)
+        after_latest = hist.value(7.0)
+        saved = [a.copy() for a in (at_node, at_latest, after_latest)]
+        for k in range(4, 200):
+            buf[:] = k, -k
+            hist.push(0.1 * k, buf)
+        for got, want in zip((at_node, at_latest, after_latest), saved):
+            np.testing.assert_array_equal(got, want)
+
+    def test_uneven_steps_refill_window_and_stay_exact(self):
+        rng = np.random.default_rng(3)
+        tau = 0.3
+        hist = History(tau)
+        t = 0.0
+        for _ in range(5000):
+            hist.push(t, np.array([3.0 * t - 1.0, -2.0 * t]))
+            for q in t - tau * rng.random(3):
+                if q >= 0.0:
+                    np.testing.assert_allclose(hist.value(q), [3.0 * q - 1.0, -2.0 * q],
+                                               rtol=1e-12, atol=1e-12)
+            t += rng.uniform(1e-3, 2e-2)
+
+
 class TestSwitchingDecide:
     def test_picks_argmin_pointwise_state(self):
         Q = [np.eye(1), -np.eye(1)]
@@ -249,3 +279,58 @@ class TestPdeSimulation:
         with pytest.raises(ValueError):
             simulate(net, grid, SimConfig(dt=5.0, horizon=10.0),
                      lambda s: np.zeros((2,) + grid.shape))
+
+
+class TestDelays:
+    @pytest.mark.parametrize("bad", [-0.5, 2.0])
+    def test_delay_outside_bound_rejected_ode(self, bad):
+        mode = Mode([[1.0]], [[1.0]], [[0.0]], [[0.5]], [0.0], RectDomain((1.0,)))
+        rhs = ode_from_mode(mode, Activation.uniform("identity", {}, 1.0, 1),
+                            deviation=True)
+        with pytest.raises(ValueError, match=rf"t=0\.0 is {bad}"):
+            simulate_ode(rhs, 1, 1.0, SimConfig(dt=0.01, horizon=1.0),
+                         lambda s: np.ones(1), delay=lambda t: bad)
+
+    @pytest.mark.parametrize("bad", [-0.5, 2.0])
+    def test_delay_outside_bound_rejected_pde(self, bad):
+        mode = Mode([[0.1]], [[1.0]], [[0.0]], [[0.5]], [0.0], RectDomain((1.0,)))
+        net = SwitchedNetwork((mode,), Activation.uniform("identity", {}, 1.0, 1),
+                              tau_max=1.0, Psi=np.eye(1), delay=lambda t: bad)
+        grid = Grid(mode.domain, (15,))
+        phi, _ = eigenfunction(grid.domain, (1,), grid)
+        with pytest.raises(ValueError, match=rf"t=0\.0 is {bad}"):
+            simulate(net, grid, SimConfig(dt=0.01, horizon=1.0), lambda s: phi[None])
+
+    # delay(t) = min(t, tau) makes every lookup before tau read phi(0) = 1, so
+    # the scheme reduces to a scalar recurrence; a constant delay would read
+    # phi(t - tau) = 1 + t - tau instead.
+    tau, dt, c, b = 0.5, 0.05, 1.0, 0.5
+
+    def test_time_varying_delay_ode(self):
+        mode = Mode([[1.0]], [[self.c]], [[0.0]], [[self.b]], [0.0], RectDomain((1.0,)))
+        rhs = ode_from_mode(mode, Activation.uniform("identity", {}, 1.0, 1),
+                            deviation=True)
+        traj = simulate_ode(rhs, 1, self.tau, SimConfig(dt=self.dt, horizon=self.tau),
+                            lambda s: np.array([1.0 + s]),
+                            delay=lambda t: min(t, self.tau))
+        a = 1.0
+        for _ in range(10):
+            a = a + self.dt * (-self.c * a + self.b)
+        assert traj.V[-1] == pytest.approx(a**2, rel=1e-12)
+
+    def test_time_varying_delay_pde(self):
+        d = 0.1
+        mode = Mode([[d]], [[self.c]], [[0.0]], [[self.b]], [0.0], RectDomain((1.0,)))
+        net = SwitchedNetwork((mode,), Activation.uniform("identity", {}, 1.0, 1),
+                              tau_max=self.tau, Psi=np.eye(1),
+                              delay=lambda t: min(t, self.tau))
+        grid = Grid(mode.domain, (31,))
+        phi, _ = eigenfunction(grid.domain, (1,), grid)
+        traj = simulate(net, grid, SimConfig(dt=self.dt, horizon=self.tau),
+                        lambda s: (1.0 + s) * phi[None])
+        h = grid.spacing[0]
+        lam_h = (2.0 / h**2) * (1.0 - math.cos(math.pi * h))
+        a = 1.0
+        for _ in range(10):
+            a = (a + self.dt * (-self.c * a + self.b)) / (1.0 + self.dt * d * lam_h)
+        assert traj.V[-1] == pytest.approx(a**2, rel=1e-10)
