@@ -1,10 +1,14 @@
-"""Stability certificates: feasibility checks and a simplex/bisection search.
+"""Stability certificates: feasibility checks and a closed-form certificate search.
 
 Feasibility of the switched stability condition is an eigenvalue check of a
 symmetric matrix assembled from the mode data, so no semidefinite-programming
 dependency is needed at these problem sizes. The search enumerates simplex
-weights on a lattice and bisects on the decay parameter, relying on the
-monotonicity of the margin in gamma.
+weights on a lattice; the combined matrix is M0(beta) + e^{gamma tau} q G^2
+with G^2 positive definite, so the largest feasible decay parameter of each
+weight is a generalized eigenvalue (the GEVP of Boyd, El Ghaoui, Feron &
+Balakrishnan, Linear Matrix Inequalities in System and Control Theory, SIAM
+1994, section 2), computed for the whole lattice in one batched eigenvalue
+call.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ import numpy as np
 from .model import CGSystem, Mode, SwitchedNetwork
 
 NEG_DEF_SLACK = 1e-10
+# the gamma -> 0+ probe: a simplex weight admits a certificate at all iff
+# the check passes here
+GAMMA_PROBE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,13 @@ class CGRates:
 
 
 def _symmetrize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
+def _mode_term(mode: Mode) -> np.ndarray:
+    """-2 lambda1 D - 2C + A A^T + B B^T, the part of Q_sigma owned by the mode."""
+    return (-2.0 * mode.lambda1 * mode.D - 2.0 * mode.C
+            + mode.A @ mode.A.T + mode.B @ mode.B.T)
 
 
 def mode_margin_matrix(mode: Mode, G: np.ndarray, gamma: float, q: float,
@@ -63,10 +76,17 @@ def mode_margin_matrix(mode: Mode, G: np.ndarray, gamma: float, q: float,
     if gamma < 0 or q < 1 or tau < 0:
         raise ValueError("need gamma >= 0, q >= 1, tau >= 0")
     G2 = G @ G
-    Q = (-2.0 * mode.lambda1 * mode.D - 2.0 * mode.C
-         + mode.A @ mode.A.T + mode.B @ mode.B.T
-         + G2 + math.exp(gamma * tau) * q * G2 + Psi)
-    return _symmetrize(Q)
+    return _symmetrize(_mode_term(mode) + G2 + math.exp(gamma * tau) * q * G2 + Psi)
+
+
+def _margin_stack(network: SwitchedNetwork, betas: np.ndarray, gamma: float,
+                  q: float) -> np.ndarray:
+    """Combined matrix for each row of betas (shape (L, N)), shape (L, n, n)."""
+    G2 = network.activation.G @ network.activation.G
+    M = G2 + math.exp(gamma * network.tau_max) * q * G2 + network.Psi
+    for s, mode in enumerate(network.modes):
+        M = M + betas[:, s, None, None] * _mode_term(mode)
+    return _symmetrize(M)
 
 
 def margin_matrix(network: SwitchedNetwork, beta, gamma: float, q: float) -> np.ndarray:
@@ -76,12 +96,7 @@ def margin_matrix(network: SwitchedNetwork, beta, gamma: float, q: float) -> np.
         raise ValueError("beta length must equal the number of modes")
     if np.any(beta < -1e-12) or abs(beta.sum() - 1.0) > 1e-12:
         raise ValueError("beta must lie on the probability simplex")
-    G2 = network.activation.G @ network.activation.G
-    M = G2 + math.exp(gamma * network.tau_max) * q * G2 + network.Psi
-    for b, mode in zip(beta, network.modes):
-        M = M + b * (-2.0 * mode.lambda1 * mode.D - 2.0 * mode.C
-                     + mode.A @ mode.A.T + mode.B @ mode.B.T)
-    return _symmetrize(M)
+    return _margin_stack(network, beta[None], gamma, q)[0]
 
 
 def verify_certificate(network: SwitchedNetwork, beta, gamma: float,
@@ -110,10 +125,11 @@ def verify_certificate(network: SwitchedNetwork, beta, gamma: float,
     )
 
 
-def _simplex_lattice(N: int, step: float):
-    """All nonnegative lattice points with coordinates multiples of step summing to 1."""
-    m = round(1.0 / step)
+def _simplex_lattice(N: int, m: int) -> np.ndarray:
+    """All nonnegative points with coordinates multiples of 1/m summing to 1.
 
+    Rows are in lexicographic order of the integer numerators.
+    """
     def rec(remaining: int, slots: int):
         if slots == 1:
             yield (remaining,)
@@ -122,55 +138,67 @@ def _simplex_lattice(N: int, step: float):
             for rest in rec(remaining - k, slots - 1):
                 yield (k,) + rest
 
-    for point in rec(m, N):
-        yield tuple(k / m for k in point)
+    return np.array(list(rec(m, N)), dtype=float) / m
 
 
 def search_certificate(network: SwitchedNetwork, beta_step: float | None = None,
                        q: float | None = None, honor_theorem_constraint: bool = True,
-                       gamma_cap: float = 10.0, gamma_tol: float = 1e-6) -> Certificate:
-    """Grid the simplex, bisect on gamma, return the best feasible point.
+                       gamma_cap: float = 10.0) -> Certificate:
+    """Grid the simplex, take each weight's largest feasible gamma in closed form.
 
-    For each beta the margin is nondecreasing in gamma, so the largest
-    feasible gamma is found by bisection on (0, gamma_hi]. Ties on gamma are
-    broken by the smaller margin. If nothing is feasible the returned
-    certificate carries the least-positive margin found (at gamma -> 0+).
+    The combined matrix is M(beta, gamma) = M(beta, g0) + (e^{gamma tau} -
+    e^{g0 tau}) q G^2 with G = diag(lipschitz) positive, so it stays below
+    -NEG_DEF_SLACK exactly while e^{gamma tau} < t*(beta) = e^{g0 tau} +
+    lambda_min(G^-1 (-M(beta, g0) - NEG_DEF_SLACK I) G^-1) / q. The weights
+    feasible at the probe g0 = GAMMA_PROBE get gamma* = ln(t*)/tau, capped
+    (any feasible weight gets the cap when tau = 0). The best point has the
+    largest gamma*, ties broken by the smaller margin and then by lattice
+    order; gamma is backed off by ulps until verify_certificate passes, and
+    that re-verified certificate is returned. If nothing is feasible the
+    returned certificate carries the least margin found at the probe.
     """
     if beta_step is None:
         beta_step = 0.01 if network.N <= 3 else 0.05
     if not 0 < beta_step <= 1:
         raise ValueError("beta grid step must lie in (0, 1]")
+    m = round(1.0 / beta_step)
+    if not math.isclose(m * beta_step, 1.0, rel_tol=1e-9):
+        raise ValueError(f"beta grid step {beta_step} does not divide 1")
     q = network.q if q is None else q
     psi_min = float(np.linalg.eigvalsh(network.Psi).min())
     # stay strictly below the side constraint, which is a strict inequality
     gamma_hi_cap = psi_min * (1.0 - 1e-9) if honor_theorem_constraint else gamma_cap
+    if gamma_hi_cap <= 0:
+        raise ValueError("the gamma cap must be positive")
+    probe = min(GAMMA_PROBE, gamma_hi_cap / 2)
 
-    best: Certificate | None = None
-    least_positive: Certificate | None = None
-    for beta in _simplex_lattice(network.N, beta_step):
-        tiny = min(gamma_tol, gamma_hi_cap / 2)
-        cert_lo = verify_certificate(network, beta, tiny, q)
-        if not cert_lo.feasible:
-            if least_positive is None or cert_lo.margin < least_positive.margin:
-                least_positive = cert_lo
-            continue
-        lo, hi = tiny, gamma_hi_cap
-        if verify_certificate(network, beta, hi, q).feasible:
-            lo = hi
-        else:
-            while hi - lo > gamma_tol:
-                mid = 0.5 * (lo + hi)
-                if verify_certificate(network, beta, mid, q).feasible:
-                    lo = mid
-                else:
-                    hi = mid
-        cert = verify_certificate(network, beta, lo, q)
-        if best is None or (cert.gamma, -cert.margin) > (best.gamma, -best.margin):
-            best = cert
-    if best is not None:
-        return best
-    assert least_positive is not None
-    return least_positive
+    betas = _simplex_lattice(network.N, m)
+    M = _margin_stack(network, betas, probe, q)
+    margins = np.linalg.eigvalsh(M).max(axis=-1)
+    feasible = np.flatnonzero(margins < -NEG_DEF_SLACK)
+    if feasible.size == 0:
+        return verify_certificate(network, betas[np.argmin(margins)], probe, q)
+
+    tau = network.tau_max
+    if tau == 0:
+        gammas = np.full(feasible.size, gamma_hi_cap)
+    else:
+        g = np.asarray(network.activation.lipschitz, dtype=float)
+        W = -(M[feasible] + NEG_DEF_SLACK * np.eye(network.n)) / np.outer(g, g)
+        t_star = math.exp(probe * tau) + np.linalg.eigvalsh(W).min(axis=-1) / q
+        gammas = np.clip(np.log(np.maximum(t_star, 1.0)) / tau, probe, gamma_hi_cap)
+    gamma = float(gammas.max())
+    tied = feasible[gammas == gamma]
+    tied_margins = np.linalg.eigvalsh(_margin_stack(network, betas[tied], gamma, q))
+    beta = betas[tied[np.argmin(tied_margins.max(axis=-1))]]
+
+    cert = verify_certificate(network, beta, gamma, q)
+    step = math.ulp(gamma)
+    while not cert.feasible and gamma > probe:
+        gamma = max(gamma - step, probe)
+        step *= 2.0
+        cert = verify_certificate(network, beta, gamma, q)
+    return cert
 
 
 def check_uniqueness_A3(modes, epsilon: float, p="auto", G: np.ndarray | None = None,

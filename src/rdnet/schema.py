@@ -8,6 +8,7 @@ are bitwise comparable.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -133,16 +134,19 @@ def write_trajectory_csv(path, trajectory) -> None:
 
 
 def write_field_csv(path, grid: Grid, field: np.ndarray) -> None:
-    """Columns x[,y],component,value for a (n, *grid.shape) field."""
+    """Columns x[,y],component,value for a (n, *grid.shape) field.
+
+    Nodes run in C order (the last axis fastest); each coordinate is
+    formatted once and rows are streamed, never joined into one string.
+    """
     field = np.asarray(field, float)
     if field.ndim == grid.domain.dims:
         field = field[None]
-    axes = grid.axes()
+    axes = [[f"{x:.17g}" for x in axis.tolist()] for axis in grid.axes()]
+    coords = [",".join(node) for node in itertools.product(*axes)]
     with open(path, "w") as fh:
         header = "x,y" if grid.domain.dims == 2 else "x"
         fh.write(f"{header},component,value\n")
         for comp in range(field.shape[0]):
-            it = np.ndindex(*grid.shape)
-            for idx in it:
-                coords = ",".join(f"{axes[d][idx[d]]:.17g}" for d in range(grid.domain.dims))
-                fh.write(f"{coords},{comp},{field[comp][idx]:.17g}\n")
+            fh.writelines(f"{c},{comp},{v:.17g}\n"
+                          for c, v in zip(coords, field[comp].ravel().tolist()))

@@ -19,8 +19,7 @@ import scipy.sparse.linalg as spla
 from .geometry import (Grid, RectDomain, apply_laplacian, helmholtz_solve,
                        l2_inner, l2_norm, laplacian_matrix)
 from .model import (Activation, Mode, make_activation_antiderivative,
-                    make_activation_fn, piecewise_cbrt,
-                    piecewise_cbrt_antiderivative)
+                    make_activation_fn)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
@@ -150,9 +149,10 @@ def statement1_closed_form(grid: Grid) -> np.ndarray:
 class EnergyFunctional:
     """Scalar energy 1/2 |grad u|^2 + (c0/2) u^2 - source u - nonlinear part.
 
-    nonlinearity "none" keeps just the quadratic/linear terms; "statement2"
-    subtracts weight * F(u) with the piecewise cube-root antiderivative and
-    its matching term weight * f(u) in the gradient.
+    nonlinearity "none" keeps just the quadratic/linear terms; "activation"
+    subtracts weight * F(u) with the antiderivative F of a registry activation
+    f and its matching term weight * f(u) in the gradient; "statement2" is the
+    piecewise cube root with weight a_weight / d.
     """
 
     c0: float
@@ -165,22 +165,25 @@ class EnergyFunctional:
             raise ValueError("quadratic coefficient must be nonnegative")
         if self.nonlinearity not in ("none", "statement2", "activation"):
             raise KeyError(f"unknown nonlinearity id '{self.nonlinearity}'")
+        # (weight, F, f) from the activation registry, built once: the
+        # minimizer evaluates them in its inner loops
+        terms = None
+        p = dict(self.params)
+        if self.nonlinearity == "statement2":
+            p = {"weight": p["a_weight"] / p["d"], "name": "piecewise_cbrt",
+                 "fn_params": p}
+        if self.nonlinearity != "none":
+            fn_params = dict(p["fn_params"])
+            terms = (p["weight"], make_activation_antiderivative(p["name"], fn_params),
+                     make_activation_fn(p["name"], fn_params))
+        object.__setattr__(self, "_terms", terms)
 
     def _nonlinear(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(F(u), f(u)) scaled by the nonlinearity weight; zeros for none."""
-        if self.nonlinearity == "none":
+        if self._terms is None:
             return np.zeros_like(u), np.zeros_like(u)
-        p = dict(self.params)
-        if self.nonlinearity == "statement2":
-            d, a, mu1 = p["d"], p["a_weight"], p["mu1"]
-            w = a / d
-            return (w * piecewise_cbrt_antiderivative(u, d, a, mu1),
-                    w * piecewise_cbrt(u, d, a, mu1))
-        # generic registry activation with known antiderivative
-        w = p["weight"]
-        fn = make_activation_fn(p["name"], dict(p["fn_params"]))
-        Fn = make_activation_antiderivative(p["name"], dict(p["fn_params"]))
-        return w * Fn(u), w * fn(u)
+        w, F, f = self._terms
+        return w * F(u), w * f(u)
 
 
 def energy_eval(functional: EnergyFunctional, grid: Grid, u: np.ndarray) -> float:

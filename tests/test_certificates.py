@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdnet import presets
-from rdnet.certificates import (cg_check_C1, cg_margin_matrix, cg_phi_tilde,
-                                cg_rates, check_corollary34,
-                                check_uniqueness_A3, margin_matrix,
-                                mode_margin_matrix, search_certificate,
-                                solve_rate_equation, verify_certificate)
-from rdnet.model import CGSystem
+from rdnet.certificates import (GAMMA_PROBE, _simplex_lattice, cg_check_C1,
+                                cg_margin_matrix, cg_phi_tilde, cg_rates,
+                                check_corollary34, check_uniqueness_A3,
+                                margin_matrix, mode_margin_matrix,
+                                search_certificate, solve_rate_equation,
+                                verify_certificate)
+from rdnet.geometry import RectDomain
+from rdnet.model import Activation, CGSystem, Mode, SwitchedNetwork
 
 # frozen margins of the benchmark feasible points, from an independent
 # assembly of the combined matrix
@@ -113,6 +115,119 @@ class TestSearchCertificate:
                                   honor_theorem_constraint=False)
         M = margin_matrix(net, cert.beta, cert.gamma, cert.q)
         assert np.linalg.eigvalsh(M).max() < 0
+
+
+def _bisection_reference(network, beta_step, honor, gamma_cap=10.0, gamma_tol=1e-6):
+    """The per-weight bisection on gamma that the closed form replaced."""
+    psi_min = float(np.linalg.eigvalsh(network.Psi).min())
+    cap = psi_min * (1.0 - 1e-9) if honor else gamma_cap
+    tiny = min(gamma_tol, cap / 2)
+    best = least = None
+    for beta in _simplex_lattice(network.N, round(1.0 / beta_step)):
+        cert = verify_certificate(network, beta, tiny)
+        if not cert.feasible:
+            if least is None or cert.margin < least.margin:
+                least = cert
+            continue
+        lo, hi = tiny, cap
+        if verify_certificate(network, beta, hi).feasible:
+            lo = hi
+        while hi - lo > gamma_tol:
+            mid = 0.5 * (lo + hi)
+            if verify_certificate(network, beta, mid).feasible:
+                lo = mid
+            else:
+                hi = mid
+        cert = verify_certificate(network, beta, lo)
+        if best is None or (cert.gamma, -cert.margin) > (best.gamma, -best.margin):
+            best = cert
+    return least if best is None else best
+
+
+def _with(net, modes=None, tau_max=None):
+    return SwitchedNetwork(net.modes if modes is None else modes, net.activation,
+                           net.tau_max if tau_max is None else tau_max, net.Psi,
+                           net.q, net.gamma)
+
+
+class TestClosedFormSearch:
+    @pytest.mark.parametrize("honor", [False, True])
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_matches_bisection_reference(self, case, honor):
+        net = presets.switched_benchmark(case)
+        cert = search_certificate(net, beta_step=0.1, honor_theorem_constraint=honor)
+        ref = _bisection_reference(net, 0.1, honor)
+        assert cert.beta == ref.beta
+        assert ref.gamma <= cert.gamma <= ref.gamma + 1e-6
+        assert cert.feasible
+        assert verify_certificate(net, cert.beta, cert.gamma, cert.q).feasible
+
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_optimal_on_lattice(self, case):
+        net = presets.switched_benchmark(case)
+        cert = search_certificate(net, beta_step=0.1, honor_theorem_constraint=False,
+                                  gamma_cap=10.0)
+        assert cert.feasible and cert.gamma < 10.0
+        assert not verify_certificate(net, cert.beta, cert.gamma * (1 + 1e-6)).feasible
+
+    def test_infeasible_everywhere_returns_least_margin(self):
+        net = presets.switched_benchmark(1)
+        # a strong self-excitation in every mode leaves no feasible weight
+        modes = tuple(Mode(m.D, m.C, m.A + 5.0 * np.eye(2), m.B, m.J, m.domain)
+                      for m in net.modes)
+        net = _with(net, modes=modes)
+        cert = search_certificate(net, beta_step=0.1, honor_theorem_constraint=False)
+        assert cert.feasible is False
+        assert cert.gamma == GAMMA_PROBE
+        assert cert == _bisection_reference(net, 0.1, honor=False)
+        margins = [verify_certificate(net, b, GAMMA_PROBE).margin
+                   for b in _simplex_lattice(net.N, 10)]
+        assert cert.margin == min(margins)
+
+    @pytest.mark.parametrize("honor", [False, True])
+    def test_zero_delay_returns_cap(self, honor):
+        net = _with(presets.switched_benchmark(1), tau_max=0.0)
+        cert = search_certificate(net, beta_step=0.1, honor_theorem_constraint=honor,
+                                  gamma_cap=3.0)
+        psi_min = float(np.linalg.eigvalsh(net.Psi).min())
+        assert cert.feasible
+        assert cert.gamma == (psi_min * (1.0 - 1e-9) if honor else 3.0)
+
+    def test_random_networks_match_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            n, N = 2, int(rng.integers(1, 4))
+            modes = tuple(Mode(np.diag(rng.uniform(0.05, 0.2, n)),
+                               np.diag(rng.uniform(0.2, 2.0, n)),
+                               rng.uniform(-0.5, 0.5, (n, n)),
+                               rng.uniform(-0.5, 0.5, (n, n)),
+                               np.zeros(n), RectDomain((1.0,))) for _ in range(N))
+            act = Activation.uniform("affine", {"a": 0.5, "b": 0.0},
+                                     float(rng.uniform(0.3, 1.0)), n)
+            net = SwitchedNetwork(modes, act, tau_max=float(rng.uniform(0.0, 2.0)),
+                                  Psi=0.5 * np.eye(n))
+            cert = search_certificate(net, beta_step=0.25, honor_theorem_constraint=False)
+            ref = _bisection_reference(net, 0.25, honor=False)
+            assert cert.beta == ref.beta
+            assert ref.gamma <= cert.gamma <= ref.gamma + 1e-6
+            assert cert.feasible
+
+    def test_nonpositive_cap_rejected(self):
+        with pytest.raises(ValueError, match="cap"):
+            search_certificate(presets.switched_benchmark(1), beta_step=0.5,
+                               honor_theorem_constraint=False, gamma_cap=0.0)
+
+    @pytest.mark.parametrize("step", [0.3, 0.15, 0.4])
+    def test_step_must_divide_one(self, step):
+        with pytest.raises(ValueError, match="divide"):
+            search_certificate(presets.switched_benchmark(1), beta_step=step)
+
+    @pytest.mark.parametrize("step", [0.01, 0.05, 0.1, 0.2, 0.25])
+    def test_steps_in_use_accepted(self, step):
+        cert = search_certificate(presets.switched_benchmark(1), beta_step=step,
+                                  honor_theorem_constraint=False)
+        assert cert.feasible
+        assert len(_simplex_lattice(3, round(1.0 / step))) == math.comb(round(1.0 / step) + 2, 2)
 
 
 class TestUniqueness:

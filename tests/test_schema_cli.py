@@ -98,6 +98,22 @@ class TestSchema:
         assert lines[0] == "x,component,value"
         assert lines[1] == "0.25,0,1"
 
+    def test_field_csv_2d_bytes(self, tmp_path):
+        grid = Grid(presets.switched_benchmark(1).modes[0].domain, (4, 5))
+        field = np.random.default_rng(5).standard_normal((2, 4, 5))
+        field[0, 1, 2] = -0.0
+        field[1, 3, 4] = 1e-300
+        out = tmp_path / "f.csv"
+        write_field_csv(out, grid, field)
+        axes = grid.axes()
+        expected = "x,y,component,value\n"
+        for comp in range(2):
+            for i in range(4):
+                for k in range(5):
+                    expected += (f"{float(axes[0][i]):.17g},{float(axes[1][k]):.17g},"
+                                 f"{comp},{float(field[comp, i, k]):.17g}\n")
+        assert out.read_bytes() == expected.encode()
+
     def test_csv_bitwise_deterministic(self, tmp_path):
         net, grid = _write_benchmark(tmp_path / "s.json", counts=(9, 9))
         from rdnet.simulator import SimConfig, simulate
@@ -126,6 +142,16 @@ class TestCliExitCodes:
         code = cli.main(["--out", str(tmp_path), "certify", str(f),
                          "--gamma", "5.0"])
         assert code == 1
+
+    def test_certify_search_exit_0(self, tmp_path):
+        f = tmp_path / "sys.json"
+        _write_benchmark(f)
+        code = cli.main(["--out", str(tmp_path), "certify", str(f),
+                         "--search", "--no-honor-theorem"])
+        assert code == 0
+        cert = json.loads((tmp_path / "certify_report.json").read_text())["certificate"]
+        assert cert["feasible"] is True
+        assert cert["gamma"] >= 0.6111047 - 1e-6
 
     def test_certify_parse_error_exit_2(self, tmp_path):
         f = tmp_path / "garbage.json"

@@ -118,6 +118,26 @@ class TestEnergy:
         u_fp, _ = fixed_point_solve(problem, tol=1e-12)
         assert np.max(np.abs(u_var - u_fp[0])) < 1e-8
 
+    def test_registry_activation_minimizer_unchanged(self):
+        # frozen from the version that rebuilt the callables on every call
+        g = Grid(RectDomain((1.0,)), (41,))
+        func = EnergyFunctional(
+            c0=2.0, source=1.0, nonlinearity="activation",
+            params=(("fn_params", (("a", 0.1), ("b", 0.3), ("c", 0.5))),
+                    ("name", "scaled_sine"), ("weight", 0.8)))
+        u, report = variational_minimize(func, g, tol=1e-10)
+        assert report.converged and report.iterations == 8
+        assert report.energy == pytest.approx(-0.04276130540698486, rel=1e-12)
+        assert float(u.max()) == pytest.approx(0.11818421633829695, rel=1e-12)
+        assert float(u.sum()) == pytest.approx(3.3257755710878025, rel=1e-12)
+        assert float(u[7]) == pytest.approx(0.07367607233466503, rel=1e-12)
+
+    def test_unknown_registry_activation_fails_up_front(self):
+        with pytest.raises(KeyError):
+            EnergyFunctional(c0=1.0, nonlinearity="activation",
+                             params=(("fn_params", ()), ("name", "nope"),
+                                     ("weight", 1.0)))
+
     def test_affine_activation_folds_to_quadratic(self):
         problem = presets.boundary_layer_problem(51)
         func = energy_from_problem(problem)
