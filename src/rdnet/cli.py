@@ -40,11 +40,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_certify(args) -> int:
-    try:
-        network, grid = load_system(args.system)
-    except SystemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    network, grid = load_system(args.system)
     if args.search:
         cert = search_certificate(network, q=args.q,
                                   honor_theorem_constraint=args.honor_theorem,
@@ -68,11 +64,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    try:
-        network, grid = load_system(args.system)
-    except SystemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    network, grid = load_system(args.system)
     problem = StationaryProblem(network.modes[0], network.activation, grid)
     outdir = _outdir(args)
     try:
@@ -99,6 +91,7 @@ def cmd_stationary(args) -> int:
             report = {
                 "command": "stationary", "iterations": rep.iterations,
                 "residual": rep.residual, "update_norm": rep.update_norm,
+                "error_bound": rep.error_bound if math.isfinite(rep.error_bound) else None,
                 "system": dump_system(network, grid),
             }
             write_report(outdir / "stationary_report.json", report)
@@ -111,11 +104,7 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        network, grid = load_system(args.system)
-    except SystemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    network, grid = load_system(args.system)
     if args.tau is not None:
         network = SwitchedNetwork(network.modes, network.activation, args.tau,
                                   network.Psi, network.q, network.gamma)
@@ -254,10 +243,7 @@ def reproduce_statement2(nodes: int = 201) -> list[dict]:
                  "tolerance": 5 * h**2, "pass": worst <= 5 * h**2})
     inits = [0.5 / sup_phi * phi1[None], -0.5 / sup_phi * phi1[None],
              problem.zeros()]
-    # the solution valley is nearly flat, so the drift to the nonzero
-    # solutions needs a generous iteration budget
-    sols = find_stationary_multiplicity(problem, inits, tol=1e-6,
-                                        max_iter=300_000)
+    sols = find_stationary_multiplicity(problem, inits, tol=1e-6)
     rows.append(_bound_row("distinct_solutions", 3, len(sols)))
     verdict = check_A1_sampled(problem.activation, box=[-50.0, 50.0],
                                samples=20000)
@@ -293,21 +279,13 @@ def reproduce_example41(case: int, grid_nodes: int = 61, horizon: float = 12.0
 
 def cmd_reproduce(args) -> int:
     outdir = _outdir(args)
-    traj = None
+    targets = {"tables": reproduce_tables, "statement1": reproduce_statement1,
+               "example3_5": reproduce_example35, "statement2": reproduce_statement2}
     try:
-        if args.target == "tables":
-            rows = reproduce_tables()
-        elif args.target == "statement1":
-            rows = reproduce_statement1()
-        elif args.target == "example3_5":
-            rows = reproduce_example35()
-        elif args.target == "statement2":
-            rows = reproduce_statement2()
-        elif args.target == "example4_1":
+        if args.target == "example4_1":
             rows, traj = reproduce_example41(args.case, grid_nodes=args.grid)
         else:
-            print(f"error: unknown target {args.target}", file=sys.stderr)
-            return EXIT_PARSE
+            rows = targets[args.target]()
     except (DivergenceError, BlowUpError) as exc:
         print(f"error: stage failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -377,7 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SystemFileError as exc:   # raised only while loading the system file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

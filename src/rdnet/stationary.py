@@ -1,4 +1,4 @@
-"""Stationary solutions: fixed-point iteration, energy minimization, closed forms.
+"""Stationary solutions: fixed-point iteration, energy minimization, Newton.
 
 At stationarity the delayed argument equals the state, so the delayed and
 undelayed couplings act through their sum and no delay machinery appears
@@ -10,7 +10,7 @@ inverse-Laplacian iteration does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,11 +19,17 @@ import scipy.sparse.linalg as spla
 from .geometry import (Grid, RectDomain, apply_laplacian, helmholtz_solve,
                        l2_inner, l2_norm, laplacian_matrix)
 from .model import (Activation, Mode, make_activation_antiderivative,
-                    make_activation_fn)
+                    make_activation_fn, stationarity_map)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 CLUSTER_REL_DISTANCE = 0.1
+DESCENT_STEP0 = 1.0       # largest Armijo step of variational_minimize
+ARMIJO = 1e-4
+NEWTON_MAX_STEPS = 50
+# deflation M(y) = prod_r (|y - r|^-p + shift) of the roots r already found
+DEFLATION_POWER = 2.0
+DEFLATION_SHIFT = 1.0
 
 
 class DivergenceError(RuntimeError):
@@ -62,17 +68,20 @@ class StationaryProblem:
         return np.zeros((self.n,) + self.grid.shape)
 
 
-def residual(problem: StationaryProblem, y: np.ndarray) -> float:
-    """Discrete L2 norm of D Lap_h y - C y + (A+B) g(y) + J."""
+def _residual_field(problem: StationaryProblem, y: np.ndarray) -> np.ndarray:
+    """D Lap_h y - C y + (A+B) g(y) + J as a field shaped like y."""
     grid = problem.grid
     if y.shape != (problem.n,) + grid.shape:
         raise ValueError("field shape does not match the problem")
     d = np.diag(problem.mode.D)
     lap = np.stack([d[i] * apply_laplacian(grid, y[i]) for i in range(problem.n)])
-    flat = y.reshape(problem.n, -1)
-    react = (-problem.mode.C @ flat + problem.W @ problem.activation(flat)
-             + problem.mode.J[:, None])
-    return l2_norm(grid, lap + react.reshape(y.shape))
+    react = stationarity_map(problem.mode, problem.activation, y.reshape(problem.n, -1))
+    return lap + react.reshape(y.shape)
+
+
+def residual(problem: StationaryProblem, y: np.ndarray) -> float:
+    """Discrete L2 norm of D Lap_h y - C y + (A+B) g(y) + J."""
+    return l2_norm(problem.grid, _residual_field(problem, y))
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,9 @@ class SolverReport:
     iterations: int
     update_norm: float
     residual: float
+    # sup-norm error bound rho/(1 - rho) * update_norm, rho the ratio of the
+    # last two updates; inf after one iteration or when rho >= 1
+    error_bound: float
 
 
 def fixed_point_solve(problem: StationaryProblem, init: np.ndarray | None = None,
@@ -101,6 +113,7 @@ def fixed_point_solve(problem: StationaryProblem, init: np.ndarray | None = None
         raise ValueError("init shape does not match the problem")
     d = np.diag(problem.mode.D)
     c = np.diag(problem.mode.C)
+    previous = math.inf
     for it in range(1, max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             flat = y.reshape(problem.n, -1)
@@ -120,7 +133,10 @@ def fixed_point_solve(problem: StationaryProblem, init: np.ndarray | None = None
                 f"fixed-point iteration produced non-finite values at "
                 f"iteration {it}", y, update)
         if update <= tol:
-            return y, SolverReport(it, update, residual(problem, y))
+            rho = update / previous if it > 1 else math.inf
+            bound = rho / (1.0 - rho) * update if rho < 1.0 else math.inf
+            return y, SolverReport(it, update, residual(problem, y), bound)
+        previous = update
     raise DivergenceError(
         f"fixed-point iteration did not converge in {max_iter} iterations "
         f"(last update {update:.3e})", y, update)
@@ -219,86 +235,89 @@ class MinimizeReport:
     energy: float
 
 
+def _slope(fn, u: np.ndarray) -> np.ndarray:
+    """Pointwise derivative of an elementwise fn at u by central differences."""
+    delta = 1e-7 * (1.0 + np.abs(u))
+    return (fn(u + delta) - fn(u - delta)) / (2.0 * delta)
+
+
+def _newton(grid: Grid, F, jacobian, y: np.ndarray, tol: float, roots=()) -> np.ndarray:
+    """Full-step Newton on F(y) = 0 with the sparse Jacobian jacobian(y).
+
+    Deflation (Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37(4), 2015)
+    solves M(y) F(y) = 0 instead, M blowing up at the given roots in the L2
+    quadrature norm; its step is the plain step dF / (1 - grad log M . dF).
+    Stops once |dF| <= tol, after taking the step: on nearly flat solution
+    valleys a small residual is no evidence of a small error.
+    """
+    for it in range(1, NEWTON_MAX_STEPS + 1):
+        with np.errstate(all="ignore"):
+            step = spla.spsolve(jacobian(y), -F(y).ravel()).reshape(y.shape)
+            dlog_m = 0.0   # grad log M . step
+            for r in roots:
+                e2 = l2_inner(grid, y - r, y - r)
+                dlog_m -= (DEFLATION_POWER * l2_inner(grid, y - r, step)
+                           / (e2 * (1.0 + DEFLATION_SHIFT * e2 ** (DEFLATION_POWER / 2))))
+            size = l2_norm(grid, step)
+            y = y + step / (1.0 - dlog_m)
+        if not np.isfinite(y).all():
+            raise DivergenceError(f"Newton produced non-finite values at step {it}", y, size)
+        if size <= tol:
+            return y
+    raise DivergenceError(f"Newton did not converge in {NEWTON_MAX_STEPS} steps "
+                          f"(last step {size:.3e})", y, size)
+
+
 def variational_minimize(functional: EnergyFunctional, grid: Grid,
-                         init: np.ndarray | None = None, tol: float = 1e-8,
-                         max_iter: int = DEFAULT_MAX_ITER, step0: float = 1.0,
-                         armijo: float = 1e-4) -> tuple[np.ndarray, MinimizeReport]:
+                         init: np.ndarray | None = None, tol: float = 1e-8
+                         ) -> tuple[np.ndarray, MinimizeReport]:
     """Preconditioned descent with Armijo backtracking, Newton-polished.
 
     The descent direction solves (c0 I - Lap_h) p = grad E, removing the
     mesh-dependent stiffness of the Laplacian from the iteration (plain
     gradient steps would need O(1/h^2) iterations). Close to a critical
     point the attainable energy decrease drops below floating-point noise
-    in E, so once the line search stalls the iterate is polished by
-    Newton-Krylov root finding on the gradient, which has no such floor.
-    Stops when the L2 norm of the gradient drops below tol.
+    in E. A step must decrease E strictly, so the line search then stalls
+    and `_newton` polishes the iterate on the gradient, with the Jacobian
+    -Lap_h + diag(c0 - f') and no such floor. Stops when the L2 norm of the
+    gradient drops below tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     u = grid.zeros() if init is None else np.array(init, dtype=float)
     e = energy_eval(functional, grid, u)
-    step = step0
-    stalled = False
-    for it in range(1, max_iter + 1):
+    step = DESCENT_STEP0
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         g = energy_gradient(functional, grid, u)
         gnorm = l2_norm(grid, g)
         if gnorm <= tol:
             return u, MinimizeReport(True, it - 1, gnorm, e)
         p = helmholtz_solve(grid, functional.c0, g)
         slope = l2_inner(grid, g, p)   # positive: SPD preconditioner
-        step = min(step * 2.0, step0)
-        while True:
+        step = min(step * 2.0, DESCENT_STEP0)
+        while step >= 1e-16:
             trial = u - step * p
             e_trial = energy_eval(functional, grid, trial)
-            if e_trial <= e - armijo * step * slope:
-                break
-            step *= 0.5
-            if step < 1e-16:
-                stalled = True
-                break
-        if stalled:
-            break
-        u, e = trial, e_trial
-    u, gnorm = _newton_polish(functional, grid, u, tol)
-    if gnorm <= tol:
-        return u, MinimizeReport(True, it, gnorm, energy_eval(functional, grid, u))
-    raise DivergenceError(
-        f"energy minimization did not converge in {max_iter} iterations "
-        f"(gradient norm {gnorm:.3e})", u, gnorm)
-
-
-def _newton_polish(functional: EnergyFunctional, grid: Grid, u: np.ndarray,
-                   tol: float) -> tuple[np.ndarray, float]:
-    """Drive the gradient to zero by damped Newton from a nearby iterate.
-
-    The nonlinear term acts pointwise, so the Jacobian of the gradient is
-    the sparse Helmholtz operator minus a diagonal, assembled exactly and
-    solved directly. Step acceptance monitors the gradient norm, which has
-    no cancellation floor (unlike energy differences).
-    """
-    lap = laplacian_matrix(grid)
-    gnorm = l2_norm(grid, energy_gradient(functional, grid, u))
-    for _ in range(50):
-        if gnorm <= tol:
-            break
-        delta = 1e-7 * (1.0 + np.abs(u))
-        _, f_hi = functional._nonlinear(u + delta)
-        _, f_lo = functional._nonlinear(u - delta)
-        fprime = (f_hi - f_lo) / (2.0 * delta)
-        J = (-lap + sp.diags(functional.c0 - fprime.ravel())).tocsc()
-        g = energy_gradient(functional, grid, u)
-        du = spla.spsolve(J, -g.ravel()).reshape(grid.shape)
-        step = 1.0
-        while step > 1e-12:
-            trial = u + step * du
-            trial_norm = l2_norm(grid, energy_gradient(functional, grid, trial))
-            if trial_norm < gnorm:
-                u, gnorm = trial, trial_norm
+            bar = e - ARMIJO * step * slope
+            # a tie at E's rounding floor shows no progress; it is kept only
+            # when the step already lands within tol
+            if e_trial < bar or (e_trial == bar and l2_norm(
+                    grid, energy_gradient(functional, grid, trial)) <= tol):
                 break
             step *= 0.5
         else:
-            break
-    return u, gnorm
+            break   # stalled
+        u, e = trial, e_trial
+    lap = laplacian_matrix(grid)
+    f = lambda v: functional._nonlinear(v)[1]
+    u = _newton(grid, lambda v: energy_gradient(functional, grid, v),
+                lambda v: -lap + sp.diags(functional.c0 - _slope(f, v).ravel()), u, tol)
+    gnorm = l2_norm(grid, energy_gradient(functional, grid, u))
+    if gnorm <= tol:
+        return u, MinimizeReport(True, it, gnorm, energy_eval(functional, grid, u))
+    raise DivergenceError(
+        f"energy minimization did not converge in {DEFAULT_MAX_ITER} iterations "
+        f"(gradient norm {gnorm:.3e})", u, gnorm)
 
 
 def energy_from_problem(problem: StationaryProblem) -> EnergyFunctional:
@@ -317,14 +336,13 @@ def energy_from_problem(problem: StationaryProblem) -> EnergyFunctional:
     j = float(problem.mode.J[0])
     name = problem.activation.names[0]
     fn_params = problem.activation.params[0]
+    p = dict(fn_params)
     if name == "piecewise_cbrt":
-        p = dict(fn_params)
         return EnergyFunctional(
             c0=c / d, source=j / d, nonlinearity="statement2",
             params=tuple(sorted({"d": p["d"], "a_weight": p["a_weight"],
                                  "mu1": p["mu1"]}.items())))
     if name == "affine":
-        p = dict(fn_params)
         # linear activation folds into the quadratic and source terms
         return EnergyFunctional(c0=(c - w * p["a"]) / d,
                                 source=(j + w * p["b"]) / d)
@@ -337,48 +355,47 @@ def energy_from_problem(problem: StationaryProblem) -> EnergyFunctional:
 
 
 def find_stationary_multiplicity(problem: StationaryProblem, inits,
-                                 tol: float = 1e-6, max_iter: int = DEFAULT_MAX_ITER
-                                 ) -> list[np.ndarray]:
-    """Distinct stationary solutions reached from the given initial fields.
+                                 tol: float = 1e-6) -> list[np.ndarray]:
+    """Distinct stationary solutions found by deflated Newton from the starts.
 
-    The fixed-point solver runs first: unlike Newton-type methods it tracks
-    the nearly flat solution valleys that arise when a whole family of
-    continuum solutions collapses to isolated discrete ones, instead of
-    jumping to the zero solution. When it diverges, scalar problems fall
-    back to the energy minimizer. Results are clustered by relative L2
-    distance and returned sorted by energy when available, else by norm.
+    From each start `_newton` runs again and again, deflating every solution
+    found so far, so one start can yield several; undeflated, it collapses to
+    zero on the nearly flat valleys left where a family of continuum
+    solutions breaks up into isolated discrete ones. The search moves to the
+    next start when Newton fails, when it returns a solution within relative
+    L2 distance CLUSTER_REL_DISTANCE of a known one, or when the start is
+    that close to one. Sorted by energy when available, else by norm.
     """
     if not inits:
         raise ValueError("need at least one initial field")
     grid = problem.grid
-    functional = None
-    if problem.n == 1:
-        try:
-            functional = energy_from_problem(problem)
-        except (KeyError, ValueError):
-            functional = None
+    eye = sp.identity(int(np.prod(grid.shape)), format="csc")
+    linear = sp.kron(problem.mode.D, laplacian_matrix(grid)) - sp.kron(problem.mode.C, eye)
+    coupling = sp.kron(problem.W, eye, format="csc")
+    jacobian = lambda y: linear + coupling @ sp.diags(
+        _slope(problem.activation, y.reshape(problem.n, -1)).ravel())
     solutions: list[np.ndarray] = []
+
+    def known(y):
+        return any(l2_norm(grid, y - k)
+                   <= CLUSTER_REL_DISTANCE * (1.0 + l2_norm(grid, y) + l2_norm(grid, k))
+                   for k in solutions)
+
     for init in inits:
-        init = np.asarray(init, dtype=float)
-        try:
-            sol, _ = fixed_point_solve(problem, init, tol=tol, max_iter=max_iter)
-        except DivergenceError:
-            if functional is None:
-                continue
+        init = np.asarray(init, dtype=float).reshape((problem.n,) + grid.shape)
+        while not known(init):
             try:
-                u, _ = variational_minimize(functional, grid,
-                                            init.reshape(grid.shape),
-                                            tol=tol, max_iter=max_iter)
+                sol = _newton(grid, lambda y: _residual_field(problem, y), jacobian,
+                              init, tol, solutions)
             except DivergenceError:
-                continue
-            sol = u[None]
-        sol = sol.reshape((problem.n,) + grid.shape)
-        for known in solutions:
-            dist = l2_norm(grid, sol - known)
-            if dist <= CLUSTER_REL_DISTANCE * (1.0 + l2_norm(grid, sol) + l2_norm(grid, known)):
                 break
-        else:
+            if known(sol):
+                break
             solutions.append(sol)
+    try:
+        functional = energy_from_problem(problem)
+    except (KeyError, ValueError):
+        functional = None
     if functional is not None:
         key = lambda s: (energy_eval(functional, grid, s[0]), l2_norm(grid, s))
     else:

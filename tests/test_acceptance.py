@@ -149,8 +149,7 @@ def test_criterion_6_multiplicity():
         scale = d * problem.mode.lambda1 * max(l2_norm(grid, field), 1e-12)
         worst_ratio = max(worst_ratio, residual(problem, field) / (5 * h**2 * scale))
     inits = [0.5 / sup * phi1[None], -0.5 / sup * phi1[None], problem.zeros()]
-    sols = find_stationary_multiplicity(problem, inits, tol=1e-6,
-                                        max_iter=300_000)
+    sols = find_stationary_multiplicity(problem, inits, tol=1e-6)
     lip = float(problem.activation.lipschitz[0])
     verdict = check_A1_sampled(problem.activation, box=[-50.0, 50.0],
                                samples=20_000)

@@ -178,6 +178,21 @@ class TestCliExitCodes:
         code = cli.main(["--out", str(tmp_path), "stationary", str(f)])
         assert code == 0
         assert (tmp_path / "stationary_0.csv").exists()
+        report = json.loads((tmp_path / "stationary_report.json").read_text())
+        assert 0.0 <= report["error_bound"] <= 1e-8
+
+    def test_stationary_multiplicity_writes_each_solution(self, tmp_path):
+        problem = presets.multiplicity_problem(101)
+        net = SwitchedNetwork((problem.mode,), problem.activation, 1.0,
+                              0.01 * np.eye(1))
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(dump_system(net, problem.grid)))
+        code = cli.main(["--out", str(tmp_path), "stationary", str(f), "--inits", "3"])
+        assert code == 0
+        assert len(list(tmp_path.glob("stationary_*.csv"))) == 3
+        report = json.loads((tmp_path / "stationary_report.json").read_text())
+        assert report["distinct_solutions"] == 3
+        assert max(report["residuals"]) <= 1e-10
 
     def test_reproduce_tables_exit_0(self, tmp_path):
         assert cli.main(["--out", str(tmp_path), "reproduce", "tables"]) == 0

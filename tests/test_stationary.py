@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rdnet import presets
+from rdnet import presets, stationary
 from rdnet.geometry import Grid, RectDomain, eigenfunction, l2_norm
 from rdnet.model import Activation, Mode
 from rdnet.stationary import (DivergenceError, EnergyFunctional,
@@ -56,6 +56,7 @@ class TestFixedPoint:
         y, report = fixed_point_solve(problem)
         assert np.array_equal(y, problem.zeros())
         assert report.iterations == 1
+        assert report.error_bound == math.inf   # no contraction estimate yet
 
     def test_inverse_laplacian_diverges_on_stiff_decay(self):
         # with tiny diffusion the plain inverse-Laplacian iteration expands
@@ -77,6 +78,16 @@ class TestFixedPoint:
         problem = presets.linear_variational_problem(101)
         y, _ = fixed_point_solve(problem, tol=1e-12)
         assert residual(problem, y) < 1e-9
+
+    def test_error_bound_covers_error(self):
+        # the map is affine here, so the bound is the geometric tail of the
+        # updates and tight: tolerances keep the error far above rounding
+        problem = presets.boundary_layer_problem(401)
+        exact, _ = fixed_point_solve(problem, tol=1e-13)
+        for tol in (1e-2, 1e-4, 1e-6):
+            y, report = fixed_point_solve(problem, tol=tol)
+            assert report.iterations > 1
+            assert np.max(np.abs(y - exact)) <= report.error_bound < math.inf
 
     def test_unknown_form(self):
         problem = presets.linear_variational_problem(11)
@@ -132,6 +143,19 @@ class TestEnergy:
         assert float(u.sum()) == pytest.approx(3.3257755710878025, rel=1e-12)
         assert float(u[7]) == pytest.approx(0.07367607233466503, rel=1e-12)
 
+    def test_descent_hands_over_to_newton(self):
+        # energy ties at the rounding floor used to be accepted as descent
+        # steps, so the descent ran its whole budget without reaching tol
+        g = Grid(RectDomain((1.0,)), (61,))
+        func = EnergyFunctional(c0=2.0, source=0.5, nonlinearity="statement2",
+                                params=(("a_weight", 1.0), ("d", 0.1),
+                                        ("mu1", 12.0)))
+        for tol in (1e-8, 1e-10):
+            u, report = variational_minimize(func, g, tol=tol)
+            assert report.converged and report.iterations < 10_000
+            assert report.grad_norm <= tol
+            assert l2_norm(g, energy_gradient(func, g, u)) <= tol
+
     def test_unknown_registry_activation_fails_up_front(self):
         with pytest.raises(KeyError):
             EnergyFunctional(c0=1.0, nonlinearity="activation",
@@ -176,8 +200,7 @@ class TestMultiplicity:
         phi1, _ = eigenfunction(grid.domain, (1,), grid)
         sup = float(np.max(np.abs(phi1)))
         inits = [0.5 / sup * phi1[None], -0.5 / sup * phi1[None], problem.zeros()]
-        sols = find_stationary_multiplicity(problem, inits, tol=1e-6,
-                                            max_iter=300_000)
+        sols = find_stationary_multiplicity(problem, inits, tol=1e-6)
         assert len(sols) >= 3
         h = grid.spacing[0]
         d = float(problem.mode.D[0, 0])
@@ -200,6 +223,52 @@ class TestMultiplicity:
             field = (t / sup * phi1)[None]
             scale = d * problem.mode.lambda1 * max(l2_norm(grid, field), 1e-12)
             assert residual(problem, field) <= 5 * h**2 * scale
+
+    def test_deflation_converges_at_201_nodes(self):
+        problem = presets.multiplicity_problem(201)
+        grid = problem.grid
+        phi1, _ = eigenfunction(grid.domain, (1,), grid)
+        sup = float(np.max(np.abs(phi1)))
+        inits = [0.5 / sup * phi1[None], -0.5 / sup * phi1[None], problem.zeros()]
+        sols = find_stationary_multiplicity(problem, inits, tol=1e-6)
+        assert len(sols) == 3
+        assert max(residual(problem, s) for s in sols) <= 1e-10
+        norms = sorted(l2_norm(grid, s) for s in sols)
+        assert norms[0] < 1e-12
+        # the converged discrete solutions; Picard stopped at 0.720708
+        assert norms[1] == pytest.approx(0.721045, abs=1e-6)
+        assert norms[2] == pytest.approx(0.721045, abs=1e-6)
+        assert np.max(np.abs(sols[0] + sols[1])) < 1e-9
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_unique_solution_modes(self, case):
+        network = presets.switched_benchmark(case)
+        for mode in network.modes:
+            grid = Grid(mode.domain, (15, 15))
+            problem = StationaryProblem(mode, network.activation, grid)
+            phi1, _ = eigenfunction(grid.domain, (1, 1), grid)
+            amp = np.random.default_rng(case).uniform(-1.0, 1.0, problem.n)
+            inits = [problem.zeros(), np.stack([a * phi1 for a in amp])]
+            sols = find_stationary_multiplicity(problem, inits, tol=1e-10)
+            reference, _ = fixed_point_solve(problem, tol=1e-13)
+            assert len(sols) == 1
+            assert np.max(np.abs(sols[0] - reference)) <= 1e-10
+
+    def test_known_root_start_adds_nothing(self, monkeypatch):
+        problem = presets.multiplicity_problem(101)
+        grid = problem.grid
+        phi1, _ = eigenfunction(grid.domain, (1,), grid)
+        sup = float(np.max(np.abs(phi1)))
+        roots = find_stationary_multiplicity(problem, [0.5 / sup * phi1[None]])
+        assert len(roots) == 3
+        runs = []
+        newton = stationary._newton
+        monkeypatch.setattr(stationary, "_newton",
+                            lambda *a, **k: runs.append(a[5][:]) or newton(*a, **k))
+        sols = find_stationary_multiplicity(problem, [roots[0], roots[0]])
+        # one run from the first start, none once the start itself is known
+        assert len(sols) == 1 and runs == [[]]
+        assert np.max(np.abs(sols[0] - roots[0])) < 1e-9
 
     def test_requires_inits(self):
         problem = presets.multiplicity_problem(11)
