@@ -1,6 +1,6 @@
 """Command-line harness: certify, stationary, simulate, reproduce.
 
-Exit codes: 0 success/feasible, 1 infeasible or diverged, 2 parse errors.
+Exit codes: 0 success/feasible, 1 infeasible or diverged, 2 bad system file or argument.
 Every report echoes the resolved configuration; the output directory comes
 from --out or the RDNET_OUTDIR environment variable, defaulting to the
 current directory.
@@ -21,8 +21,8 @@ from .certificates import (check_uniqueness_A3, search_certificate,
                            verify_certificate)
 from .geometry import Grid, eigenfunction, l2_norm
 from .model import SwitchedNetwork
-from .schema import (SystemFileError, dump_system, load_system, write_field_csv,
-                     write_report, write_trajectory_csv)
+from .schema import (dump_system, load_system, write_field_csv, write_report,
+                     write_trajectory_csv)
 from .simulator import (BlowUpError, SimConfig, estimate_decay_rate, ode_from_mode,
                         simulate, simulate_ode)
 from .stationary import (DivergenceError, StationaryProblem,
@@ -122,10 +122,10 @@ def cmd_simulate(args) -> int:
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    est = estimate_decay_rate(traj)   # a horizon too short for the fit fails here
     write_trajectory_csv(outdir / "trajectory.csv", traj)
     for i, (t, snap) in enumerate(traj.snapshots):
         write_field_csv(outdir / f"snapshot_{i:04d}.csv", grid, snap)
-    est = estimate_decay_rate(traj)
     write_report(outdir / "simulate_report.json", {
         "command": "simulate", "dt": dt, "horizon": args.T,
         "switching": args.switching, "seed": args.seed,
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemFileError as exc:   # raised only while loading the system file
+    except ValueError as exc:   # a bad system file (SystemFileError) or argument
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

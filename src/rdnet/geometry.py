@@ -1,19 +1,22 @@
 """Rectangular Dirichlet-zero domains and the discrete Laplacian.
 
-Uniform tensor grids in 1D/2D, second-order centered differences, direct
-sparse solves, and h-weighted L2 quadrature. Boundary nodes carry the value
-0 identically and are never stored; every field lives on interior nodes.
+Uniform tensor grids in 1D/2D, second-order centered differences,
+Helmholtz solves in the discrete sine basis that diagonalizes them, and
+h-weighted L2 quadrature. Boundary nodes carry the value 0 identically and
+are never stored; every field lives on interior nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+# a grid's sine basis is a dense c x c matrix per axis: 32 MB at this count
+MAX_AXIS_NODES = 2000
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,8 @@ class Grid:
     def __post_init__(self):
         if len(self.counts) != self.domain.dims:
             raise ValueError("counts must match domain dimension")
-        if any(c < 3 for c in self.counts):
-            raise ValueError("need at least 3 interior nodes per axis")
+        if any(c < 3 or c > MAX_AXIS_NODES for c in self.counts):
+            raise ValueError(f"need 3 to {MAX_AXIS_NODES} interior nodes per axis")
 
     @property
     def spacing(self) -> tuple[float, ...]:
@@ -96,27 +99,34 @@ class Grid:
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
 
+    @cached_property
+    def laplacian(self) -> sp.csc_matrix:
+        """3-point (1D) / 5-point (2D) discrete Laplacian on interior nodes."""
+        blocks = [sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(c, c)) / h**2
+                  for c, h in zip(self.counts, self.spacing)]
+        if len(blocks) == 1:
+            return blocks[0].tocsc()
+        return sp.kronsum(blocks[1], blocks[0]).tocsc()
 
-@lru_cache(maxsize=32)
-def _laplacian_csc(lengths: tuple[float, ...], counts: tuple[int, ...]) -> sp.csc_matrix:
-    """3-point (1D) / 5-point (2D) discrete Laplacian on interior nodes."""
-    blocks = []
-    for l, c in zip(lengths, counts):
-        h = l / (c + 1)
-        main = -2.0 * np.ones(c)
-        off = np.ones(c - 1)
-        blocks.append(sp.diags([off, main, off], [-1, 0, 1]) / h**2)
-    if len(blocks) == 1:
-        lap = blocks[0]
-    else:
-        i1 = sp.identity(counts[0])
-        i2 = sp.identity(counts[1])
-        lap = sp.kron(blocks[0], i2) + sp.kron(i1, blocks[1])
-    return lap.tocsc()
+    @cached_property
+    def sine_basis(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per axis, the symmetric self-inverse DST-I matrix S and eigenvalues of -Lap_h.
+
+        Column k of S samples sin(k pi x/l), whose 3-point stencil eigenvalue is
+        (2/h sin(k pi h/2l))^2 (Buzbee, Golub & Nielson, SIAM J. Numer. Anal.
+        7(4), 1970); the sine argument is reduced mod 2 pi in integers first.
+        """
+        basis = []
+        for c, h, l in zip(self.counts, self.spacing, self.domain.lengths):
+            k = np.arange(1, c + 1)
+            arg = np.outer(k, k) % (2 * (c + 1)) * (math.pi / (c + 1))
+            lam = (2.0 / h * np.sin(k * math.pi * h / (2.0 * l))) ** 2
+            basis.append((math.sqrt(2.0 / (c + 1)) * np.sin(arg), lam))
+        return tuple(basis)
 
 
 def laplacian_matrix(grid: Grid) -> sp.csc_matrix:
-    return _laplacian_csc(grid.domain.lengths, grid.counts)
+    return grid.laplacian
 
 
 def apply_laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -127,25 +137,22 @@ def apply_laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
     return (lap @ u.ravel()).reshape(grid.shape)
 
 
-@lru_cache(maxsize=64)
-def _helmholtz_factor(lengths, counts, c):
-    n = math.prod(counts)
-    op = (c * sp.identity(n) - _laplacian_csc(lengths, counts)).tocsc()
-    return spla.factorized(op)
-
-
 def helmholtz_solve(grid: Grid, c: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (c I - Delta_h) u = rhs on the grid; c >= 0.
 
-    The operator is symmetric positive definite for c >= 0, so the direct
-    factorization never encounters a singular system.
+    The grid's sine basis diagonalizes the operator, so u = S (S rhs / (c + lam))
+    per axis in closed form for every c; for c >= 0 every denominator is
+    positive.
     """
     if c < 0:
         raise ValueError("c must be nonnegative")
     if rhs.shape != grid.shape:
         raise ValueError(f"rhs shape {rhs.shape} != grid shape {grid.shape}")
-    solve = _helmholtz_factor(grid.domain.lengths, grid.counts, float(c))
-    return solve(rhs.ravel()).reshape(grid.shape)
+    if grid.domain.dims == 1:
+        ((s1, lam1),) = grid.sine_basis
+        return s1 @ ((s1 @ rhs) / (c + lam1))
+    (s1, lam1), (s2, lam2) = grid.sine_basis
+    return s1 @ ((s1 @ rhs @ s2) / (c + lam1[:, None] + lam2)) @ s2
 
 
 def l2_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:

@@ -50,13 +50,13 @@ class History:
 
     @classmethod
     def from_sampler(cls, sampler: Callable[[float], np.ndarray], tau: float,
-                     dt: float, t0: float = 0.0) -> "History":
-        """Seed the window [t0 - tau, t0] by sampling the initial function."""
+                     dt: float) -> "History":
+        """Seed the window [-tau, 0] by sampling the initial function."""
         hist = cls(tau)
         steps = max(1, int(round(tau / dt))) if tau > 0 else 0
         for k in range(steps, -1, -1):
             s = -k * tau / steps if steps else 0.0
-            hist.push(t0 + s, np.array(sampler(s), dtype=float))
+            hist.push(s, np.array(sampler(s), dtype=float))
         return hist
 
     def push(self, t: float, u: np.ndarray) -> None:
@@ -123,6 +123,8 @@ class SimConfig:
             raise ValueError("hysteresis slack must be nonnegative")
         if self.switching_form not in ("integrated", "pointwise"):
             raise ValueError("switching_form must be 'integrated' or 'pointwise'")
+        if self.snapshot_stride < 0:
+            raise ValueError("snapshot_stride must be nonnegative")
 
 
 @dataclass

@@ -368,6 +368,8 @@ def find_stationary_multiplicity(problem: StationaryProblem, inits,
     """
     if not inits:
         raise ValueError("need at least one initial field")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     grid = problem.grid
     eye = sp.identity(int(np.prod(grid.shape)), format="csc")
     linear = sp.kron(problem.mode.D, laplacian_matrix(grid)) - sp.kron(problem.mode.C, eye)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdnet.geometry import (Grid, RectDomain, apply_laplacian, eigenfunction,
-                            first_eigenvalue, helmholtz_solve, l2_inner,
-                            l2_norm, laplacian_matrix, poincare_cube_bound)
+from rdnet.geometry import (MAX_AXIS_NODES, Grid, RectDomain, apply_laplacian,
+                            eigenfunction, first_eigenvalue, helmholtz_solve,
+                            l2_inner, l2_norm, laplacian_matrix,
+                            poincare_cube_bound)
 
 
 class TestRectDomain:
@@ -60,6 +61,12 @@ class TestGrid:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             Grid(RectDomain((1.0,)), (2,))
+
+    def test_rejects_axis_above_node_limit(self):
+        Grid(RectDomain((1.0,)), (MAX_AXIS_NODES,))
+        for counts in [(MAX_AXIS_NODES + 1,), (9, MAX_AXIS_NODES + 1), (20000,)]:
+            with pytest.raises(ValueError, match="interior nodes per axis"):
+                Grid(RectDomain((1.0,) * len(counts)), counts)
 
     def test_cell_volume_2d(self):
         g = Grid(RectDomain((1.0, 2.0)), (9, 19))
@@ -128,6 +135,56 @@ class TestHelmholtz:
         g = Grid(RectDomain((1.0,)), (10,))
         with pytest.raises(ValueError):
             helmholtz_solve(g, -1.0, np.zeros(10))
+
+
+CLOSED_FORM_GRIDS = [Grid(RectDomain((1.0,)), (401,)),
+                     Grid(RectDomain((1.3, 1.5)), (9, 13))]
+
+
+class TestSineBasisSolve:
+    """helmholtz_solve against the discrete spectrum of the 3-/5-point stencil."""
+
+    @pytest.mark.parametrize("grid", CLOSED_FORM_GRIDS, ids=["1d", "2d"])
+    @pytest.mark.parametrize("c", [0.0, 2.0, 571.43])
+    def test_sine_mode_divided_by_its_eigenvalue(self, grid, c):
+        # any solver loses the rounding of a mode's samples times the condition
+        # number (c + lam_max)/(c + lam_1), ~6.5e4 at 401 nodes and c = 0; above
+        # k ~ 100 that exceeds 1e-12
+        modes = [(1,), (7,), (100,)] if grid.domain.dims == 1 else \
+            [(1, 1), (2, 5), (9, 1), (4, 13), (9, 13)]
+        for k in modes:
+            # sin(k pi x_j / l) at x_j = j l / (n + 1), the argument reduced
+            # mod 2 pi in integers so that high modes are sampled to rounding
+            factors = [np.sin(math.pi / (n + 1) * (ki * np.arange(1, n + 1) % (2 * n + 2)))
+                       for ki, n in zip(k, grid.counts)]
+            phi = factors[0] if len(factors) == 1 else np.outer(*factors)
+            lam = sum((2.0 / h * math.sin(ki * math.pi * h / (2.0 * l))) ** 2
+                      for ki, h, l in zip(k, grid.spacing, grid.domain.lengths))
+            expected = phi / (c + lam)
+            u = helmholtz_solve(grid, c, phi)
+            assert np.max(np.abs(u - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("grid", CLOSED_FORM_GRIDS, ids=["1d", "2d"])
+    @pytest.mark.parametrize("c", [0.0, 2.0, 571.43])
+    def test_residual_of_random_rhs(self, grid, c):
+        rhs = np.random.default_rng(11).standard_normal(grid.shape)
+        u = helmholtz_solve(grid, c, rhs)
+        op = c * np.eye(grid.size) - laplacian_matrix(grid).toarray()
+        res = np.max(np.abs(op @ u.ravel() - rhs.ravel()))
+        h = min(grid.spacing)
+        assert res <= 1e-12 * (c + 8.0 / h**2) * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("grid", CLOSED_FORM_GRIDS, ids=["1d", "2d"])
+    def test_smallest_discrete_eigenvalue_below_continuum(self, grid):
+        lam1_h = sum(float(np.min(lam)) for _, lam in grid.sine_basis)
+        assert lam1_h < first_eigenvalue(grid.domain)
+        assert lam1_h == pytest.approx(first_eigenvalue(grid.domain), rel=0.05)
+
+    @pytest.mark.parametrize("grid", CLOSED_FORM_GRIDS, ids=["1d", "2d"])
+    def test_basis_symmetric_and_self_inverse(self, grid):
+        for s, _ in grid.sine_basis:
+            np.testing.assert_array_equal(s, s.T)
+            assert np.max(np.abs(s @ s - np.eye(len(s)))) <= 1e-13
 
 
 class TestQuadrature:

@@ -199,6 +199,25 @@ class TestCliExitCodes:
         report = json.loads((tmp_path / "reproduce_tables.json").read_text())
         assert all(r["pass"] for r in report["rows"])
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--T", "-1"],
+        ["simulate", "--dt", "10"],   # above the delay bound 3.5
+        ["simulate", "--T", "1", "--dt", "0.05", "--snapshots", "-1"],
+        ["stationary", "--tol", "-1"],
+        ["stationary", "--tol", "-1", "--inits", "3"],
+        ["certify", "--gamma", "-1"],
+        ["simulate", "--T", "0.7", "--dt", "0.05"],   # under 10 samples to fit
+    ], ids=["T", "dt", "snapshots", "tol", "tol-inits", "gamma", "T-fit-window"])
+    def test_out_of_range_argument_exit_2(self, tmp_path, capsys, argv):
+        f = tmp_path / "sys.json"
+        _write_benchmark(f, counts=(9, 9))
+        out = tmp_path / "out"
+        code = cli.main(["--out", str(out), argv[0], str(f)] + argv[1:])
+        assert code == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestReproduceRows:
     def test_tables_rates(self):
