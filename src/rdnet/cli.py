@@ -23,8 +23,8 @@ from .geometry import Grid, eigenfunction, l2_norm
 from .model import SwitchedNetwork
 from .schema import (dump_system, load_system, write_field_csv, write_report,
                      write_trajectory_csv)
-from .simulator import (BlowUpError, SimConfig, estimate_decay_rate, ode_from_mode,
-                        simulate, simulate_ode)
+from .simulator import (BlowUpError, SimConfig, estimate_decay_rate,
+                        fit_window_start, ode_from_mode, simulate, simulate_ode)
 from .stationary import (DivergenceError, StationaryProblem,
                          find_stationary_multiplicity, fixed_point_solve,
                          residual, statement1_closed_form, statement1_profile)
@@ -112,6 +112,7 @@ def cmd_simulate(args) -> int:
         (network.tau_max / 100.0 if network.tau_max > 0 else 1e-3)
     config = SimConfig(dt=dt, horizon=args.T, switching=args.switching,
                        snapshot_stride=args.snapshots)
+    fit_window_start(int(round(args.T / dt)) + 1)   # simulate's sample count
     phi1, _ = eigenfunction(grid.domain, (1,) * grid.domain.dims, grid)
     rng = np.random.default_rng(args.seed)
     amp = rng.uniform(-1.0, 1.0, network.n)
@@ -122,7 +123,7 @@ def cmd_simulate(args) -> int:
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    est = estimate_decay_rate(traj)   # a horizon too short for the fit fails here
+    est = estimate_decay_rate(traj)
     write_trajectory_csv(outdir / "trajectory.csv", traj)
     for i, (t, snap) in enumerate(traj.snapshots):
         write_field_csv(outdir / f"snapshot_{i:04d}.csv", grid, snap)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .geometry import Grid, RectDomain, first_eigenvalue
@@ -75,35 +74,44 @@ def switched_benchmark(case: int = 1) -> SwitchedNetwork:
         tau_max=point.tau, Psi=0.00018 * np.eye(2), q=1.00001, gamma=point.gamma)
 
 
-def switched_benchmark_initial(grid: Grid, dps: int = 420):
-    """The benchmark's oscillatory initial field on a 2D grid.
+def switched_benchmark_initial(grid: Grid):
+    """The benchmark's oscillatory initial field on a 2D grid, computed exactly.
 
-    phi_j(x) = prod_s sin^j[x1^33 (x1 - 5(s+1))^353 x2^63 (x2 - 5(s+1))^79]
-    for j = 1, 2. The sine argument reaches ~1e353, so it is reduced in
-    extended precision before taking the sine; the result is a bounded field
-    as the theory requires. Returns a constant-in-s history sampler.
+    phi_j(x) = prod_s sin^j[a_s(x1) b_s(x2)] for j = 1, 2, with a_s(x) =
+    x^33 (x - 5(s+1))^353 and b_s(x) = x^63 (x - 5(s+1))^79. The arguments
+    reach ~1e550; nodes are binary floats, so a_s and b_s are exact dyadic
+    rationals, and the arguments are reduced mod 2pi in integers (Payne &
+    Hanek, "Radian reduction for trigonometric functions", SIGNUM Newsl.
+    18(1), 1983). For each s, with |a| < 2^la and |b| < 2^lb on the grid (so
+    |ab| < 2^(la+lb)), G = la+lb+64, P = floor(2^G/2pi),
+    u = floor(a P 2^(lb+64-G)) and v = floor(b 2^(la+64)), (u v >> G) mod
+    2^64 is ab/2pi mod 1 in units of 2^-64, in error by < 2|b| 2^-(lb+64) +
+    |a| 2^-(la+64)/2pi + 2^-64 < 2^-62. Rounding that turn to float64
+    (<4e-16 rad) dominates. Returns a constant-in-s history sampler.
     """
+    import mpmath   # only for the bits of 1/2pi
     if grid.domain.dims != 2:
         raise ValueError("the benchmark initial data lives on a 2D grid")
+
+    def exact(axis, p, q, c):   # x^p (x - c)^q as (n, e) with value n / 2^e
+        return [(m**p * (m - c * d)**q, (d.bit_length() - 1) * (p + q))
+                for m, d in (float(x).as_integer_ratio() for x in axis)]
+
     x1_axis, x2_axis = grid.axes()
-    with mpmath.workdps(dps):
-        sin1 = np.ones(grid.shape)
-        for s in (1, 2, 3):
-            shift = 5 * (s + 1)
-            # per-axis factors, computed once per node and combined per pair
-            f1 = [mpmath.mpf(float(x)) ** 33 * (mpmath.mpf(float(x)) - shift) ** 353
-                  for x in x1_axis]
-            f2 = [mpmath.mpf(float(x)) ** 63 * (mpmath.mpf(float(x)) - shift) ** 79
-                  for x in x2_axis]
-            for i, a in enumerate(f1):
-                for k, b in enumerate(f2):
-                    sin1[i, k] *= float(mpmath.sin(a * b))
+    sin1 = np.ones(grid.shape)
+    for c in (10, 15, 20):   # 5 (s + 1) for s = 1, 2, 3
+        a, b = exact(x1_axis, 33, 353, c), exact(x2_axis, 63, 79, c)
+        la, lb = (max((abs(n) >> e).bit_length() for n, e in f) for f in (a, b))
+        g = la + lb + 64
+        with mpmath.workprec(g + 64):
+            P = int(mpmath.floor(mpmath.ldexp(1, g) / (2 * mpmath.pi)))
+        v = np.array([(n << (la + 64)) >> e for n, e in b], dtype=object)
+        for i, (n, e) in enumerate(a):   # one row of ~4k-bit products at a time
+            u = ((n * P) << (lb + 64)) >> (e + g)
+            turns = ((u * v) >> g) & (2**64 - 1)
+            sin1[i] *= np.sin(turns.astype(float) * (2 * np.pi / 2.0**64))
     field = np.stack([sin1, sin1**2])
-
-    def phi(s: float) -> np.ndarray:
-        return field
-
-    return phi
+    return lambda s: field
 
 
 # scalar boundary-layer benchmark: D u'' - 1.8 u + 0.3 g(u) + 1.09 with

@@ -368,6 +368,16 @@ def simulate_ode(rhs, n: int, tau: float, config: SimConfig,
                 guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0))
 
 
+def fit_window_start(samples: int, window_fraction: float = 0.5) -> int:
+    """Start index of the trailing fit window; raises if it holds under 10 samples."""
+    if not 0 < window_fraction <= 1:
+        raise ValueError("window fraction must lie in (0, 1]")
+    start = int(samples * (1.0 - window_fraction))
+    if samples - start < 10:
+        raise ValueError("fewer than 10 samples in the fit window")
+    return start
+
+
 def estimate_decay_rate(trajectory: Trajectory, window_fraction: float = 0.5
                         ) -> DecayEstimate:
     """Least-squares fit of ln ||u(t)|| over the trailing window.
@@ -375,13 +385,8 @@ def estimate_decay_rate(trajectory: Trajectory, window_fraction: float = 0.5
     The rate is minus the slope (half the decay rate of V). An identically
     zero tail returns the +inf sentinel.
     """
-    if not 0 < window_fraction <= 1:
-        raise ValueError("window fraction must lie in (0, 1]")
-    t, V = trajectory.times, trajectory.V
-    start = int(len(t) * (1.0 - window_fraction))
-    tw, Vw = t[start:], V[start:]
-    if len(tw) < 10:
-        raise ValueError("fewer than 10 samples in the fit window")
+    start = fit_window_start(len(trajectory.times), window_fraction)
+    tw, Vw = trajectory.times[start:], trajectory.V[start:]
     if np.all(Vw <= 0.0):
         return DecayEstimate(math.inf, 0.0, (float(tw[0]), float(tw[-1])), 1.0)
     if np.any(Vw <= 0.0):

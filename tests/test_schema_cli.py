@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +222,25 @@ class TestCliExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists() or not any(out.iterdir())
 
+    def test_simulate_rejects_short_fit_window_before_simulating(
+            self, tmp_path, monkeypatch):
+        f = tmp_path / "sys.json"
+        _write_benchmark(f, counts=(9, 9))
+        ran = []
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: ran.append(a))
+        out = tmp_path / "out"
+        code = cli.main(["--out", str(out), "simulate", str(f),
+                         "--T", "0.7", "--dt", "0.05"])
+        assert code == 2
+        assert ran == [] and not out.exists()
+
+    def test_import_leaves_mpmath_unloaded(self):
+        probe = "import sys, rdnet.cli; print('mpmath' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
+
 
 class TestReproduceRows:
     def test_tables_rates(self):
@@ -231,6 +254,14 @@ class TestReproduceRows:
         # the sharp boundary layers need the full default resolution
         rows = cli.reproduce_statement1()
         assert all(r["pass"] for r in rows)
+
+    def test_example41_decay_rate_pinned(self):
+        rows, traj = cli.reproduce_example41(1, grid_nodes=61)
+        rows = {r["check"]: r for r in rows}
+        assert all(r["pass"] for r in rows.values())
+        assert rows["fitted_decay_rate"]["computed"] == pytest.approx(
+            0.39383303767978034, abs=1e-12)
+        assert len(traj.times) == 344 and traj.switch_count == 0
 
     def test_example35_rows(self):
         rows = cli.reproduce_example35(nodes=201)
