@@ -64,6 +64,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_stationary(args) -> int:
+    if args.inits < 1:
+        raise ValueError("--inits must be at least 1")
     network, grid = load_system(args.system)
     problem = StationaryProblem(network.modes[0], network.activation, grid)
     outdir = _outdir(args)
@@ -86,7 +88,7 @@ def cmd_stationary(args) -> int:
             write_report(outdir / "stationary_report.json", report)
             print(f"distinct solutions: {len(sols)}")
         else:
-            field, rep = fixed_point_solve(problem, tol=args.tol, form=args.solver)
+            field, rep = fixed_point_solve(problem, tol=args.tol)
             write_field_csv(outdir / "stationary_0.csv", grid, field)
             report = {
                 "command": "stationary", "iterations": rep.iterations,
@@ -183,7 +185,7 @@ def reproduce_statement1(nodes: int = 401) -> list[dict]:
     rows.append(_row("closed_form_u(1)", 0.0, float(statement1_profile(1.0)), 0.0))
     rows.append(_row("closed_form_u(0.5)", 0.560224,
                      float(statement1_profile(0.5)), 1e-6))
-    field, _ = fixed_point_solve(problem, form="helmholtz")
+    field, _ = fixed_point_solve(problem)
     h = grid.spacing[0]
     sup_err = float(np.max(np.abs(field[0] - closed)))
     rows.append(_row("fixed_point_vs_closed_form_sup", 0.0, sup_err,
@@ -207,7 +209,7 @@ def reproduce_example35(nodes: int = 401) -> list[dict]:
     problem = presets.linear_variational_problem(nodes)
     grid = problem.grid
     analytic = presets.linear_variational_profile(grid.axes()[0])
-    fp, _ = fixed_point_solve(problem, form="helmholtz")
+    fp, _ = fixed_point_solve(problem)
     rows.append(_row("fixed_point_vs_analytic_sup", 0.0,
                      float(np.max(np.abs(fp[0] - analytic))), 1e-4))
     functional = energy_from_problem(problem)
@@ -329,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stationary", help="compute stationary solutions")
     p.add_argument("system")
-    p.add_argument("--solver", choices=["helmholtz", "inverse_laplacian"],
-                   default="helmholtz")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--inits", type=int, default=1)
     p.set_defaults(func=cmd_stationary)

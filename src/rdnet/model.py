@@ -26,7 +26,7 @@ def signed_cbrt(u):
 
 
 def piecewise_cbrt(u, d: float, a: float, mu1: float):
-    """Piecewise cube-root nonlinearity: linear core, cube-root tails.
+    """Piecewise cube-root activation: linear core, cube-root tails.
 
     (3D/A) mu1 u^(1/3) + (2D/A) mu1 for u <= -1, (D/A) mu1 u on [-1, 1],
     (3D/A) mu1 u^(1/3) - (2D/A) mu1 for u >= 1. Both tail branches meet the

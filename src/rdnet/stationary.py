@@ -2,7 +2,7 @@
 
 At stationarity the delayed argument equals the state, so the delayed and
 undelayed couplings act through their sum and no delay machinery appears
-here. The default fixed-point form keeps the linear decay on the implicit
+here. The fixed-point iteration keeps the linear decay on the implicit
 side of the solve, which contracts for small diffusion where the plain
 inverse-Laplacian iteration does not.
 """
@@ -95,18 +95,17 @@ class SolverReport:
 
 
 def fixed_point_solve(problem: StationaryProblem, init: np.ndarray | None = None,
-                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                      form: str = "helmholtz") -> tuple[np.ndarray, SolverReport]:
+                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+                      ) -> tuple[np.ndarray, SolverReport]:
     """Iterate the stationary map until the sup-norm update drops below tol.
 
-    form="inverse_laplacian" applies the inverse Laplacian to the whole reaction term;
-    form="helmholtz" moves the linear decay into the solve, iterating
+    The linear decay sits inside the solve:
     y_i <- (C_i/D_i - Lap_h)^(-1) [((A+B) g(y) + J)_i / D_i].
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if form not in ("inverse_laplacian", "helmholtz"):
-        raise ValueError(f"unknown iteration form '{form}'")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     grid = problem.grid
     y = problem.zeros() if init is None else np.array(init, dtype=float)
     if y.shape != (problem.n,) + grid.shape:
@@ -118,14 +117,9 @@ def fixed_point_solve(problem: StationaryProblem, init: np.ndarray | None = None
         with np.errstate(over="ignore", invalid="ignore"):
             flat = y.reshape(problem.n, -1)
             coupling = problem.W @ problem.activation(flat) + problem.mode.J[:, None]
-            if form == "inverse_laplacian":
-                rhs = ((-problem.mode.C @ flat + coupling) / d[:, None]).reshape(y.shape)
-                y_new = np.stack([helmholtz_solve(grid, 0.0, rhs[i])
-                                  for i in range(problem.n)])
-            else:
-                rhs = (coupling / d[:, None]).reshape(y.shape)
-                y_new = np.stack([helmholtz_solve(grid, c[i] / d[i], rhs[i])
-                                  for i in range(problem.n)])
+            rhs = (coupling / d[:, None]).reshape(y.shape)
+            y_new = np.stack([helmholtz_solve(grid, c[i] / d[i], rhs[i])
+                              for i in range(problem.n)])
         update = float(np.max(np.abs(y_new - y)))
         y = y_new
         if not math.isfinite(update):
@@ -163,43 +157,29 @@ def statement1_closed_form(grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnergyFunctional:
-    """Scalar energy 1/2 |grad u|^2 + (c0/2) u^2 - source u - nonlinear part.
+    """Scalar energy 1/2 |grad u|^2 + (c0/2) u^2 - source u - weight F(u).
 
-    nonlinearity "none" keeps just the quadratic/linear terms; "activation"
-    subtracts weight * F(u) with the antiderivative F of a registry activation
-    f and its matching term weight * f(u) in the gradient; "statement2" is the
-    piecewise cube root with weight a_weight / d.
+    F is the antiderivative (F(0) = 0) of the registry activation f named
+    `name` with `params`; the gradient carries the matching term weight f(u).
     """
 
     c0: float
     source: float | np.ndarray = 0.0
-    nonlinearity: str = "none"
+    weight: float = 0.0
+    name: str = "identity"
     params: tuple = ()
 
     def __post_init__(self):
         if self.c0 < 0:
             raise ValueError("quadratic coefficient must be nonnegative")
-        if self.nonlinearity not in ("none", "statement2", "activation"):
-            raise KeyError(f"unknown nonlinearity id '{self.nonlinearity}'")
-        # (weight, F, f) from the activation registry, built once: the
-        # minimizer evaluates them in its inner loops
-        terms = None
+        # built once: the minimizer evaluates them in its inner loops
         p = dict(self.params)
-        if self.nonlinearity == "statement2":
-            p = {"weight": p["a_weight"] / p["d"], "name": "piecewise_cbrt",
-                 "fn_params": p}
-        if self.nonlinearity != "none":
-            fn_params = dict(p["fn_params"])
-            terms = (p["weight"], make_activation_antiderivative(p["name"], fn_params),
-                     make_activation_fn(p["name"], fn_params))
-        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_F", make_activation_antiderivative(self.name, p))
+        object.__setattr__(self, "_f", make_activation_fn(self.name, p))
 
     def _nonlinear(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(F(u), f(u)) scaled by the nonlinearity weight; zeros for none."""
-        if self._terms is None:
-            return np.zeros_like(u), np.zeros_like(u)
-        w, F, f = self._terms
-        return w * F(u), w * f(u)
+        """(F(u), f(u)) scaled by the weight."""
+        return self.weight * self._F(u), self.weight * self._f(u)
 
 
 def energy_eval(functional: EnergyFunctional, grid: Grid, u: np.ndarray) -> float:
@@ -323,35 +303,17 @@ def variational_minimize(functional: EnergyFunctional, grid: Grid,
 def energy_from_problem(problem: StationaryProblem) -> EnergyFunctional:
     """Energy functional whose critical points are the scalar stationary states.
 
-    Only defined for n = 1 with a registry activation admitting an
-    antiderivative. The decay goes into the quadratic coefficient, the input
-    into the source, and the activation into the nonlinear term, all divided
-    by the diffusion coefficient.
+    It is the stationary equation divided by D: c0 = C/D, source = J/D and
+    weight (A+B)/D on the activation. Only defined for n = 1 with a registry
+    activation admitting an antiderivative.
     """
     if problem.n != 1:
         raise ValueError("energy form available for scalar problems only")
     d = float(problem.mode.D[0, 0])
-    c = float(problem.mode.C[0, 0])
-    w = float(problem.W[0, 0])
-    j = float(problem.mode.J[0])
-    name = problem.activation.names[0]
-    fn_params = problem.activation.params[0]
-    p = dict(fn_params)
-    if name == "piecewise_cbrt":
-        return EnergyFunctional(
-            c0=c / d, source=j / d, nonlinearity="statement2",
-            params=tuple(sorted({"d": p["d"], "a_weight": p["a_weight"],
-                                 "mu1": p["mu1"]}.items())))
-    if name == "affine":
-        # linear activation folds into the quadratic and source terms
-        return EnergyFunctional(c0=(c - w * p["a"]) / d,
-                                source=(j + w * p["b"]) / d)
-    if name == "identity":
-        return EnergyFunctional(c0=(c - w) / d, source=j / d)
     return EnergyFunctional(
-        c0=c / d, source=j / d, nonlinearity="activation",
-        params=tuple(sorted({"weight": w / d, "name": name,
-                             "fn_params": fn_params}.items())))
+        c0=float(problem.mode.C[0, 0]) / d, source=float(problem.mode.J[0]) / d,
+        weight=float(problem.W[0, 0]) / d, name=problem.activation.names[0],
+        params=problem.activation.params[0])
 
 
 def find_stationary_multiplicity(problem: StationaryProblem, inits,

@@ -102,7 +102,7 @@ def test_criterion_4_boundary_layer_closed_form():
     problem = presets.boundary_layer_problem(401)
     grid = problem.grid
     h = grid.spacing[0]
-    field, _ = fixed_point_solve(problem, form="helmholtz")
+    field, _ = fixed_point_solve(problem)
     sup_err = float(np.max(np.abs(field[0] - statement1_closed_form(grid))))
     rhs = ode_from_mode(problem.mode, problem.activation)
     traj = simulate_ode(rhs, 1, presets.BOUNDARY_LAYER_TAU,
@@ -123,7 +123,7 @@ def test_criterion_5_linear_variational_benchmark():
     problem = presets.linear_variational_problem(401)
     grid = problem.grid
     analytic = presets.linear_variational_profile(grid.axes()[0])
-    fp, _ = fixed_point_solve(problem, form="helmholtz")
+    fp, _ = fixed_point_solve(problem)
     vm, _ = variational_minimize(energy_from_problem(problem), grid, tol=1e-10)
     fp_err = float(np.max(np.abs(fp[0] - analytic)))
     vm_err = float(np.max(np.abs(vm - analytic)))
@@ -245,7 +245,7 @@ def test_criterion_9_numerics_hygiene():
     ratio_ok = 0.8 * 4 <= ratio <= 1.2 * 4
 
     g = Grid(RectDomain((1.0,)), (31,))
-    func = EnergyFunctional(c0=2.0, source=0.5, nonlinearity="statement2",
+    func = EnergyFunctional(c0=2.0, source=0.5, weight=10.0, name="piecewise_cbrt",
                             params=(("a_weight", 1.0), ("d", 0.1), ("mu1", 12.0)))
     u = 0.4 * np.sin(math.pi * g.axes()[0])
     rng = np.random.default_rng(11)

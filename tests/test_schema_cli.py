@@ -211,7 +211,10 @@ class TestCliExitCodes:
         ["stationary", "--tol", "-1", "--inits", "3"],
         ["certify", "--gamma", "-1"],
         ["simulate", "--T", "0.7", "--dt", "0.05"],   # under 10 samples to fit
-    ], ids=["T", "dt", "snapshots", "tol", "tol-inits", "gamma", "T-fit-window"])
+        ["stationary", "--inits", "0"],
+        ["stationary", "--inits", "-3"],
+    ], ids=["T", "dt", "snapshots", "tol", "tol-inits", "gamma", "T-fit-window",
+            "inits-0", "inits-negative"])
     def test_out_of_range_argument_exit_2(self, tmp_path, capsys, argv):
         f = tmp_path / "sys.json"
         _write_benchmark(f, counts=(9, 9))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from rdnet import presets, stationary
-from rdnet.geometry import Grid, RectDomain, eigenfunction, l2_norm
-from rdnet.model import Activation, Mode
-from rdnet.stationary import (DivergenceError, EnergyFunctional,
-                              StationaryProblem, energy_eval,
+from rdnet.geometry import (Grid, RectDomain, apply_laplacian, eigenfunction,
+                            l2_norm)
+from rdnet.model import Activation, Mode, stationarity_map
+from rdnet.stationary import (EnergyFunctional, StationaryProblem, energy_eval,
                               energy_from_problem, energy_gradient,
                               find_stationary_multiplicity, fixed_point_solve,
                               make_activation_antiderivative, residual,
@@ -43,7 +43,7 @@ class TestClosedFormProfile:
 class TestFixedPoint:
     def test_matches_closed_form(self):
         problem = presets.boundary_layer_problem(401)
-        y, report = fixed_point_solve(problem, form="helmholtz")
+        y, report = fixed_point_solve(problem)
         h = problem.grid.spacing[0]
         exact = statement1_closed_form(problem.grid)
         assert np.max(np.abs(y[0] - exact)) <= max(1e-4, 5 * h**2)
@@ -57,22 +57,6 @@ class TestFixedPoint:
         assert np.array_equal(y, problem.zeros())
         assert report.iterations == 1
         assert report.error_bound == math.inf   # no contraction estimate yet
-
-    def test_inverse_laplacian_diverges_on_stiff_decay(self):
-        # with tiny diffusion the plain inverse-Laplacian iteration expands
-        problem = presets.boundary_layer_problem(101)
-        with pytest.raises(DivergenceError) as exc:
-            fixed_point_solve(problem, form="inverse_laplacian", max_iter=200)
-        assert exc.value.last.shape == (1, 101)
-
-    def test_forms_agree_when_both_contract(self):
-        # mild decay relative to diffusion: both iteration forms contract
-        mode = Mode([[1.0]], [[2.0]], [[0.5]], [[0.5]], [1.0], RectDomain((1.0,)))
-        act = Activation.uniform("identity", {}, 1.0, 1)
-        problem = StationaryProblem(mode, act, Grid(mode.domain, (101,)))
-        y1, _ = fixed_point_solve(problem, form="helmholtz", tol=1e-12)
-        y2, _ = fixed_point_solve(problem, form="inverse_laplacian", tol=1e-12)
-        np.testing.assert_allclose(y1, y2, atol=1e-9)
 
     def test_residual_small_at_solution(self):
         problem = presets.linear_variational_problem(101)
@@ -89,17 +73,18 @@ class TestFixedPoint:
             assert report.iterations > 1
             assert np.max(np.abs(y - exact)) <= report.error_bound < math.inf
 
-    def test_unknown_form(self):
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
         problem = presets.linear_variational_problem(11)
-        with pytest.raises(ValueError):
-            fixed_point_solve(problem, form="nope")
+        with pytest.raises(ValueError, match="max_iter"):
+            fixed_point_solve(problem, max_iter=max_iter)
 
 
 class TestEnergy:
     def test_gradient_matches_fd(self):
         # directional derivatives against central finite differences of E
         g = Grid(RectDomain((1.0,)), (31,))
-        func = EnergyFunctional(c0=2.0, source=1.0, nonlinearity="statement2",
+        func = EnergyFunctional(c0=2.0, source=1.0, weight=10.0, name="piecewise_cbrt",
                                 params=(("a_weight", 1.0), ("d", 0.1),
                                         ("mu1", 12.0)))
         rng = np.random.default_rng(3)
@@ -133,9 +118,8 @@ class TestEnergy:
         # frozen from the version that rebuilt the callables on every call
         g = Grid(RectDomain((1.0,)), (41,))
         func = EnergyFunctional(
-            c0=2.0, source=1.0, nonlinearity="activation",
-            params=(("fn_params", (("a", 0.1), ("b", 0.3), ("c", 0.5))),
-                    ("name", "scaled_sine"), ("weight", 0.8)))
+            c0=2.0, source=1.0, weight=0.8, name="scaled_sine",
+            params=(("a", 0.1), ("b", 0.3), ("c", 0.5)))
         u, report = variational_minimize(func, g, tol=1e-10)
         assert report.converged and report.iterations == 8
         assert report.energy == pytest.approx(-0.04276130540698486, rel=1e-12)
@@ -147,7 +131,7 @@ class TestEnergy:
         # energy ties at the rounding floor used to be accepted as descent
         # steps, so the descent ran its whole budget without reaching tol
         g = Grid(RectDomain((1.0,)), (61,))
-        func = EnergyFunctional(c0=2.0, source=0.5, nonlinearity="statement2",
+        func = EnergyFunctional(c0=2.0, source=0.5, weight=10.0, name="piecewise_cbrt",
                                 params=(("a_weight", 1.0), ("d", 0.1),
                                         ("mu1", 12.0)))
         for tol in (1e-8, 1e-10):
@@ -158,17 +142,37 @@ class TestEnergy:
 
     def test_unknown_registry_activation_fails_up_front(self):
         with pytest.raises(KeyError):
-            EnergyFunctional(c0=1.0, nonlinearity="activation",
-                             params=(("fn_params", ()), ("name", "nope"),
-                                     ("weight", 1.0)))
+            EnergyFunctional(c0=1.0, weight=1.0, name="nope")
 
-    def test_affine_activation_folds_to_quadratic(self):
-        problem = presets.boundary_layer_problem(51)
-        func = energy_from_problem(problem)
-        assert func.nonlinearity == "none"
-        # c0 = (C - W a)/D = (1.8 - 0.3*0.05)/0.001, source = (J + W b)/D
-        assert func.c0 == pytest.approx(1785.0)
-        assert func.source == pytest.approx(1000.0)
+    @pytest.mark.parametrize("name, params, d, w", [
+        ("identity", {}, 0.1, 0.02),
+        ("affine", {"a": 0.05, "b": -0.3}, 0.001, 0.3),
+        ("scaled_sine", {"a": 0.1, "b": 0.3, "c": 0.5}, 0.2, 0.8),
+        # the activation's own d and a_weight differ from the mode's D and A
+        ("piecewise_cbrt", {"d": 0.1, "a_weight": 1.0, "mu1": 12.0}, 0.2, 0.5),
+    ], ids=["identity", "affine", "scaled_sine", "piecewise_cbrt"])
+    def test_gradient_is_residual_over_diffusion(self, name, params, d, w):
+        mode = Mode([[d]], [[1.5]], [[w]], [[0.0]], [0.3], RectDomain((1.0,)))
+        act = Activation.uniform(name, params, 1.0, 1)
+        problem = StationaryProblem(mode, act, Grid(mode.domain, (41,)))
+        grid = problem.grid
+        x = grid.axes()[0]
+        u = 1.5 * np.sin(math.pi * x) - 0.4 * np.sin(3 * math.pi * x)   # cbrt tails too
+        grad = energy_gradient(energy_from_problem(problem), grid, u)
+        scaled = -(d * apply_laplacian(grid, u)
+                   + stationarity_map(mode, act, u[None])[0]) / d
+        assert l2_norm(grid, grad - scaled) <= 1e-12 * l2_norm(grid, scaled)
+
+    def test_coupling_above_decay_minimizes(self):
+        # W = 1.5 > C = 1, but -Lap_h + (C - W)/D stays positive definite
+        mode = Mode([[0.1]], [[1.0]], [[1.0]], [[0.5]], [0.1], RectDomain((1.0,)))
+        act = Activation.uniform("identity", {}, 1.0, 1)
+        problem = StationaryProblem(mode, act, Grid(mode.domain, (101,)))
+        u, report = variational_minimize(energy_from_problem(problem), problem.grid,
+                                         tol=1e-10)
+        fp, _ = fixed_point_solve(problem, tol=1e-12)
+        assert report.converged
+        assert np.max(np.abs(u - fp[0])) <= 1e-8
 
     def test_vector_problem_rejected(self):
         mode = Mode(np.eye(2) * 0.1, np.eye(2), np.zeros((2, 2)),
