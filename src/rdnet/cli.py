@@ -68,7 +68,6 @@ def cmd_stationary(args) -> int:
         raise ValueError("--inits must be at least 1")
     network, grid = load_system(args.system)
     problem = StationaryProblem(network.modes[0], network.activation, grid)
-    outdir = _outdir(args)
     try:
         if args.inits > 1:
             phi1, _ = eigenfunction(grid.domain, (1,) * grid.domain.dims, grid)
@@ -78,6 +77,7 @@ def cmd_stationary(args) -> int:
                 amp = rng.uniform(-1.0, 1.0, problem.n)
                 inits.append(np.stack([a * phi1 for a in amp]))
             sols = find_stationary_multiplicity(problem, inits, tol=args.tol)
+            outdir = _outdir(args)   # once the solver has accepted --tol
             for i, sol in enumerate(sols):
                 write_field_csv(outdir / f"stationary_{i}.csv", grid, sol)
             report = {
@@ -89,6 +89,7 @@ def cmd_stationary(args) -> int:
             print(f"distinct solutions: {len(sols)}")
         else:
             field, rep = fixed_point_solve(problem, tol=args.tol)
+            outdir = _outdir(args)
             write_field_csv(outdir / "stationary_0.csv", grid, field)
             report = {
                 "command": "stationary", "iterations": rep.iterations,
@@ -119,13 +120,13 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     amp = rng.uniform(-1.0, 1.0, network.n)
     field = np.stack([a * phi1 for a in amp])
-    outdir = _outdir(args)
     try:
         traj = simulate(network, grid, config, lambda s: field)
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     est = estimate_decay_rate(traj)
+    outdir = _outdir(args)   # after simulate has checked dt against the delay
     write_trajectory_csv(outdir / "trajectory.csv", traj)
     for i, (t, snap) in enumerate(traj.snapshots):
         write_field_csv(outdir / f"snapshot_{i:04d}.csv", grid, snap)

@@ -109,9 +109,9 @@ class Activation:
             raise ValueError("per-neuron field lengths differ")
         if any(g <= 0 for g in self.lipschitz):
             raise ValueError("Lipschitz constants must be positive")
-        # compiled once; a uniform bundle is applied in one vectorised call
+        # registry functions, built once; a uniform bundle takes one vectorised call
         object.__setattr__(self, "_fns", tuple(
-            make_activation_fn(name, dict(p)) for name, p in zip(self.names, self.params)))
+            _registry_entry(name, dict(p))[0] for name, p in zip(self.names, self.params)))
         object.__setattr__(self, "is_uniform", len(set(self.names)) <= 1
                            and all(p == self.params[0] for p in self.params))
 
@@ -135,12 +135,12 @@ class Activation:
         return np.diag(self.lipschitz)
 
     def component(self, i: int) -> Callable[[np.ndarray], np.ndarray]:
-        return self._fns[i]
+        return make_activation_fn(self.names[i], dict(self.params[i]))
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         """Apply componentwise; v has the component index on axis 0."""
         v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.n:
+        if v.shape[0] != len(self.names):
             raise ValueError(f"expected {self.n} components, got {v.shape[0]}")
         if self.is_uniform:
             return self._fns[0](v)

@@ -11,6 +11,7 @@ single-threaded and deterministic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -34,17 +35,17 @@ class HistoryUnderrunError(RuntimeError):
 class History:
     """Delay window of (time, state) entries spanning at least the delay.
 
-    Times sit in a numpy array that lookups search directly, and each live
-    entry holds one stored copy of the state. Entries no longer reachable by
-    a lookup are released on push; the live ones move to the front of the
-    time array, doubled if need be, when it fills.
+    Times sit in a list that lookups bisect from the oldest live entry, and
+    each live entry holds one stored copy of the state. Entries no longer
+    reachable by a lookup are released on push, and the dead prefix is cut
+    off once it is over half the list.
     """
 
     def __init__(self, tau: float):
         if tau < 0:
             raise ValueError("delay bound must be nonnegative")
         self.tau = tau
-        self._times = np.empty(16)
+        self._times: list[float] = []
         self._states: list[np.ndarray | None] = []   # None once released
         self._start = 0                               # oldest live entry
 
@@ -60,36 +61,32 @@ class History:
         return hist
 
     def push(self, t: float, u: np.ndarray) -> None:
-        start, end = self._start, len(self._states)
-        if end > start and t <= self._times[end - 1]:
+        times, states, start = self._times, self._states, self._start
+        if times and t <= times[-1]:
             raise ValueError("history times must be strictly increasing")
-        if end == len(self._times):
-            live = self._times[start:end].copy()
-            if 2 * len(live) > len(self._times):
-                self._times = np.empty(2 * len(self._times))
-            self._times[:len(live)] = live
-            del self._states[:start]
-            start, end = 0, len(live)
-        self._times[end] = t
-        self._states.append(u.copy())
-        while end - start >= 2 and self._times[start + 1] <= t - self.tau:
-            self._states[start] = None
+        times.append(float(t))
+        states.append(u.copy())
+        end = len(times) - 1
+        while end - start >= 2 and times[start + 1] <= t - self.tau:
+            states[start] = None
             start += 1
+        if 2 * start > len(times):
+            del times[:start], states[:start]
+            start = 0
         self._start = start
 
     def value(self, t: float) -> np.ndarray:
         """Linear interpolation between stored snapshots."""
-        start, end = self._start, len(self._states)
-        if start == end:
+        times, start = self._times, self._start
+        if not times:
             raise HistoryUnderrunError("history is empty")
-        times = self._times[start:end]
-        if t < times[0] - 1e-12:
+        if t < times[start] - 1e-12:
             raise HistoryUnderrunError(
-                f"requested t={t} before stored window start {float(times[0])}")
-        if t >= times[-1]:
+                f"requested t={t} before stored window start {times[start]}")
+        if t >= times[-1] or start == len(times) - 1:
             return self._states[-1]
-        j = start + max(1, int(np.searchsorted(times, t, side="right")))
-        t0, t1 = self._times[j - 1], self._times[j]
+        j = max(start + 1, bisect_right(times, t, start))
+        t0, t1 = times[j - 1], times[j]
         w = (t - t0) / (t1 - t0)
         return (1.0 - w) * self._states[j - 1] + w * self._states[j]
 
@@ -187,11 +184,11 @@ def apply_impulse(u: np.ndarray, M: np.ndarray, N: np.ndarray,
     return out.reshape(u.shape)
 
 
-def _recentred(activation, n: int, centre: np.ndarray | None = None):
-    """f(u) = g(centre + u) - g(centre) on (n, k) arrays, so f(0) = 0 exactly;
-    the centre defaults to zero."""
+def _recentred(activation, shape, centre: np.ndarray | None = None):
+    """f(u) = g(centre + u) - g(centre), so f(0) = 0 exactly; the centre
+    defaults to zeros of the arguments' shape, (n,) or (n, 1)."""
     if centre is None:
-        g0 = activation(np.zeros((n, 1)))
+        g0 = activation(np.zeros(shape))
         return lambda flat: activation(flat) - g0
     gc = activation(centre)
     return lambda flat: activation(centre + flat) - gc
@@ -220,13 +217,15 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
     modes = np.zeros(steps + 1, dtype=int)
     mode = switch_count = 0
     snapshots: list[tuple[float, np.ndarray]] = []
+    stride = config.snapshot_stride
     imp = config.impulses
-    imp_times = sorted(imp.times) if imp is not None else []
+    imp_times = (sorted(imp.times) if imp is not None else []) + [math.inf]  # sentinel
     imp_ptr = 0
+    value, push, isfinite = hist.value, hist.push, math.isfinite
 
     t = 0.0
     times[0], V[0] = t, norm2(u)
-    if config.snapshot_stride:
+    if stride:
         snapshots.append((t, u.copy()))
     for k in range(1, steps + 1):
         if switch is not None:
@@ -238,21 +237,21 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
             d = delay(t)
             if not 0.0 <= d <= tau:
                 raise ValueError(f"delay at t={t} is {d}, outside [0, {tau}]")
-            u_delay = hist.value(t - d)
+            u_delay = value(t - d)
         else:
             u_delay = u
         u = implicit(mode, u + dt * explicit(mode, t, u, u_delay))
         t = k * dt
-        while imp_ptr < len(imp_times) and imp_times[imp_ptr] <= t + 1e-12:
+        while imp_times[imp_ptr] <= t + 1e-12:
             u = apply_impulse(u, imp.M, imp.N, imp.h, hist, imp_times[imp_ptr],
                               imp.tau)
             imp_ptr += 1
-        hist.push(t, u)
+        push(t, u)
         v = norm2(u)
-        if not math.isfinite(v) or v > bound:
+        if not isfinite(v) or v > bound:
             raise BlowUpError(f"norm blew up at t={t:.4g} (V={v:.3e})")
         times[k], V[k], modes[k] = t, v, mode
-        if config.snapshot_stride and k % config.snapshot_stride == 0:
+        if stride and k % stride == 0:
             snapshots.append((t, u.copy()))
     return Trajectory(times, V, modes, switch_count, snapshots)
 
@@ -279,7 +278,7 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     profiles = ([None] * network.N if stationary is None
                 else [np.asarray(st, float) for st in stationary])
     # reaction terms recentred at each mode's stationary profile y*
-    fs = [_recentred(network.activation, n, st if st is None else st.reshape(n, -1))
+    fs = [_recentred(network.activation, (n, 1), st if st is None else st.reshape(n, -1))
           for st in profiles]
     coef = [1.0 / (config.dt * np.diag(m.D)) for m in shared_modes]
 
@@ -319,11 +318,11 @@ def ode_from_mode(mode: Mode, activation, deviation: bool = False):
     exactly invariant).
     """
     f = _recentred(activation, mode.n) if deviation else activation
+    neg_C, A, B = -mode.C, mode.A, mode.B
     J = 0.0 if deviation else mode.J
 
     def rhs(t, u, u_delay):
-        return (-mode.C @ u + mode.A @ f(u[:, None])[:, 0]
-                + mode.B @ f(u_delay[:, None])[:, 0] + J)
+        return neg_C @ u + A @ f(u) + B @ f(u_delay) + J
     return rhs
 
 

@@ -205,7 +205,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--T", "-1"],
-        ["simulate", "--dt", "10"],   # above the delay bound 3.5
+        ["simulate", "--dt", "10"],   # 2 samples at the default T = 10: under 10 to fit
         ["simulate", "--T", "1", "--dt", "0.05", "--snapshots", "-1"],
         ["stationary", "--tol", "-1"],
         ["stationary", "--tol", "-1", "--inits", "3"],
@@ -213,8 +213,9 @@ class TestCliExitCodes:
         ["simulate", "--T", "0.7", "--dt", "0.05"],   # under 10 samples to fit
         ["stationary", "--inits", "0"],
         ["stationary", "--inits", "-3"],
+        ["simulate", "--T", "200", "--dt", "10"],   # 21 samples, dt above the delay bound 3.5
     ], ids=["T", "dt", "snapshots", "tol", "tol-inits", "gamma", "T-fit-window",
-            "inits-0", "inits-negative"])
+            "inits-0", "inits-negative", "dt-above-delay"])
     def test_out_of_range_argument_exit_2(self, tmp_path, capsys, argv):
         f = tmp_path / "sys.json"
         _write_benchmark(f, counts=(9, 9))
@@ -223,7 +224,7 @@ class TestCliExitCodes:
         assert code == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_simulate_rejects_short_fit_window_before_simulating(
             self, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from rdnet import cli, presets
-from rdnet.certificates import search_certificate, verify_certificate
+from rdnet.certificates import mode_margin_matrix, search_certificate, verify_certificate
 from rdnet.geometry import Grid, RectDomain, eigenfunction, l2_inner
 from rdnet.model import Activation, Mode, SwitchedNetwork
 from rdnet.schema import dump_system
@@ -14,6 +15,123 @@ from rdnet.simulator import (BlowUpError, History, HistoryUnderrunError,
                              apply_impulse, estimate_decay_rate, ode_from_cg,
                              ode_from_mode, simulate, simulate_ode,
                              switching_decide)
+
+
+class _NumpyWindowHistory:
+    """The reference delay window: times in a numpy array searched with
+    searchsorted, released states set to None, live entries moved to the
+    front (the array doubled if need be) when it fills. History must return
+    bitwise the same values and raise the same errors."""
+
+    def __init__(self, tau):
+        self.tau = tau
+        self._times = np.empty(16)
+        self._states = []
+        self._start = 0
+
+    def push(self, t, u):
+        start, end = self._start, len(self._states)
+        if end > start and t <= self._times[end - 1]:
+            raise ValueError("history times must be strictly increasing")
+        if end == len(self._times):
+            live = self._times[start:end].copy()
+            if 2 * len(live) > len(self._times):
+                self._times = np.empty(2 * len(self._times))
+            self._times[:len(live)] = live
+            del self._states[:start]
+            start, end = 0, len(live)
+        self._times[end] = t
+        self._states.append(u.copy())
+        while end - start >= 2 and self._times[start + 1] <= t - self.tau:
+            self._states[start] = None
+            start += 1
+        self._start = start
+
+    def value(self, t):
+        start, end = self._start, len(self._states)
+        if start == end:
+            raise HistoryUnderrunError("history is empty")
+        times = self._times[start:end]
+        if t < times[0] - 1e-12:
+            raise HistoryUnderrunError(
+                f"requested t={t} before stored window start {float(times[0])}")
+        if t >= times[-1]:
+            return self._states[-1]
+        j = start + max(1, int(np.searchsorted(times, t, side="right")))
+        t0, t1 = self._times[j - 1], self._times[j]
+        w = (t - t0) / (t1 - t0)
+        return (1.0 - w) * self._states[j - 1] + w * self._states[j]
+
+
+def _same_lookup(hist, ref, t):
+    """Both windows return bitwise equal states at t, or both underrun."""
+    try:
+        want = ref.value(t)
+    except HistoryUnderrunError as exc:
+        with pytest.raises(HistoryUnderrunError) as got:
+            hist.value(t)
+        assert str(got.value) == str(exc)
+        return
+    got = hist.value(t)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), t
+
+
+class TestHistoryMatchesNumpyWindow:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_pushes_and_queries(self, seed):
+        rng = np.random.default_rng(seed)
+        tau = float(rng.uniform(0.05, 0.5))
+        hist, ref = History(tau), _NumpyWindowHistory(tau)
+        t = -tau
+        for _ in range(3000):
+            u = rng.normal(size=2)
+            hist.push(t, u)
+            ref.push(t, u)
+            for q in t - rng.uniform(-0.1, 1.2, 4) * tau:
+                _same_lookup(hist, ref, float(q))
+            t += float(rng.uniform(1e-4, 0.05))
+
+    def test_queries_on_stored_times(self):
+        tau, dt = 0.2, 0.01
+        hist, ref = History(tau), _NumpyWindowHistory(tau)
+        stored = []
+        for k in range(500):
+            t = k * dt
+            stored.append(t)
+            hist.push(t, np.array([math.sin(t), math.cos(3.0 * t)]))
+            ref.push(t, np.array([math.sin(t), math.cos(3.0 * t)]))
+            for q in stored[-25:]:
+                _same_lookup(hist, ref, q)
+
+    def test_queries_just_before_window_start(self):
+        tau, dt = 0.1, 1e-3
+        hist = History.from_sampler(lambda s: np.array([1.0 + s]), tau, dt)
+        ref = _NumpyWindowHistory(tau)
+        steps = int(round(tau / dt))
+        for k in range(steps, -1, -1):
+            s = -k * tau / steps
+            ref.push(s, np.array([1.0 + s]))
+        for k in range(1, 2000):
+            t = k * dt
+            hist.push(t, np.array([1.0 + t]))
+            ref.push(t, np.array([1.0 + t]))
+            start = float(ref._times[ref._start])
+            for q in (start, start - 5e-13, start - 1e-12, start - 2e-12,
+                      t - tau, t - tau - 1e-13):
+                _same_lookup(hist, ref, q)
+
+    def test_thousands_of_pushes_through_compaction(self):
+        tau, dt = 0.05, 1e-3
+        hist, ref = History(tau), _NumpyWindowHistory(tau)
+        for k in range(20000):
+            t = k * dt
+            u = np.array([float(k), -0.5 * k, k % 7])
+            hist.push(t, u)
+            ref.push(t, u)
+            if k % 97 == 0 or k > 19900:
+                for q in (t - tau, t - 0.37 * tau, t - dt / 3, t, t + 1.0):
+                    _same_lookup(hist, ref, q)
+        _same_lookup(hist, ref, 20000 * dt - 2 * tau)
 
 
 class TestHistory:
@@ -35,6 +153,11 @@ class TestHistory:
         hist.push(0.0, np.array([1.0]))
         with pytest.raises(HistoryUnderrunError):
             hist.value(-0.5)
+
+    def test_single_entry_within_tolerance_returns_it(self):
+        # a zero-delay window holds one entry until the first step
+        hist = History.from_sampler(lambda s: np.array([3.0]), tau=0.0, dt=0.1)
+        assert hist.value(-5e-13)[0] == 3.0
 
     def test_rejects_nonincreasing_times(self):
         hist = History(1.0)
@@ -182,6 +305,44 @@ class TestOdeIntegration:
         # -1 * (2u - 0.5u - 0.25u_tau + 0.1)
         val = rhs(0.0, np.array([1.0]), np.array([2.0]))
         assert val[0] == pytest.approx(-(2.0 - 0.5 - 0.5 + 0.1))
+
+
+def _v_sha1(traj: Trajectory) -> str:
+    return hashlib.sha1(traj.V.tobytes()).hexdigest()
+
+
+class TestBitwiseTrajectories:
+    """SHA-1 of traj.V.tobytes(): the stepping loop's arithmetic is pinned
+    bit for bit, so a change to History, the ODE right-hand side or the loop
+    that moves any sample by one rounding step fails here."""
+
+    def test_statement1_ode(self):
+        problem = presets.boundary_layer_problem(11)
+        traj = simulate_ode(ode_from_mode(problem.mode, problem.activation), 1,
+                            presets.BOUNDARY_LAYER_TAU, SimConfig(dt=1e-3, horizon=20.0),
+                            lambda s: np.zeros(1))
+        assert len(traj.V) == 20001
+        assert _v_sha1(traj) == "dc54071dbb06f908c9dfe3e4a14b9bd96877a5b9"
+
+    def test_example35_ode(self):
+        problem = presets.linear_variational_problem(11)
+        traj = simulate_ode(ode_from_mode(problem.mode, problem.activation), 1, 1.0,
+                            SimConfig(dt=1e-3, horizon=20.0), lambda s: np.zeros(1))
+        assert len(traj.V) == 20001
+        assert _v_sha1(traj) == "9423fd4144001fd87ca77ed428d39070753d1fd6"
+
+    def test_deviation_ode_with_impulses_and_varying_delay(self):
+        mode = Mode(np.diag([1.0, 0.5]), np.diag([1.5, 1.0]), [[0.2, -0.3], [0.4, 0.1]],
+                    [[0.1, 0.2], [-0.2, 0.3]], [0.3, -0.1], RectDomain((1.0,)))
+        act = Activation.uniform("scaled_sine", {"a": 0.1, "b": 0.5, "c": 0.3}, 0.8, 2)
+        imp = ImpulseSchedule(times=(0.75, 1.5, 2.25), M=np.array([[0.8, 0.1], [0.0, 0.9]]),
+                              N=np.array([[0.05, 0.0], [0.1, -0.05]]), tau=0.5)
+        traj = simulate_ode(ode_from_mode(mode, act, deviation=True), 2, 0.5,
+                            SimConfig(dt=0.01, horizon=3.0, impulses=imp),
+                            lambda s: np.array([1.0 + s, -0.5 + 0.3 * s]),
+                            delay=lambda t: 0.25 + 0.2 * math.sin(3.0 * t))
+        assert len(traj.V) == 301
+        assert _v_sha1(traj) == "ad52689f12d008509ae31acd3be3698ca66b5fbf"
 
 
 class TestImpulses:
@@ -353,6 +514,49 @@ class TestSwitchingHappens:
         assert report["switch_count"] > 0
         assert report["decay"]["rate"] >= cert.gamma / 2
         assert report["decay"]["r_squared"] >= 0.99
+
+
+def _verdicts_with_grid_eigenvalue(net: SwitchedNetwork, grid: Grid):
+    """Per mode, as simulate builds it on the shared grid: (largest eigenvalue
+    of Q with the continuum lambda1, the same with the grid's lambda1_h, and
+    the spectral norm of the shift 2 (lambda1 - lambda1_h) D between them)."""
+    lam_h = sum(float(lam[0]) for _, lam in grid.sine_basis)
+    out = []
+    for m in net.modes:
+        shared = Mode(m.D, m.C, m.A, m.B, m.J, grid.domain)
+        Q = mode_margin_matrix(shared, net.activation.G, net.gamma, net.q,
+                               net.tau_max, net.Psi)
+        shift = 2.0 * (shared.lambda1 - lam_h) * shared.D
+        out.append((float(np.linalg.eigvalsh(Q).max()),
+                    float(np.linalg.eigvalsh(Q + shift).max()),
+                    float(np.abs(np.diag(shift)).max())))
+    return out
+
+
+class TestContinuumEigenvalue:
+    """simulate builds the switching matrices with the continuum lambda1; the
+    grid's lambda1_h is smaller, so Q(lambda1_h) = Q(lambda1) + 2 (lambda1 -
+    lambda1_h) D. On every grid in use both give each mode the same
+    negative-definiteness verdict, and by Weyl's inequality no lambda in
+    between could flip it: the largest eigenvalue is farther from 0 than
+    the shift's norm."""
+
+    @pytest.mark.parametrize("nodes", [31, 61, 101, 151])
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_benchmark_modes(self, case, nodes):
+        net = presets.switched_benchmark(case)
+        grid = Grid(net.modes[0].domain, (nodes, nodes))
+        for top, top_h, shift in _verdicts_with_grid_eigenvalue(net, grid):
+            assert top < 0 and top_h < 0
+            assert 0 < shift < abs(top)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_switching_pair(self, seed):
+        net, _, _ = _switching_pair(seed)
+        grid = Grid(net.modes[0].domain, (41,))
+        for top, top_h, shift in _verdicts_with_grid_eigenvalue(net, grid):
+            assert top > 0 and top_h > 0
+            assert 0 < shift < abs(top)
 
 
 class TestDelays:
