@@ -165,6 +165,8 @@ def search_certificate(network: SwitchedNetwork, beta_step: float | None = None,
     if not math.isclose(m * beta_step, 1.0, rel_tol=1e-9):
         raise ValueError(f"beta grid step {beta_step} does not divide 1")
     q = network.q if q is None else q
+    if q <= 1:
+        raise ValueError("q must exceed 1")
     psi_min = float(np.linalg.eigvalsh(network.Psi).min())
     # stay strictly below the side constraint, which is a strict inequality
     gamma_hi_cap = psi_min * (1.0 - 1e-9) if honor_theorem_constraint else gamma_cap

@@ -157,7 +157,7 @@ class Mode:
     B: np.ndarray
     J: np.ndarray
     domain: RectDomain
-    lambda1: float = None  # type: ignore[assignment]
+    lambda1: float = field(init=False)
 
     def __post_init__(self):
         for name in ("D", "C", "A", "B", "J"):
@@ -171,11 +171,7 @@ class Mode:
         for M, label in ((self.D, "D"), (self.C, "C")):
             if np.any(M != np.diag(np.diag(M))) or np.any(np.diag(M) <= 0):
                 raise ValueError(f"{label} must be positive diagonal")
-        lam = first_eigenvalue(self.domain)
-        if self.lambda1 is None:
-            object.__setattr__(self, "lambda1", lam)
-        elif abs(self.lambda1 - lam) > 1e-6 * max(lam, 1.0):
-            raise ValueError("lambda1 inconsistent with the domain")
+        object.__setattr__(self, "lambda1", first_eigenvalue(self.domain))
 
     @property
     def n(self) -> int:

@@ -51,7 +51,10 @@ def load_system(path) -> tuple[SwitchedNetwork, Grid]:
 
 def _parse_system(doc: dict) -> tuple[SwitchedNetwork, Grid]:
     act_doc = _require(doc, "activation", "document")
-    n = len(_require(doc, "modes", "document")[0]["J"])
+    mode_docs = _require(doc, "modes", "document")
+    if not isinstance(mode_docs, list) or not mode_docs:
+        raise SystemFileError("'modes' must be a non-empty list")
+    n = len(mode_docs[0]["J"])
     lipschitz = act_doc.get("lipschitz", 1.0)
     if np.isscalar(lipschitz):
         activation = Activation.uniform(act_doc["name"], act_doc.get("params", {}),
@@ -62,7 +65,7 @@ def _parse_system(doc: dict) -> tuple[SwitchedNetwork, Grid]:
         activation = Activation.per_neuron(specs)
 
     modes = []
-    for mdoc in doc["modes"]:
+    for mdoc in mode_docs:
         domain = RectDomain(tuple(float(l) for l in _require(mdoc, "domain", "mode")))
         modes.append(Mode(
             D=np.asarray(mdoc["D"], float), C=np.asarray(mdoc["C"], float),

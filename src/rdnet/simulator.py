@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .certificates import mode_margin_matrix
-from .geometry import Grid, first_eigenvalue, helmholtz_solve, l2_inner
+from .geometry import Grid, helmholtz_solve, l2_inner
 from .model import CGSystem, Mode, SwitchedNetwork, constant_delay
 
 BLOWUP_FACTOR = 1e6
@@ -110,7 +110,6 @@ class SimConfig:
     hysteresis: float = 0.0
     switching_form: str = "integrated"
     impulses: ImpulseSchedule | None = None
-    stationary: Sequence[np.ndarray] | None = None
     snapshot_stride: int = 0
 
     def __post_init__(self):
@@ -178,20 +177,15 @@ def apply_impulse(u: np.ndarray, M: np.ndarray, N: np.ndarray,
     """Pointwise-in-x affine jump with a delayed argument from the history."""
     u_delay = history.value(t - tau)
     hval = u_delay if h is None else h(u_delay)
-    flat = u.reshape(u.shape[0], -1) if u.ndim > 1 else u[:, None]
-    hflat = hval.reshape(hval.shape[0], -1) if hval.ndim > 1 else hval[:, None]
-    out = M @ flat + N @ hflat
+    out = M @ u.reshape(u.shape[0], -1) + N @ hval.reshape(hval.shape[0], -1)
     return out.reshape(u.shape)
 
 
-def _recentred(activation, shape, centre: np.ndarray | None = None):
-    """f(u) = g(centre + u) - g(centre), so f(0) = 0 exactly; the centre
-    defaults to zeros of the arguments' shape, (n,) or (n, 1)."""
-    if centre is None:
-        g0 = activation(np.zeros(shape))
-        return lambda flat: activation(flat) - g0
-    gc = activation(centre)
-    return lambda flat: activation(centre + flat) - gc
+def _deviation_activation(activation, shape):
+    """f(u) = g(u) - g(0), so f(0) = 0 exactly; g(0) has the arguments'
+    shape, (n,) or (n, 1)."""
+    g0 = activation(np.zeros(shape))
+    return lambda flat: activation(flat) - g0
 
 
 def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
@@ -200,7 +194,7 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
 
     A step is u <- implicit(mode, u + dt * explicit(mode, t, u, u_delay)), then
     the impulses due, the history push and the blow-up guard, whose bound is
-    guard(hist, u0). switch(u, mode) returns the new mode and recentred state.
+    guard(hist, u0). switch(u, mode) returns the new mode.
     """
     dt = config.dt
     if tau > 0 and dt > tau:
@@ -229,7 +223,7 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
         snapshots.append((t, u.copy()))
     for k in range(1, steps + 1):
         if switch is not None:
-            new_mode, u = switch(u, mode)
+            new_mode = switch(u, mode)
             if new_mode != mode:
                 mode = new_mode
                 switch_count += 1
@@ -260,30 +254,23 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
              phi: Callable[[float], np.ndarray]) -> Trajectory:
     """Integrate the deviation system u_t = D Lap u - C u + A f(u) + B f(u_tau).
 
-    All modes share the given grid; the switching matrices are rebuilt with
-    the shared domain's first eigenvalue. phi(s) supplies the initial field
-    for s in [-tau, 0] with shape (n, *grid.shape). The blow-up guard is
-    1e6 times the largest squared norm of five samples of phi.
+    Every mode uses the one recentring f(u) = g(u) - g(0), so u = 0 is an
+    equilibrium of each mode; the inputs J and per-mode equilibria are not
+    tracked. All modes share the given grid; the switching matrices are
+    rebuilt on the shared domain, whose first eigenvalue each Mode derives.
+    phi(s) supplies the initial field for s in [-tau, 0] with shape
+    (n, *grid.shape). The blow-up guard is 1e6 times the largest squared
+    norm of five samples of phi.
     """
     n, tau = network.n, network.tau_max
-    stationary = config.stationary
-    if stationary is not None and len(stationary) != network.N:
-        raise ValueError("need one stationary profile per mode")
-    lam_shared = first_eigenvalue(grid.domain)
-    shared_modes = [
-        Mode(m.D, m.C, m.A, m.B, m.J, grid.domain, lam_shared) for m in network.modes
-    ]
+    shared_modes = [Mode(m.D, m.C, m.A, m.B, m.J, grid.domain) for m in network.modes]
     Q = [mode_margin_matrix(m, network.activation.G, network.gamma, network.q,
                             tau, network.Psi) for m in shared_modes]
-    profiles = ([None] * network.N if stationary is None
-                else [np.asarray(st, float) for st in stationary])
-    # reaction terms recentred at each mode's stationary profile y*
-    fs = [_recentred(network.activation, (n, 1), st if st is None else st.reshape(n, -1))
-          for st in profiles]
+    f = _deviation_activation(network.activation, (n, 1))
     coef = [1.0 / (config.dt * np.diag(m.D)) for m in shared_modes]
 
     def explicit(mode, t, u, u_delay):
-        m, f = shared_modes[mode], fs[mode]
+        m = shared_modes[mode]
         flat, flat_delay = u.reshape(n, -1), u_delay.reshape(n, -1)
         return (-m.C @ flat + m.A @ f(flat) + m.B @ f(flat_delay)).reshape(u.shape)
 
@@ -295,11 +282,8 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
         return out
 
     def switch(u, mode):
-        new_mode = switching_decide(u, grid, Q, mode, config.hysteresis,
-                                    config.switching_form)
-        if new_mode != mode and stationary is not None:
-            u = u + (profiles[mode] - profiles[new_mode]).reshape(u.shape)
-        return new_mode, u
+        return switching_decide(u, grid, Q, mode, config.hysteresis,
+                                config.switching_form)
 
     norm2 = lambda u: l2_inner(grid, u, u)
 
@@ -317,7 +301,7 @@ def ode_from_mode(mode: Mode, activation, deviation: bool = False):
     deviation=True drops J and recenters g at 0 (the zero solution is then
     exactly invariant).
     """
-    f = _recentred(activation, mode.n) if deviation else activation
+    f = _deviation_activation(activation, mode.n) if deviation else activation
     neg_C, A, B = -mode.C, mode.A, mode.B
     J = 0.0 if deviation else mode.J
 

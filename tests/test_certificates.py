@@ -116,6 +116,14 @@ class TestSearchCertificate:
         M = margin_matrix(net, cert.beta, cert.gamma, cert.q)
         assert np.linalg.eigvalsh(M).max() < 0
 
+    # q must be rejected before the lattice's closed form, which divides by q
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_q_at_most_one_rejected_up_front(self, q):
+        net = presets.switched_benchmark(1)
+        with pytest.raises(ValueError, match="q must exceed 1"):
+            search_certificate(net, q=q)
+
 
 def _bisection_reference(network, beta_step, honor, gamma_cap=10.0, gamma_tol=1e-6):
     """The per-weight bisection on gamma that the closed form replaced."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdnet.geometry import RectDomain
+from rdnet.geometry import RectDomain, first_eigenvalue
 from rdnet.model import (Activation, CGSystem, Mode, SwitchedNetwork,
                          check_A1_sampled, check_A2_on_box,
                          check_H_conditions, constant_delay,
@@ -103,10 +103,14 @@ class TestMode:
         m = Mode([[0.1]], [[1.0]], [[0.0]], [[0.0]], [0.0], RectDomain((1.0,)))
         assert m.lambda1 == pytest.approx(math.pi**2)
 
-    def test_rejects_inconsistent_lambda1(self):
-        with pytest.raises(ValueError):
+    def test_lambda1_is_derived_not_passed(self):
+        dom = RectDomain((2.0, 3.0))
+        m = Mode(np.eye(2), np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
+                 np.zeros(2), dom)
+        assert m.lambda1 == first_eigenvalue(dom)
+        with pytest.raises(TypeError):
             Mode([[0.1]], [[1.0]], [[0.0]], [[0.0]], [0.0], RectDomain((1.0,)),
-                 lambda1=5.0)
+                 lambda1=math.pi**2)
 
     def test_rejects_nondiagonal_D(self):
         with pytest.raises(ValueError):

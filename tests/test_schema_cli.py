@@ -162,6 +162,18 @@ class TestCliExitCodes:
         f.write_text("not json")
         assert cli.main(["--out", str(tmp_path), "certify", str(f)]) == 2
 
+    def test_certify_empty_modes_exit_2(self, tmp_path, capsys):
+        net, grid = _write_benchmark(tmp_path / "ok.json")
+        doc = dump_system(net, grid)
+        doc["modes"] = []
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "certify", str(f)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"error: {f}: 'modes' must be a non-empty list"]
+        assert not out.exists()
+
     def test_simulate_writes_trajectory(self, tmp_path):
         f = tmp_path / "sys.json"
         _write_benchmark(f, counts=(9, 9))
@@ -214,8 +226,9 @@ class TestCliExitCodes:
         ["stationary", "--inits", "0"],
         ["stationary", "--inits", "-3"],
         ["simulate", "--T", "200", "--dt", "10"],   # 21 samples, dt above the delay bound 3.5
+        ["certify", "--search", "--q", "0"],
     ], ids=["T", "dt", "snapshots", "tol", "tol-inits", "gamma", "T-fit-window",
-            "inits-0", "inits-negative", "dt-above-delay"])
+            "inits-0", "inits-negative", "dt-above-delay", "q-search"])
     def test_out_of_range_argument_exit_2(self, tmp_path, capsys, argv):
         f = tmp_path / "sys.json"
         _write_benchmark(f, counts=(9, 9))

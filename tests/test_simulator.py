@@ -307,8 +307,8 @@ class TestOdeIntegration:
         assert val[0] == pytest.approx(-(2.0 - 0.5 - 0.5 + 0.1))
 
 
-def _v_sha1(traj: Trajectory) -> str:
-    return hashlib.sha1(traj.V.tobytes()).hexdigest()
+def _sha1(a: np.ndarray) -> str:
+    return hashlib.sha1(a.tobytes()).hexdigest()
 
 
 class TestBitwiseTrajectories:
@@ -322,14 +322,14 @@ class TestBitwiseTrajectories:
                             presets.BOUNDARY_LAYER_TAU, SimConfig(dt=1e-3, horizon=20.0),
                             lambda s: np.zeros(1))
         assert len(traj.V) == 20001
-        assert _v_sha1(traj) == "dc54071dbb06f908c9dfe3e4a14b9bd96877a5b9"
+        assert _sha1(traj.V) == "dc54071dbb06f908c9dfe3e4a14b9bd96877a5b9"
 
     def test_example35_ode(self):
         problem = presets.linear_variational_problem(11)
         traj = simulate_ode(ode_from_mode(problem.mode, problem.activation), 1, 1.0,
                             SimConfig(dt=1e-3, horizon=20.0), lambda s: np.zeros(1))
         assert len(traj.V) == 20001
-        assert _v_sha1(traj) == "9423fd4144001fd87ca77ed428d39070753d1fd6"
+        assert _sha1(traj.V) == "9423fd4144001fd87ca77ed428d39070753d1fd6"
 
     def test_deviation_ode_with_impulses_and_varying_delay(self):
         mode = Mode(np.diag([1.0, 0.5]), np.diag([1.5, 1.0]), [[0.2, -0.3], [0.4, 0.1]],
@@ -342,7 +342,7 @@ class TestBitwiseTrajectories:
                             lambda s: np.array([1.0 + s, -0.5 + 0.3 * s]),
                             delay=lambda t: 0.25 + 0.2 * math.sin(3.0 * t))
         assert len(traj.V) == 301
-        assert _v_sha1(traj) == "ad52689f12d008509ae31acd3be3698ca66b5fbf"
+        assert _sha1(traj.V) == "ad52689f12d008509ae31acd3be3698ca66b5fbf"
 
 
 class TestImpulses:
@@ -514,6 +514,40 @@ class TestSwitchingHappens:
         assert report["switch_count"] > 0
         assert report["decay"]["rate"] >= cert.gamma / 2
         assert report["decay"]["r_squared"] >= 0.99
+
+
+class TestBitwiseSwitchedFields:
+    """SHA-1 of traj.V and traj.modes and the exact switch count of switched
+    field runs: the reaction term, the switch and the Helmholtz step are
+    pinned bit for bit, so a rewiring of simulate that moves one sample or
+    one switch fails here."""
+
+    @pytest.mark.parametrize("form, switches, v_sha1, modes_sha1", [
+        ("integrated", 22, "2987bbb5b658712791a96b9731a52eb678b78acb",
+         "11d4060b6bfd60165ce6bd6c2e00bcf22ccd4fd4"),
+        ("pointwise", 1307, "fc49df6d45c10f6dd93422b994ece9b638823129",
+         "bd9544cd5f05008a8e94a00fe054090ea34b076b"),
+    ])
+    def test_switching_pair(self, form, switches, v_sha1, modes_sha1):
+        net, _, amp = _switching_pair(0)
+        grid = Grid(net.modes[0].domain, (41,))
+        phi1, _ = eigenfunction(grid.domain, (1,), grid)
+        phi2, _ = eigenfunction(grid.domain, (2,), grid)
+        field = np.stack([a1 * phi1 + a2 * phi2 for a1, a2 in amp])
+        config = SimConfig(dt=0.01, horizon=15.0, switching=True, switching_form=form)
+        traj = simulate(net, grid, config, lambda s: field)
+        assert len(traj.V) == 1501 and traj.switch_count == switches
+        assert _sha1(traj.V) == v_sha1
+        assert _sha1(traj.modes) == modes_sha1
+
+    def test_case1_benchmark(self):
+        net = presets.switched_benchmark(1)
+        grid = Grid(net.modes[0].domain, (31, 31))
+        config = SimConfig(dt=net.tau_max / 100.0, horizon=12.0, switching=True)
+        traj = simulate(net, grid, config, presets.switched_benchmark_initial(grid))
+        assert len(traj.V) == 344 and traj.switch_count == 0
+        assert _sha1(traj.V) == "192d5cfff87158540a3d6683989c60bc4c000766"
+        assert _sha1(traj.modes) == "60613ea38e3a68fabe5a4a9ad96b33b6fd21fbb1"
 
 
 def _verdicts_with_grid_eigenvalue(net: SwitchedNetwork, grid: Grid):
