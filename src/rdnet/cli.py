@@ -130,10 +130,12 @@ def cmd_simulate(args) -> int:
     write_trajectory_csv(outdir / "trajectory.csv", traj)
     for i, (t, snap) in enumerate(traj.snapshots):
         write_field_csv(outdir / f"snapshot_{i:04d}.csv", grid, snap)
+    switch_times = traj.times[1:][np.diff(traj.modes) != 0]
     write_report(outdir / "simulate_report.json", {
         "command": "simulate", "dt": dt, "horizon": args.T,
         "switching": args.switching, "seed": args.seed,
         "switch_count": traj.switch_count,
+        "min_dwell_time": float(np.diff(switch_times).min()) if len(switch_times) > 1 else None,
         "decay": {"rate": est.rate, "prefactor": est.prefactor,
                   "window": est.window, "r_squared": est.r_squared},
         "system": dump_system(network, grid),

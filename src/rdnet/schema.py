@@ -139,17 +139,18 @@ def write_trajectory_csv(path, trajectory) -> None:
 def write_field_csv(path, grid: Grid, field: np.ndarray) -> None:
     """Columns x[,y],component,value for a (n, *grid.shape) field.
 
-    Nodes run in C order (the last axis fastest); each coordinate is
-    formatted once and rows are streamed, never joined into one string.
+    Nodes run in C order (the last axis fastest); each line along that axis
+    is one template of preformatted coordinates, filled by one % call.
     """
     field = np.asarray(field, float)
     if field.ndim == grid.domain.dims:
         field = field[None]
-    axes = [[f"{x:.17g}" for x in axis.tolist()] for axis in grid.axes()]
-    coords = [",".join(node) for node in itertools.product(*axes)]
+    axes = [[FLOAT_FMT % x for x in axis.tolist()] for axis in grid.axes()]
+    lines = [[",".join(h + (x,)) for x in axes[-1]] for h in itertools.product(*axes[:-1])]
     with open(path, "w") as fh:
         header = "x,y" if grid.domain.dims == 2 else "x"
         fh.write(f"{header},component,value\n")
         for comp in range(field.shape[0]):
-            fh.writelines(f"{c},{comp},{v:.17g}\n"
-                          for c, v in zip(coords, field[comp].ravel().tolist()))
+            row = f",{comp},{FLOAT_FMT}\n"
+            for line, values in zip(lines, field[comp].reshape(len(lines), -1).tolist()):
+                fh.write((row.join(line) + row) % tuple(values))

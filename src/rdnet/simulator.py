@@ -150,25 +150,24 @@ def switching_decide(u: np.ndarray, grid: Grid | None, Q: Sequence[np.ndarray],
     Integrated form scores each mode by the spatial integral of u^T Q u;
     the current mode is kept while its score stays below -hysteresis,
     otherwise the argmin wins (ties to the lowest index). The pointwise form
-    scores by the worst node instead of the integral.
+    scores by the worst node instead of the integral. The other modes are
+    scored only once the current one fails, which changes no decision.
     """
     if len(Q) == 1:
         return 0
-    scores = []
-    for Qs in Q:
+    def score(Qs) -> float:
         if grid is None:
-            quad = float(u @ Qs @ u)
-        else:
-            flat = u.reshape(u.shape[0], -1)
-            node_scores = np.einsum("ik,ij,jk->k", flat, Qs, flat)
-            if form == "pointwise":
-                quad = float(node_scores.max(initial=0.0))
-            else:
-                quad = float(node_scores.sum()) * grid.cell_volume
-        scores.append(quad)
-    if scores[current] < -hysteresis:
+            return float(u @ Qs @ u)
+        flat = u.reshape(u.shape[0], -1)
+        node_scores = np.einsum("ik,ij,jk->k", flat, Qs, flat)
+        if form == "pointwise":
+            return float(node_scores.max(initial=0.0))
+        return float(node_scores.sum()) * grid.cell_volume
+    kept = score(Q[current])
+    if kept < -hysteresis:
         return current
-    return int(np.argmin(scores))
+    return int(np.argmin([kept if k == current else score(Qs)
+                          for k, Qs in enumerate(Q)]))
 
 
 def apply_impulse(u: np.ndarray, M: np.ndarray, N: np.ndarray,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from rdnet import cli, presets
-from rdnet.geometry import Grid
+from rdnet.geometry import Grid, RectDomain
 from rdnet.model import Activation, SwitchedNetwork
 from rdnet.schema import (SCHEMA_VERSION, SystemFileError, dump_system,
                           load_system, write_field_csv, write_report,
@@ -21,6 +22,50 @@ def _write_benchmark(path, case=1, counts=(15, 15)):
     grid = Grid(net.modes[0].domain, counts)
     path.write_text(json.dumps(dump_system(net, grid)))
     return net, grid
+
+
+def _reference_field_csv(grid: Grid, field: np.ndarray) -> bytes:
+    """The reference writer: one f-string per row, nodes in C order.
+    write_field_csv must produce these bytes exactly."""
+    field = np.asarray(field, float)
+    if field.ndim == grid.domain.dims:
+        field = field[None]
+    axes = grid.axes()
+    header = "x,y" if grid.domain.dims == 2 else "x"
+    rows = [f"{header},component,value\n"]
+    for comp in range(field.shape[0]):
+        for idx in np.ndindex(*grid.shape):
+            coord = ",".join(f"{float(axes[a][i]):.17g}" for a, i in enumerate(idx))
+            rows.append(f"{coord},{comp},{float(field[(comp,) + idx]):.17g}\n")
+    return "".join(rows).encode()
+
+
+# values whose %.17g spelling is easy to get wrong: signed zero, the
+# smallest subnormal, huge and tiny normals, the infinities and nan
+_SPECIAL = [-0.0, 5e-324, 1e-300, 1e17, float("inf"), -float("inf"), float("nan")]
+
+
+class TestFieldCsvMatchesRowFormatting:
+    @pytest.mark.parametrize("counts, components", [
+        ((71, 53), 1), ((71, 53), 3), ((2000,), 1), ((2000,), 3), ((3,), 3)])
+    def test_bytes_equal(self, tmp_path, counts, components):
+        grid = Grid(RectDomain((1.0, 2.5)[:len(counts)]), counts)
+        rng = np.random.default_rng(len(counts) + components)
+        shape = (components,) + counts
+        field = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        flat = field.reshape(components, -1)
+        for comp in range(components):
+            flat[comp, comp:comp + len(_SPECIAL)] = _SPECIAL[:grid.size - comp]
+        out = tmp_path / "f.csv"
+        write_field_csv(out, grid, field)
+        assert out.read_bytes() == _reference_field_csv(grid, field)
+
+    def test_unbatched_field(self, tmp_path):
+        grid = Grid(RectDomain((1.0, 2.5)), (5, 4))
+        field = np.arange(20.0).reshape(5, 4) / 3.0
+        out = tmp_path / "f.csv"
+        write_field_csv(out, grid, field)
+        assert out.read_bytes() == _reference_field_csv(grid, field)
 
 
 class TestSchema:
@@ -126,6 +171,34 @@ class TestSchema:
         for name in ("a.csv", "b.csv"):
             write_trajectory_csv(tmp_path / name, simulate(net, grid, config, phi))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestBitwiseSimulateOutputs:
+    """SHA-1 of every CSV that `rdnet --seed 3 simulate` writes for case 1
+    on 31x31 (horizon 12, switching on, every 50th step): the snapshot
+    writer, the trajectory writer and the run behind them are pinned byte
+    for byte."""
+
+    PINS = {
+        "snapshot_0000.csv": "a21e1a796da892d4e835d33f86033b81be333466",
+        "snapshot_0001.csv": "72f827a7cce157d4c0cfc894cc639349fcf8889a",
+        "snapshot_0002.csv": "70e7e708b659a5403a50967900fbd77b3273c97f",
+        "snapshot_0003.csv": "20ca69f51356053371ebfeccec693acec732c99c",
+        "snapshot_0004.csv": "356fd39ff065cc1d2597c9a00723290aad237fb6",
+        "snapshot_0005.csv": "0360a3e2cd7c5f305c936951a033513544a9a5ba",
+        "snapshot_0006.csv": "5a87e5779ce60a55598ab113b2a0d4ca3b73d010",
+        "trajectory.csv": "d48049590f167e3cc33e54f533a460dfa5e3671b",
+    }
+
+    def test_case1_31(self, tmp_path):
+        f = tmp_path / "sys.json"
+        _write_benchmark(f, counts=(31, 31))
+        out = tmp_path / "out"
+        assert cli.main(["--seed", "3", "--out", str(out), "simulate", str(f),
+                         "--T", "12", "--switching", "--snapshots", "50"]) == 0
+        written = {p.name: hashlib.sha1(p.read_bytes()).hexdigest()
+                   for p in out.glob("*.csv")}
+        assert written == self.PINS
 
 
 class TestCliExitCodes:

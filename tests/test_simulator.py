@@ -1,9 +1,12 @@
+import functools
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdnet import cli, presets
 from rdnet.certificates import mode_margin_matrix, search_certificate, verify_certificate
@@ -241,6 +244,60 @@ class TestSwitchingDecide:
         Q = [np.array([[1.0]]), np.array([[-2.0]])]
         assert switching_decide(u, g, Q, 0, form="integrated") == 1
         assert switching_decide(u, g, Q, 0, form="pointwise") == 1
+
+
+def _eager_decide(u, grid, Q, current, hysteresis, form):
+    """The reference switching law: score every mode, keep current while its
+    score is below -hysteresis, else the lowest-index argmin."""
+    if len(Q) == 1:
+        return 0
+    scores = []
+    for Qs in Q:
+        if grid is None:
+            scores.append(float(u @ Qs @ u))
+            continue
+        flat = u.reshape(u.shape[0], -1)
+        node_scores = np.einsum("ik,ij,jk->k", flat, Qs, flat)
+        if form == "pointwise":
+            scores.append(float(node_scores.max(initial=0.0)))
+        else:
+            scores.append(float(node_scores.sum()) * grid.cell_volume)
+    if scores[current] < -hysteresis:
+        return current
+    return int(np.argmin(scores))
+
+
+@st.composite
+def _switching_cases(draw):
+    """Small integer-valued states and forms, so that exact ties between
+    modes (and between a score and -hysteresis) come up often; some forms
+    are repeated outright."""
+    n = draw(st.integers(1, 3))
+    counts = draw(st.sampled_from([None, (3,), (4,), (3, 4)]))
+    grid = None if counts is None else Grid(RectDomain((1.0, 2.0)[:len(counts)]), counts)
+    ints = st.integers(-2, 2).map(float)
+    shape = (n,) if grid is None else (n,) + grid.shape
+    u = np.array(draw(st.lists(ints, min_size=math.prod(shape),
+                               max_size=math.prod(shape)))).reshape(shape)
+    Q = []
+    for _ in range(draw(st.integers(1, 4))):
+        if Q and draw(st.booleans()):
+            Q.append(Q[draw(st.integers(0, len(Q) - 1))])
+            continue
+        a = np.array(draw(st.lists(ints, min_size=n * n, max_size=n * n))).reshape(n, n)
+        Q.append(a + a.T)
+    current = draw(st.integers(0, len(Q) - 1))
+    hysteresis = draw(st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
+                                st.floats(0.0, 50.0)))
+    form = draw(st.sampled_from(["integrated", "pointwise"]))
+    return u, grid, Q, current, hysteresis, form
+
+
+class TestSwitchingDecideMatchesEagerRule:
+    @given(_switching_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_same_mode(self, case):
+        assert switching_decide(*case) == _eager_decide(*case)
 
 
 class TestDecayEstimate:
@@ -503,17 +560,34 @@ class TestSwitchingHappens:
         assert est.rate >= cert.gamma / 2
         assert est.r_squared >= 0.99
 
-    def test_cli_simulate_switches(self, tmp_path):
+    def _cli_report(self, tmp_path, *flags):
         net, cert, _ = _switching_pair(0)
         f = tmp_path / "sys.json"
         f.write_text(json.dumps(dump_system(net, Grid(net.modes[0].domain, (41,)))))
-        code = cli.main(["--out", str(tmp_path), "simulate", str(f), "--switching",
+        code = cli.main(["--out", str(tmp_path), "simulate", str(f), *flags,
                          "--T", "15", "--dt", "0.01"])
         assert code == 0
-        report = json.loads((tmp_path / "simulate_report.json").read_text())
+        return json.loads((tmp_path / "simulate_report.json").read_text()), cert
+
+    def test_cli_simulate_switches(self, tmp_path):
+        report, cert = self._cli_report(tmp_path, "--switching")
         assert report["switch_count"] > 0
+        assert report["min_dwell_time"] == pytest.approx(0.61, abs=1e-9)
         assert report["decay"]["rate"] >= cert.gamma / 2
         assert report["decay"]["r_squared"] >= 0.99
+
+    def test_cli_pointwise_dwell_is_one_step(self, tmp_path, monkeypatch):
+        # the pointwise law chatters: it switches again one step (dt) after
+        # a switch, where the integrated law above dwells at least 0.61
+        monkeypatch.setattr(cli, "SimConfig",
+                            functools.partial(SimConfig, switching_form="pointwise"))
+        report, _ = self._cli_report(tmp_path, "--switching")
+        assert report["switch_count"] > 0
+        assert report["min_dwell_time"] == pytest.approx(0.01, abs=1e-9)
+
+    def test_cli_min_dwell_time_null_without_two_switches(self, tmp_path):
+        report, _ = self._cli_report(tmp_path)
+        assert report["switch_count"] == 0 and report["min_dwell_time"] is None
 
 
 class TestBitwiseSwitchedFields:
