@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 # a grid's sine basis is a dense c x c matrix per axis: 32 MB at this count
 MAX_AXIS_NODES = 2000
@@ -100,15 +99,6 @@ class Grid:
         return np.zeros(self.shape)
 
     @cached_property
-    def laplacian(self) -> sp.csc_matrix:
-        """3-point (1D) / 5-point (2D) discrete Laplacian on interior nodes."""
-        blocks = [sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(c, c)) / h**2
-                  for c, h in zip(self.counts, self.spacing)]
-        if len(blocks) == 1:
-            return blocks[0].tocsc()
-        return sp.kronsum(blocks[1], blocks[0]).tocsc()
-
-    @cached_property
     def sine_basis(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per axis, the symmetric self-inverse DST-I matrix S and eigenvalues of -Lap_h.
 
@@ -125,16 +115,35 @@ class Grid:
         return tuple(basis)
 
 
-def laplacian_matrix(grid: Grid) -> sp.csc_matrix:
-    return grid.laplacian
+def laplacian_matrix(grid: Grid) -> np.ndarray:
+    """Dense 3-point (1D) / 5-point (2D) discrete Laplacian on interior nodes, C order."""
+    blocks = [(np.eye(c, k=-1) - 2.0 * np.eye(c) + np.eye(c, k=1)) * (1.0 / h**2)
+              for c, h in zip(grid.counts, grid.spacing)]
+    if len(blocks) == 1:
+        return blocks[0]
+    (c1, c2), (b1, b2) = grid.counts, blocks
+    return np.kron(b1, np.eye(c2)) + np.kron(np.eye(c1), b2)
 
 
 def apply_laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Delta_h u for a scalar field stored on the grid shape."""
+    """Delta_h u for a scalar field stored on the grid shape.
+
+    The stencil sums its terms from zero in the column order of the sparse
+    matrix product, (i-1,j), (i,j-1), (i,j), (i,j+1), (i+1,j), with the
+    coefficients 1/h^2 and -2/h^2 per axis, so it rounds as that product does.
+    """
     if u.shape != grid.shape:
         raise ValueError(f"field shape {u.shape} != grid shape {grid.shape}")
-    lap = laplacian_matrix(grid)
-    return (lap @ u.ravel()).reshape(grid.shape)
+    inv_h2 = [1.0 / h**2 for h in grid.spacing]
+    out = np.zeros(grid.shape)
+    out[1:] += inv_h2[0] * u[:-1]
+    if len(inv_h2) == 2:
+        out[:, 1:] += inv_h2[1] * u[:, :-1]
+    out += sum(-2.0 * k for k in inv_h2) * u
+    if len(inv_h2) == 2:
+        out[:, :-1] += inv_h2[1] * u[:, 1:]
+    out[:-1] += inv_h2[0] * u[1:]
+    return out
 
 
 def helmholtz_solve(grid: Grid, c: float, rhs: np.ndarray) -> np.ndarray:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .geometry import (Grid, RectDomain, apply_laplacian, helmholtz_solve,
                        l2_inner, l2_norm, laplacian_matrix)
@@ -27,13 +25,17 @@ CLUSTER_REL_DISTANCE = 0.1
 DESCENT_STEP0 = 1.0       # largest Armijo step of variational_minimize
 ARMIJO = 1e-4
 NEWTON_MAX_STEPS = 50
+# a run that goes this many steps without a new smallest step norm has stalled
+NEWTON_PATIENCE = 10
+# n * grid.size; the dense Jacobian holds its square in doubles, 32 MB here
+NEWTON_MAX_UNKNOWNS = 2000
 # deflation M(y) = prod_r (|y - r|^-p + shift) of the roots r already found
 DEFLATION_POWER = 2.0
 DEFLATION_SHIFT = 1.0
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterative solver exhausts its iteration budget."""
+    """Raised when an iterative solver exhausts its iteration budget or stalls."""
 
     def __init__(self, message: str, last: np.ndarray, update_norm: float):
         super().__init__(message)
@@ -221,18 +223,27 @@ def _slope(fn, u: np.ndarray) -> np.ndarray:
     return (fn(u + delta) - fn(u - delta)) / (2.0 * delta)
 
 
+def _check_newton_size(grid: Grid, n: int) -> None:
+    if n * grid.size > NEWTON_MAX_UNKNOWNS:
+        raise ValueError(f"Newton's dense Jacobian is limited to {NEWTON_MAX_UNKNOWNS} "
+                         f"unknowns; this problem has {n * grid.size}")
+
+
 def _newton(grid: Grid, F, jacobian, y: np.ndarray, tol: float, roots=()) -> np.ndarray:
-    """Full-step Newton on F(y) = 0 with the sparse Jacobian jacobian(y).
+    """Full-step Newton on F(y) = 0 with the dense Jacobian jacobian(y).
 
     Deflation (Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37(4), 2015)
     solves M(y) F(y) = 0 instead, M blowing up at the given roots in the L2
     quadrature norm; its step is the plain step dF / (1 - grad log M . dF).
     Stops once |dF| <= tol, after taking the step: on nearly flat solution
-    valleys a small residual is no evidence of a small error.
+    valleys a small residual is no evidence of a small error. Gives up once
+    NEWTON_PATIENCE steps pass without a new smallest step; a single growing
+    step is no sign of failure, as a converging run may grow for a while.
     """
+    best, best_it = math.inf, 0
     for it in range(1, NEWTON_MAX_STEPS + 1):
         with np.errstate(all="ignore"):
-            step = spla.spsolve(jacobian(y), -F(y).ravel()).reshape(y.shape)
+            step = np.linalg.solve(jacobian(y), -F(y).ravel()).reshape(y.shape)
             dlog_m = 0.0   # grad log M . step
             for r in roots:
                 e2 = l2_inner(grid, y - r, y - r)
@@ -244,6 +255,11 @@ def _newton(grid: Grid, F, jacobian, y: np.ndarray, tol: float, roots=()) -> np.
             raise DivergenceError(f"Newton produced non-finite values at step {it}", y, size)
         if size <= tol:
             return y
+        if size < best:
+            best, best_it = size, it
+        elif it - best_it >= NEWTON_PATIENCE:
+            raise DivergenceError(f"Newton stalled at step {it}: no step below "
+                                  f"{best:.3e} since step {best_it}", y, size)
     raise DivergenceError(f"Newton did not converge in {NEWTON_MAX_STEPS} steps "
                           f"(last step {size:.3e})", y, size)
 
@@ -264,6 +280,7 @@ def variational_minimize(functional: EnergyFunctional, grid: Grid,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    _check_newton_size(grid, 1)
     u = grid.zeros() if init is None else np.array(init, dtype=float)
     e = energy_eval(functional, grid, u)
     step = DESCENT_STEP0
@@ -291,7 +308,7 @@ def variational_minimize(functional: EnergyFunctional, grid: Grid,
     lap = laplacian_matrix(grid)
     f = lambda v: functional._nonlinear(v)[1]
     u = _newton(grid, lambda v: energy_gradient(functional, grid, v),
-                lambda v: -lap + sp.diags(functional.c0 - _slope(f, v).ravel()), u, tol)
+                lambda v: np.diag(functional.c0 - _slope(f, v).ravel()) - lap, u, tol)
     gnorm = l2_norm(grid, energy_gradient(functional, grid, u))
     if gnorm <= tol:
         return u, MinimizeReport(True, it, gnorm, energy_eval(functional, grid, u))
@@ -326,18 +343,21 @@ def find_stationary_multiplicity(problem: StationaryProblem, inits,
     solutions breaks up into isolated discrete ones. The search moves to the
     next start when Newton fails, when it returns a solution within relative
     L2 distance CLUSTER_REL_DISTANCE of a known one, or when the start is
-    that close to one. Sorted by energy when available, else by norm.
+    that close to one. Sorted by energy when available, else by norm. A
+    problem over NEWTON_MAX_UNKNOWNS unknowns raises ValueError up front.
     """
     if not inits:
         raise ValueError("need at least one initial field")
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = problem.grid
-    eye = sp.identity(int(np.prod(grid.shape)), format="csc")
-    linear = sp.kron(problem.mode.D, laplacian_matrix(grid)) - sp.kron(problem.mode.C, eye)
-    coupling = sp.kron(problem.W, eye, format="csc")
-    jacobian = lambda y: linear + coupling @ sp.diags(
-        _slope(problem.activation, y.reshape(problem.n, -1)).ravel())
+    _check_newton_size(grid, problem.n)
+    lap, eye = laplacian_matrix(grid), np.eye(grid.size)
+    linear = np.kron(problem.mode.D, lap) - np.kron(problem.mode.C, eye)
+    coupling = np.kron(problem.W, eye)
+    # scaling column k by the slope at unknown k is the product with diag(slope)
+    jacobian = lambda y: linear + coupling * _slope(
+        problem.activation, y.reshape(problem.n, -1)).ravel()
     solutions: list[np.ndarray] = []
 
     def known(y):

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,7 +78,7 @@ class TestLaplacian:
     def test_symmetry_within_1e12(self):
         for counts in [(25,), (11, 13)]:
             domain = RectDomain((1.0,) * len(counts))
-            L = laplacian_matrix(Grid(domain, counts)).toarray()
+            L = laplacian_matrix(Grid(domain, counts))
             assert np.max(np.abs(L - L.T)) <= 1e-12
 
     def test_eigenfunction_is_discrete_eigenvector(self):
@@ -107,6 +108,36 @@ class TestLaplacian:
         g = Grid(RectDomain((1.0,)), (10,))
         with pytest.raises(ValueError):
             apply_laplacian(g, np.zeros(11))
+
+
+def _csc_laplacian(grid: Grid) -> sp.csc_matrix:
+    """The reference: the sparse CSC matrix the Laplacian once was.
+    apply_laplacian must round exactly as its matrix-vector product does."""
+    blocks = [sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(c, c)) / h**2
+              for c, h in zip(grid.counts, grid.spacing)]
+    if len(blocks) == 1:
+        return blocks[0].tocsc()
+    return sp.kronsum(blocks[1], blocks[0]).tocsc()
+
+
+class TestStencilMatchesSparseProduct:
+    @pytest.mark.parametrize("lengths,counts", [
+        ((1.0,), (7,)), ((1.0,), (401,)), ((3.7,), (2000,)),
+        ((1.0, 2.3), (9, 13)), ((1.0, 1.0), (31, 31)), ((0.7, 5.0), (101, 101)),
+    ])
+    def test_bitwise_equal(self, lengths, counts):
+        grid = Grid(RectDomain(lengths), counts)
+        ref = _csc_laplacian(grid)
+        assert np.array_equal(laplacian_matrix(grid), ref.toarray())
+        rng = np.random.default_rng(grid.size)
+        for _ in range(3):
+            u = rng.standard_normal(grid.shape) * 10.0 ** rng.uniform(-5, 5, grid.shape)
+            flat = u.reshape(-1)
+            flat[::7], flat[3::11], flat[5::13], flat[6::17] = -0.0, 5e-324, 1e300, -1e300
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = apply_laplacian(grid, u)
+                want = (ref @ u.ravel()).reshape(grid.shape)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestHelmholtz:
@@ -169,7 +200,7 @@ class TestSineBasisSolve:
     def test_residual_of_random_rhs(self, grid, c):
         rhs = np.random.default_rng(11).standard_normal(grid.shape)
         u = helmholtz_solve(grid, c, rhs)
-        op = c * np.eye(grid.size) - laplacian_matrix(grid).toarray()
+        op = c * np.eye(grid.size) - laplacian_matrix(grid)
         res = np.max(np.abs(op @ u.ravel() - rhs.ravel()))
         h = min(grid.spacing)
         assert res <= 1e-12 * (c + 8.0 / h**2) * np.max(np.abs(u))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdnet import cli, presets
+from rdnet import cli, presets, stationary
 from rdnet.geometry import Grid, RectDomain
 from rdnet.model import Activation, SwitchedNetwork
 from rdnet.schema import (SCHEMA_VERSION, SystemFileError, dump_system,
@@ -330,6 +330,28 @@ class TestCliExitCodes:
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                              text=True, check=True, env=env)
         assert out.stdout.strip() == "False"
+
+    def test_import_leaves_scipy_unloaded(self):
+        probe = "import sys, rdnet.cli; print('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
+
+    def test_stationary_inits_over_newton_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 61^2 nodes x 2 components: 7,442 unknowns, over NEWTON_MAX_UNKNOWNS;
+        # the dense Jacobian would take 443 MB, so its assembly must not start
+        def no_assembly(grid):
+            raise AssertionError("dense Jacobian assembled over the cap")
+
+        monkeypatch.setattr(stationary, "laplacian_matrix", no_assembly)
+        f = tmp_path / "sys.json"
+        _write_benchmark(f, counts=(61, 61))
+        out = tmp_path / "o"
+        code = cli.main(["--out", str(out), "stationary", str(f), "--inits", "3"])
+        assert code == 2
+        assert "unknowns" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReproduceRows:

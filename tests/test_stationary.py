@@ -274,6 +274,55 @@ class TestMultiplicity:
         assert len(sols) == 1 and runs == [[]]
         assert np.max(np.abs(sols[0] - roots[0])) < 1e-9
 
+    def test_failing_deflated_runs_stall_out(self, monkeypatch):
+        problem = presets.multiplicity_problem(201)
+        grid = problem.grid
+        phi1, _ = eigenfunction(grid.domain, (1,), grid)
+        sup = float(np.max(np.abs(phi1)))
+        inits = [0.5 / sup * phi1[None], -0.5 / sup * phi1[None], problem.zeros()]
+        runs = []   # (Jacobian evaluations, stall message or None) per run
+        newton = stationary._newton
+
+        def counting(grid, F, jacobian, y, tol, roots=()):
+            calls = []
+            counted = lambda v: calls.append(1) or jacobian(v)
+            try:
+                sol = newton(grid, F, counted, y, tol, roots)
+            except stationary.DivergenceError as exc:
+                runs.append((len(calls), str(exc)))
+                raise
+            runs.append((len(calls), None))
+            return sol
+
+        monkeypatch.setattr(stationary, "_newton", counting)
+        sols = find_stationary_multiplicity(problem, inits, tol=1e-6)
+        norms = sorted(l2_norm(grid, s) for s in sols)
+        assert norms[0] < 1e-12
+        assert norms[1:] == pytest.approx([0.721045, 0.721045], abs=1e-6)
+        assert sum(steps for steps, _ in runs) <= 55
+        assert sorted(steps for steps, err in runs if err is None) == [2, 8, 14]
+        stalled = [(steps, err) for steps, err in runs if err is not None]
+        assert len(stalled) == 2
+        stall_step = stationary.NEWTON_PATIENCE + 3
+        for steps, err in stalled:
+            assert steps == stall_step and f"stalled at step {stall_step}" in err
+
+    def test_over_newton_cap_raises_before_newton(self, monkeypatch):
+        def no_newton(*args, **kwargs):
+            raise AssertionError("Newton ran over the cap")
+
+        monkeypatch.setattr(stationary, "_newton", no_newton)
+        network = presets.switched_benchmark(1)
+        mode = network.modes[0]
+        grid = Grid(mode.domain, (7, 143))   # 2 components: 2,002 unknowns
+        assert mode.n * grid.size == stationary.NEWTON_MAX_UNKNOWNS + 2
+        problem = StationaryProblem(mode, network.activation, grid)
+        with pytest.raises(ValueError, match="unknowns"):
+            find_stationary_multiplicity(problem, [problem.zeros()])
+        grid = Grid(RectDomain((1.0, 1.0)), (3, 667))   # 2,001 unknowns
+        with pytest.raises(ValueError, match="unknowns"):
+            variational_minimize(EnergyFunctional(c0=1.0), grid)
+
     def test_requires_inits(self):
         problem = presets.multiplicity_problem(11)
         with pytest.raises(ValueError):
