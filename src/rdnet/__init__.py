@@ -3,30 +3,27 @@
 Subpackages: geometry (domains, grids, discrete Laplacian), model (network
 data and sampled assumption checks), certificates (stability feasibility and
 search), stationary (elliptic solvers and energy minimization), simulator
-(delayed time integration with switching and impulses), presets (built-in
-benchmark systems), schema (system files and result emission), cli.
+(delayed time integration with switching), presets (built-in benchmark
+systems), schema (system files and result emission), cli.
 """
 
-from .certificates import (Certificate, CGRates, cg_check_C1, cg_margin_matrix,
-                           cg_phi_tilde, cg_rates, check_corollary34,
-                           check_uniqueness_A3, margin_matrix,
+from .certificates import (Certificate, check_uniqueness_A3, margin_matrix,
                            mode_margin_matrix, search_certificate,
                            solve_rate_equation, verify_certificate)
 from .geometry import (Grid, RectDomain, apply_laplacian, eigenfunction,
                        first_eigenvalue, helmholtz_solve, l2_inner, l2_norm,
                        laplacian_matrix, poincare_cube_bound)
-from .model import (Activation, CGSystem, Mode, SwitchedNetwork, Verdict,
-                    check_A1_sampled, check_A2_on_box, check_H_conditions,
-                    constant_delay, make_activation_fn, piecewise_cbrt,
+from .model import (Activation, Mode, SwitchedNetwork, Verdict,
+                    check_A1_sampled, check_A2_on_box, constant_delay,
+                    make_activation_fn, piecewise_cbrt,
                     piecewise_cbrt_antiderivative, signed_cbrt,
                     stationarity_map)
 from .schema import (SystemFileError, dump_system, load_system,
                      write_field_csv, write_report, write_trajectory_csv)
 from .simulator import (BlowUpError, DecayEstimate, History,
-                        HistoryUnderrunError, ImpulseSchedule, SimConfig,
-                        Trajectory, apply_impulse, estimate_decay_rate,
-                        ode_from_cg, ode_from_mode, simulate, simulate_ode,
-                        switching_decide)
+                        HistoryUnderrunError, SimConfig, Trajectory,
+                        estimate_decay_rate, ode_from_mode, simulate,
+                        simulate_ode, switching_decide)
 from .stationary import (DivergenceError, EnergyFunctional, StationaryProblem,
                          energy_eval, energy_from_problem, energy_gradient,
                          find_stationary_multiplicity, fixed_point_solve,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .model import CGSystem, Mode, SwitchedNetwork
+from .model import Mode, SwitchedNetwork
 
 NEG_DEF_SLACK = 1e-10
 # the gamma -> 0+ probe: a simplex weight admits a certificate at all iff
@@ -40,20 +40,6 @@ class Certificate:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class CGRates:
-    """Decay-rate quantities for the Cohen-Grossberg certificate."""
-
-    Phi_tilde: np.ndarray
-    a_tilde: float
-    b: float
-    lam: float
-    rho: float
-    delta_min: float
-    rate: float
-    delta: float
 
 
 def _symmetrize(M: np.ndarray) -> np.ndarray:
@@ -238,55 +224,6 @@ def check_uniqueness_A3(modes, epsilon: float, p="auto", G: np.ndarray | None = 
     return results
 
 
-def check_corollary34(modes, epsilon: float, G: np.ndarray | None = None,
-                      activation=None) -> list[dict]:
-    """Cellular-form specialization of the uniqueness condition.
-
-    Identical verdict semantics; p defaults to the singular-value bound of
-    the combined coupling.
-    """
-    return check_uniqueness_A3(modes, epsilon, p="auto", G=G, activation=activation)
-
-
-def cg_margin_matrix(cg: CGSystem) -> np.ndarray:
-    """3n x 3n block matrix of the Cohen-Grossberg feasibility condition.
-
-    Blocks: [[-2 P A_lower B + F^2, P A_upper |C|, P A_upper |D|],
-             [|C^T| A_upper P, -I, 0], [|D^T| A_upper P, 0, -I]].
-    The lower amplification bound is used in the corner block (the
-    conservative choice).
-    """
-    n = cg.n
-    P, Au, Al = np.diag(cg.P), np.diag(cg.A_upper), np.diag(cg.A_lower)
-    B, F = np.diag(cg.B), np.diag(cg.F)
-    absC, absD = np.abs(cg.C), np.abs(cg.D)
-    I = np.eye(n)
-    Z = np.zeros((n, n))
-    top = [-2.0 * P @ Al @ B + F @ F, P @ Au @ absC, P @ Au @ absD]
-    mid = [absC.T @ Au @ P, -I, Z]
-    bot = [absD.T @ Au @ P, Z, -I]
-    return _symmetrize(np.block([top, mid, bot]))
-
-
-def cg_check_C1(cg: CGSystem) -> dict:
-    """Negative definiteness of the block matrix; returns its max eigenvalue."""
-    M = cg_margin_matrix(cg)
-    max_eig = float(np.linalg.eigvalsh(M).max())
-    return {"max_eig": max_eig, "holds": max_eig < -NEG_DEF_SLACK}
-
-
-def cg_phi_tilde(cg: CGSystem) -> np.ndarray:
-    """2 P A_lower B - P A_upper |C||C^T| A_upper P - P A_upper |D||D^T| A_upper P - F^2."""
-    P, Au, Al = np.diag(cg.P), np.diag(cg.A_upper), np.diag(cg.A_lower)
-    B, F = np.diag(cg.B), np.diag(cg.F)
-    absC, absD = np.abs(cg.C), np.abs(cg.D)
-    Phi = (2.0 * P @ Al @ B
-           - P @ Au @ absC @ absC.T @ Au @ P
-           - P @ Au @ absD @ absD.T @ Au @ P
-           - F @ F)
-    return _symmetrize(Phi)
-
-
 def solve_rate_equation(a: float, b: float, tau: float, tol: float = 1e-12) -> float:
     """Unique positive root of lam = a - b e^{lam tau}, for a > b >= 0.
 
@@ -314,34 +251,3 @@ def solve_rate_equation(a: float, b: float, tau: float, tol: float = 1e-12) -> f
         fl = f(lam)
         lam -= fl / (1.0 + b * tau * math.exp(lam * tau))
     return lam
-
-
-def cg_rates(cg: CGSystem, delta: float | None = None) -> CGRates:
-    """Decay quantities for the impulsive Cohen-Grossberg certificate.
-
-    Computes the coupling-dominance matrix, the effective rates a~ and b,
-    the root of lam = a~ - b e^{lam tau}, the impulse amplification rho and
-    the minimal impulse-spacing parameter delta_min. The reported rate is
-    (lam - ln(rho e^{lam tau}) / (delta tau)) / 2 with delta defaulting to
-    delta_min.
-    """
-    Phi = cg_phi_tilde(cg)
-    eigs = np.linalg.eigvalsh(Phi)
-    if eigs.min() <= 0:
-        raise ValueError("C2 violated: coupling-dominance matrix not positive definite")
-    a_tilde = float(eigs.min() / cg.P.max())
-    b = float((cg.G**2).max() / cg.P.min())
-    if a_tilde <= b:
-        raise ValueError("C2 violated: a~ <= b")
-    lam = solve_rate_equation(a_tilde, b, cg.tau)
-    P, M_diag, H, Nmat = np.diag(cg.P), np.diag(cg.M), np.diag(cg.H), cg.N
-    pmp = float(np.linalg.eigvalsh(_symmetrize(P @ M_diag @ P)).max())
-    hnh = float(np.linalg.eigvalsh(_symmetrize(H @ Nmat.T @ P @ Nmat @ H)).max())
-    rho = max(1.0, 2.0 * pmp / cg.P.min() + 2.0 * hnh / cg.P.min() * math.exp(lam * cg.tau))
-    log_term = math.log(rho * math.exp(lam * cg.tau))
-    tau = cg.tau if cg.tau > 0 else 1.0
-    delta_min = math.sqrt(log_term / tau)
-    d = delta_min if delta is None else delta
-    rate = 0.5 * (lam - log_term / (d * tau)) if d > 0 else 0.0
-    return CGRates(Phi_tilde=Phi, a_tilde=a_tilde, b=b, lam=lam, rho=rho,
-                   delta_min=delta_min, rate=rate, delta=d)

@@ -133,7 +133,9 @@ def cmd_simulate(args) -> int:
     switch_times = traj.times[1:][np.diff(traj.modes) != 0]
     write_report(outdir / "simulate_report.json", {
         "command": "simulate", "dt": dt, "horizon": args.T,
-        "switching": args.switching, "seed": args.seed,
+        "switching": args.switching, "switching_form": config.switching_form,
+        "hysteresis": config.hysteresis, "seed": args.seed,
+        "end_time": float(traj.times[-1]),   # after round(T / dt) steps
         "switch_count": traj.switch_count,
         "min_dwell_time": float(np.diff(switch_times).min()) if len(switch_times) > 1 else None,
         "decay": {"rate": est.rate, "prefactor": est.prefactor,

@@ -8,7 +8,6 @@ validity beyond the box it was sampled on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -224,57 +223,6 @@ class SwitchedNetwork:
 
 
 @dataclass(frozen=True)
-class CGSystem:
-    """Cohen-Grossberg network data: bounds, couplings, impulses, weight P.
-
-    Diagonal matrices are stored as 1D arrays of their diagonals. Callables
-    for the amplification a_i, decay b_i and the signal maps f, g, h are
-    optional; the defaults are the cellular specialization a_i == 1,
-    b_i(u) = B_i u, f = g, h = identity.
-    """
-
-    A_lower: np.ndarray
-    A_upper: np.ndarray
-    B: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
-    H: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    M: np.ndarray
-    N: np.ndarray
-    R: np.ndarray
-    inputs: np.ndarray
-    P: np.ndarray
-    tau: float
-    impulse_times: tuple[float, ...] = ()
-    a_funcs: tuple[Callable, ...] | None = None
-    b_funcs: tuple[Callable, ...] | None = None
-    f: Callable[[np.ndarray], np.ndarray] | None = None
-    g: Callable[[np.ndarray], np.ndarray] | None = None
-    h: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        for name in ("A_lower", "A_upper", "B", "F", "G", "H", "R", "inputs", "P",
-                     "C", "D", "M", "N"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = self.B.shape[0]
-        if np.any(self.A_lower <= 0) or np.any(self.A_upper < self.A_lower):
-            raise ValueError("need 0 < A_lower <= A_upper entrywise")
-        for name in ("B", "F", "G", "H", "P"):
-            if np.any(getattr(self, name) < 0):
-                raise ValueError(f"{name} must be a nonnegative diagonal")
-        if np.any(self.P <= 0) or np.any(self.B <= 0):
-            raise ValueError("B and P must be positive diagonal")
-        if self.C.shape != (n, n) or self.D.shape != (n, n) or self.N.shape != (n, n):
-            raise ValueError("coupling matrix dimensions inconsistent")
-
-    @property
-    def n(self) -> int:
-        return self.B.shape[0]
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Outcome of a sampled condition check."""
 
@@ -371,63 +319,3 @@ def check_A2_on_box(mode: Mode, activation: Activation, c: float, box=None,
         return Verdict(holds=True, worst_ratio=worst)
     bad = int(np.argmin(ok))
     return Verdict(holds=False, worst_ratio=worst, witness=v[:, bad].copy())
-
-
-def check_H_conditions(cg: CGSystem, box=None, samples: int = DEFAULT_SAMPLES,
-                       seed: int = 0) -> dict[str, Verdict]:
-    """Sampled check of the amplification/decay/signal ratio bounds.
-
-    H1: A_lower_i <= a_i(u) <= A_upper_i. H2: difference quotients of b_i
-    at least B_i. H3: difference quotients of f, g, h within [0, F_i] etc.
-    Worst ratios are relative to the respective declared bound.
-    """
-    n = cg.n
-    box = _as_box(box if box is not None else [-DEFAULT_BOX_HALFWIDTH, DEFAULT_BOX_HALFWIDTH], n)
-    rng = np.random.default_rng(seed)
-    out: dict[str, Verdict] = {}
-
-    a_funcs = cg.a_funcs or tuple((lambda u: np.ones_like(np.asarray(u, float)),) * n)
-    worst = 0.0
-    ok = True
-    for i in range(n):
-        u = rng.uniform(*box[i], samples)
-        a = np.asarray(a_funcs[i](u), dtype=float)
-        if np.any(a < cg.A_lower[i] * (1 - 1e-9)) or np.any(a > cg.A_upper[i] * (1 + 1e-9)):
-            ok = False
-        worst = max(worst, float(np.max(a / cg.A_upper[i])))
-    out["H1"] = Verdict(holds=ok, worst_ratio=worst)
-
-    b_funcs = cg.b_funcs or tuple(
-        (lambda bi: (lambda u: bi * np.asarray(u, float)))(bi) for bi in cg.B
-    )
-    worst = math.inf
-    ok = True
-    for i in range(n):
-        u = rng.uniform(*box[i], samples)
-        v = rng.uniform(*box[i], samples)
-        mask = np.abs(u - v) > 1e-12
-        quot = (b_funcs[i](u[mask]) - b_funcs[i](v[mask])) / (u[mask] - v[mask])
-        if np.any(quot < cg.B[i] * (1 - 1e-9)):
-            ok = False
-        worst = min(worst, float(np.min(quot / cg.B[i])))
-    out["H2"] = Verdict(holds=ok, worst_ratio=worst)
-
-    ident = lambda u: np.asarray(u, dtype=float)
-    worst = 0.0
-    ok = True
-    for fn, bound in ((cg.f or ident, cg.F), (cg.g or ident, cg.G), (cg.h or ident, cg.H)):
-        for i in range(n):
-            u = rng.uniform(*box[i], samples)
-            v = u + rng.uniform(-1.0, 1.0, samples)
-            mask = np.abs(u - v) > 1e-12
-            quot = (np.asarray(fn(u[mask])) - np.asarray(fn(v[mask]))) / (u[mask] - v[mask])
-            if bound[i] == 0:
-                if np.any(np.abs(quot) > 1e-9):
-                    ok = False
-                continue
-            rel = quot / bound[i]
-            if np.any(rel < -1e-9) or np.any(rel > 1 + 1e-6):
-                ok = False
-            worst = max(worst, float(np.max(rel)))
-    out["H3"] = Verdict(holds=ok, worst_ratio=worst)
-    return out

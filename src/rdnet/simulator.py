@@ -19,7 +19,7 @@ import numpy as np
 
 from .certificates import mode_margin_matrix
 from .geometry import Grid, helmholtz_solve, l2_inner
-from .model import CGSystem, Mode, SwitchedNetwork, constant_delay
+from .model import Mode, SwitchedNetwork, constant_delay
 
 BLOWUP_FACTOR = 1e6
 
@@ -91,17 +91,6 @@ class History:
         return (1.0 - w) * self._states[j - 1] + w * self._states[j]
 
 
-@dataclass(frozen=True)
-class ImpulseSchedule:
-    """Scheduled jumps u(t+) = M u(t-) + N h(u(t- - tau))."""
-
-    times: tuple[float, ...]
-    M: np.ndarray
-    N: np.ndarray
-    h: Callable[[np.ndarray], np.ndarray] | None = None
-    tau: float = 0.0
-
-
 @dataclass
 class SimConfig:
     dt: float
@@ -109,7 +98,6 @@ class SimConfig:
     switching: bool = False
     hysteresis: float = 0.0
     switching_form: str = "integrated"
-    impulses: ImpulseSchedule | None = None
     snapshot_stride: int = 0
 
     def __post_init__(self):
@@ -170,16 +158,6 @@ def switching_decide(u: np.ndarray, grid: Grid | None, Q: Sequence[np.ndarray],
                           for k, Qs in enumerate(Q)]))
 
 
-def apply_impulse(u: np.ndarray, M: np.ndarray, N: np.ndarray,
-                  h: Callable[[np.ndarray], np.ndarray] | None,
-                  history: History, t: float, tau: float) -> np.ndarray:
-    """Pointwise-in-x affine jump with a delayed argument from the history."""
-    u_delay = history.value(t - tau)
-    hval = u_delay if h is None else h(u_delay)
-    out = M @ u.reshape(u.shape[0], -1) + N @ hval.reshape(hval.shape[0], -1)
-    return out.reshape(u.shape)
-
-
 def _deviation_activation(activation, shape):
     """f(u) = g(u) - g(0), so f(0) = 0 exactly; g(0) has the arguments'
     shape, (n,) or (n, 1)."""
@@ -192,8 +170,8 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
     """The stepping loop shared by simulate and simulate_ode.
 
     A step is u <- implicit(mode, u + dt * explicit(mode, t, u, u_delay)), then
-    the impulses due, the history push and the blow-up guard, whose bound is
-    guard(hist, u0). switch(u, mode) returns the new mode.
+    the history push and the blow-up guard, whose bound is guard(hist, u0).
+    switch(u, mode) returns the new mode.
     """
     dt = config.dt
     if tau > 0 and dt > tau:
@@ -211,9 +189,6 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
     mode = switch_count = 0
     snapshots: list[tuple[float, np.ndarray]] = []
     stride = config.snapshot_stride
-    imp = config.impulses
-    imp_times = (sorted(imp.times) if imp is not None else []) + [math.inf]  # sentinel
-    imp_ptr = 0
     value, push, isfinite = hist.value, hist.push, math.isfinite
 
     t = 0.0
@@ -235,10 +210,6 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
             u_delay = u
         u = implicit(mode, u + dt * explicit(mode, t, u, u_delay))
         t = k * dt
-        while imp_times[imp_ptr] <= t + 1e-12:
-            u = apply_impulse(u, imp.M, imp.N, imp.h, hist, imp_times[imp_ptr],
-                              imp.tau)
-            imp_ptr += 1
         push(t, u)
         v = norm2(u)
         if not isfinite(v) or v > bound:
@@ -306,31 +277,6 @@ def ode_from_mode(mode: Mode, activation, deviation: bool = False):
 
     def rhs(t, u, u_delay):
         return neg_C @ u + A @ f(u) + B @ f(u_delay) + J
-    return rhs
-
-
-def ode_from_cg(cg: CGSystem):
-    """Cohen-Grossberg right-hand side; defaults give the cellular form.
-
-    du_i/dt = -a_i(u_i) [ b_i(u_i) - sum_j c_ij f_j(u_j)
-                          - sum_j d_ij g_j(u_j(t - tau)) + I_i ].
-    """
-    ident = lambda v: np.asarray(v, dtype=float)
-    f = cg.f or ident
-    g = cg.g or ident
-
-    def rhs(t, u, u_delay):
-        if cg.a_funcs is None:
-            a = np.ones_like(u)
-        else:
-            a = np.array([fn(ui) for fn, ui in zip(cg.a_funcs, u)])
-        if cg.b_funcs is None:
-            b = cg.B * u
-        else:
-            b = np.array([fn(ui) for fn, ui in zip(cg.b_funcs, u)])
-        inner = b - cg.C @ f(u) - cg.D @ g(u_delay) + cg.inputs
-        return -a * inner
-
     return rhs
 
 

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdnet import presets
-from rdnet.certificates import (GAMMA_PROBE, _simplex_lattice, cg_check_C1,
-                                cg_margin_matrix, cg_phi_tilde, cg_rates,
-                                check_corollary34, check_uniqueness_A3,
-                                margin_matrix, mode_margin_matrix,
-                                search_certificate, solve_rate_equation,
-                                verify_certificate)
+from rdnet.certificates import (GAMMA_PROBE, _simplex_lattice,
+                                check_uniqueness_A3, margin_matrix,
+                                mode_margin_matrix, search_certificate,
+                                solve_rate_equation, verify_certificate)
 from rdnet.geometry import RectDomain
-from rdnet.model import Activation, CGSystem, Mode, SwitchedNetwork
+from rdnet.model import Activation, Mode, SwitchedNetwork
 
 # frozen margins of the benchmark feasible points, from an independent
 # assembly of the combined matrix
@@ -264,13 +262,6 @@ class TestUniqueness:
                                        compute_uv=False).max())
         assert results[0]["p"] == pytest.approx(expected)
 
-    def test_corollary_delegates(self):
-        net = presets.switched_benchmark(1)
-        a = check_corollary34(net.modes, epsilon=2.0, G=net.activation.G)
-        b = check_uniqueness_A3(net.modes, epsilon=2.0, p="auto",
-                                G=net.activation.G)
-        assert a == b
-
 
 class TestRateEquation:
     def test_oracle_point(self):
@@ -303,52 +294,3 @@ class TestRateEquation:
     def test_monotone_in_delay(self):
         lams = [solve_rate_equation(2.0, 0.5, tau) for tau in (0.5, 1.0, 2.0)]
         assert lams[0] > lams[1] > lams[2]
-
-
-def _small_cg(tau=1.0):
-    n = 2
-    return CGSystem(
-        A_lower=np.ones(n), A_upper=np.ones(n), B=np.full(n, 3.0),
-        F=np.full(n, 0.5), G=np.full(n, 0.1), H=np.full(n, 0.5),
-        C=0.2 * np.eye(n), D=0.1 * np.eye(n),
-        M=np.full(n, 0.4), N=0.1 * np.eye(n), R=np.zeros(n),
-        inputs=np.zeros(n), P=np.ones(n), tau=tau)
-
-
-class TestCGCertificate:
-    def test_block_matrix_shape_and_symmetry(self):
-        M = cg_margin_matrix(_small_cg())
-        assert M.shape == (6, 6)
-        assert np.array_equal(M, M.T)
-
-    def test_C1_holds_for_dominant_decay(self):
-        verdict = cg_check_C1(_small_cg())
-        assert verdict["holds"]
-        assert verdict["max_eig"] < 0
-
-    def test_phi_tilde_consistent_with_rates(self):
-        cg = _small_cg()
-        Phi = cg_phi_tilde(cg)
-        rates = cg_rates(cg)
-        assert rates.a_tilde == pytest.approx(
-            float(np.linalg.eigvalsh(Phi).min()) / cg.P.max())
-        assert rates.b == pytest.approx(float((cg.G**2).max() / cg.P.min()))
-        # the internal root actually solves the rate equation
-        res = rates.lam - rates.a_tilde + rates.b * math.exp(rates.lam * cg.tau)
-        assert abs(res) <= 1e-10
-
-    def test_rate_formula(self):
-        cg = _small_cg()
-        r = cg_rates(cg, delta=2.0)
-        log_term = math.log(r.rho * math.exp(r.lam * cg.tau))
-        assert r.rate == pytest.approx(0.5 * (r.lam - log_term / (2.0 * cg.tau)))
-        assert r.delta_min == pytest.approx(math.sqrt(log_term / cg.tau))
-
-    def test_rejects_weak_coupling_dominance(self):
-        cg = _small_cg()
-        weak = CGSystem(
-            A_lower=cg.A_lower, A_upper=cg.A_upper, B=np.full(2, 0.01),
-            F=cg.F, G=cg.G, H=cg.H, C=cg.C, D=cg.D, M=cg.M, N=cg.N, R=cg.R,
-            inputs=cg.inputs, P=cg.P, tau=cg.tau)
-        with pytest.raises(ValueError):
-            cg_rates(weak)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdnet.geometry import RectDomain, first_eigenvalue
-from rdnet.model import (Activation, CGSystem, Mode, SwitchedNetwork,
-                         check_A1_sampled, check_A2_on_box,
-                         check_H_conditions, constant_delay,
+from rdnet.model import (Activation, Mode, SwitchedNetwork,
+                         check_A1_sampled, check_A2_on_box, constant_delay,
                          make_activation_fn, piecewise_cbrt,
                          piecewise_cbrt_antiderivative, signed_cbrt,
                          stationarity_map)
@@ -169,27 +168,3 @@ class TestSampledChecks:
         act = Activation.uniform("identity", {}, 1.0, 1)
         out = stationarity_map(mode, act, np.array([[1.0, -1.0]]))
         np.testing.assert_allclose(out, [[0.5, 0.5]])
-
-    def test_H_conditions_cellular_defaults(self):
-        n = 2
-        cg = CGSystem(
-            A_lower=np.ones(n), A_upper=np.ones(n), B=np.full(n, 2.0),
-            F=np.ones(n), G=np.ones(n), H=np.ones(n),
-            C=0.1 * np.eye(n), D=0.1 * np.eye(n), M=np.zeros(n),
-            N=np.zeros((n, n)), R=np.zeros(n), inputs=np.zeros(n),
-            P=np.ones(n), tau=1.0)
-        verdicts = check_H_conditions(cg, samples=500)
-        assert verdicts["H1"].holds
-        assert verdicts["H2"].holds
-        assert verdicts["H3"].holds
-
-    def test_H2_detects_shallow_decay(self):
-        n = 1
-        cg = CGSystem(
-            A_lower=np.ones(n), A_upper=np.ones(n), B=np.full(n, 2.0),
-            F=np.ones(n), G=np.ones(n), H=np.ones(n),
-            C=0.1 * np.eye(n), D=0.1 * np.eye(n), M=np.zeros(n),
-            N=np.zeros((n, n)), R=np.zeros(n), inputs=np.zeros(n),
-            P=np.ones(n), tau=1.0,
-            b_funcs=(lambda u: 0.5 * np.asarray(u, float),))
-        assert not check_H_conditions(cg, samples=500)["H2"].holds

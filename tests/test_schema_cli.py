@@ -258,6 +258,19 @@ class TestCliExitCodes:
         report = json.loads((tmp_path / "simulate_report.json").read_text())
         assert report["dt"] == 0.05
 
+    def test_simulate_report_echoes_resolved_run(self, tmp_path):
+        f = tmp_path / "sys.json"
+        net, _ = _write_benchmark(f, counts=(9, 9))
+        assert cli.main(["--out", str(tmp_path), "simulate", str(f), "--T", "1.0"]) == 0
+        report = json.loads((tmp_path / "simulate_report.json").read_text())
+        dt = net.tau_max / 100.0   # the default step
+        assert report["dt"] == dt
+        assert report["switching_form"] == "integrated"
+        assert report["hysteresis"] == 0.0
+        # round(T / dt) = 29 steps of 0.035 end past --T 1.0
+        assert report["horizon"] == 1.0
+        assert report["end_time"] == 29 * dt
+
     def test_stationary_scalar_system(self, tmp_path):
         problem = presets.boundary_layer_problem(101)
         net = SwitchedNetwork((problem.mode,), problem.activation, 1.0,

@@ -14,8 +14,7 @@ from rdnet.geometry import Grid, RectDomain, eigenfunction, l2_inner
 from rdnet.model import Activation, Mode, SwitchedNetwork
 from rdnet.schema import dump_system
 from rdnet.simulator import (BlowUpError, History, HistoryUnderrunError,
-                             ImpulseSchedule, SimConfig, Trajectory,
-                             apply_impulse, estimate_decay_rate, ode_from_cg,
+                             SimConfig, Trajectory, estimate_decay_rate,
                              ode_from_mode, simulate, simulate_ode,
                              switching_decide)
 
@@ -349,20 +348,6 @@ class TestOdeIntegration:
         with pytest.raises(BlowUpError):
             simulate_ode(rhs, 1, 0.0, config, lambda s: np.array([1.0]))
 
-    def test_cg_cellular_rhs(self):
-        from rdnet.model import CGSystem
-        n = 1
-        cg = CGSystem(
-            A_lower=np.ones(n), A_upper=np.ones(n), B=np.array([2.0]),
-            F=np.ones(n), G=np.ones(n), H=np.ones(n),
-            C=np.array([[0.5]]), D=np.array([[0.25]]), M=np.zeros(n),
-            N=np.zeros((n, n)), R=np.zeros(n), inputs=np.array([0.1]),
-            P=np.ones(n), tau=1.0)
-        rhs = ode_from_cg(cg)
-        # -1 * (2u - 0.5u - 0.25u_tau + 0.1)
-        val = rhs(0.0, np.array([1.0]), np.array([2.0]))
-        assert val[0] == pytest.approx(-(2.0 - 0.5 - 0.5 + 0.1))
-
 
 def _sha1(a: np.ndarray) -> str:
     return hashlib.sha1(a.tobytes()).hexdigest()
@@ -388,40 +373,16 @@ class TestBitwiseTrajectories:
         assert len(traj.V) == 20001
         assert _sha1(traj.V) == "9423fd4144001fd87ca77ed428d39070753d1fd6"
 
-    def test_deviation_ode_with_impulses_and_varying_delay(self):
+    def test_deviation_ode_with_varying_delay(self):
         mode = Mode(np.diag([1.0, 0.5]), np.diag([1.5, 1.0]), [[0.2, -0.3], [0.4, 0.1]],
                     [[0.1, 0.2], [-0.2, 0.3]], [0.3, -0.1], RectDomain((1.0,)))
         act = Activation.uniform("scaled_sine", {"a": 0.1, "b": 0.5, "c": 0.3}, 0.8, 2)
-        imp = ImpulseSchedule(times=(0.75, 1.5, 2.25), M=np.array([[0.8, 0.1], [0.0, 0.9]]),
-                              N=np.array([[0.05, 0.0], [0.1, -0.05]]), tau=0.5)
         traj = simulate_ode(ode_from_mode(mode, act, deviation=True), 2, 0.5,
-                            SimConfig(dt=0.01, horizon=3.0, impulses=imp),
+                            SimConfig(dt=0.01, horizon=3.0),
                             lambda s: np.array([1.0 + s, -0.5 + 0.3 * s]),
                             delay=lambda t: 0.25 + 0.2 * math.sin(3.0 * t))
         assert len(traj.V) == 301
-        assert _sha1(traj.V) == "ad52689f12d008509ae31acd3be3698ca66b5fbf"
-
-
-class TestImpulses:
-    def test_affine_jump(self):
-        hist = History(1.0)
-        hist.push(-1.0, np.array([4.0]))
-        hist.push(0.0, np.array([2.0]))
-        out = apply_impulse(np.array([2.0]), 0.5 * np.eye(1), 0.25 * np.eye(1),
-                            None, hist, t=0.0, tau=1.0)
-        assert out[0] == pytest.approx(0.5 * 2.0 + 0.25 * 4.0)
-
-    def test_scheduled_contraction_speeds_decay(self):
-        mode = Mode([[1.0]], [[1.0]], [[0.0]], [[0.0]], [0.0], RectDomain((1.0,)))
-        act = Activation.uniform("identity", {}, 1.0, 1)
-        rhs = ode_from_mode(mode, act, deviation=True)
-        imp = ImpulseSchedule(times=(1.0, 2.0, 3.0), M=0.5 * np.eye(1),
-                              N=np.zeros((1, 1)))
-        base = SimConfig(dt=1e-3, horizon=4.0)
-        kicked = SimConfig(dt=1e-3, horizon=4.0, impulses=imp)
-        v_base = simulate_ode(rhs, 1, 0.0, base, lambda s: np.ones(1)).V[-1]
-        v_kick = simulate_ode(rhs, 1, 0.0, kicked, lambda s: np.ones(1)).V[-1]
-        assert v_kick == pytest.approx(v_base * 0.5**6, rel=1e-6)
+        assert _sha1(traj.V) == "e6642ec94348911c3114f4d66fce32ea00bf12c9"
 
 
 def _diffusion_only_network(d=0.1, c=1.0):
