@@ -22,8 +22,8 @@ from .schema import (SystemFileError, dump_system, load_system,
                      write_field_csv, write_report, write_trajectory_csv)
 from .simulator import (BlowUpError, DecayEstimate, History,
                         HistoryUnderrunError, SimConfig, Trajectory,
-                        estimate_decay_rate, ode_from_mode, simulate,
-                        simulate_ode, switching_decide)
+                        estimate_decay_rate, simulate, simulate_ode,
+                        switching_decide)
 from .stationary import (DivergenceError, EnergyFunctional, StationaryProblem,
                          energy_eval, energy_from_problem, energy_gradient,
                          find_stationary_multiplicity, fixed_point_solve,

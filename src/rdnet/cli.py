@@ -24,7 +24,7 @@ from .model import SwitchedNetwork
 from .schema import (dump_system, load_system, write_field_csv, write_report,
                      write_trajectory_csv)
 from .simulator import (BlowUpError, SimConfig, estimate_decay_rate,
-                        fit_window_start, ode_from_mode, simulate, simulate_ode)
+                        fit_window_start, simulate, simulate_ode)
 from .stationary import (DivergenceError, StationaryProblem,
                          find_stationary_multiplicity, fixed_point_solve,
                          residual, statement1_closed_form, statement1_profile)
@@ -195,10 +195,9 @@ def reproduce_statement1(nodes: int = 401) -> list[dict]:
     sup_err = float(np.max(np.abs(field[0] - closed)))
     rows.append(_row("fixed_point_vs_closed_form_sup", 0.0, sup_err,
                      max(1e-4, 5 * h**2)))
-    rhs = ode_from_mode(problem.mode, problem.activation)
     config = SimConfig(dt=1e-3, horizon=20.0)
-    traj = simulate_ode(rhs, 1, presets.BOUNDARY_LAYER_TAU, config,
-                        lambda s: np.zeros(1))
+    traj = simulate_ode(problem.mode, problem.activation, presets.BOUNDARY_LAYER_TAU,
+                        config, lambda s: np.zeros(1))
     final = math.sqrt(traj.V[-1])
     rows.append(_row("ode_equilibrium", presets.BOUNDARY_LAYER_EQUILIBRIUM,
                      final, 1e-6))
@@ -223,9 +222,8 @@ def reproduce_example35(nodes: int = 401) -> list[dict]:
                      float(np.max(np.abs(vm - analytic))), 1e-4))
     rows.append(_row("cross_solver_sup", 0.0,
                      float(np.max(np.abs(vm - fp[0]))), 1e-4))
-    rhs = ode_from_mode(problem.mode, problem.activation)
-    traj = simulate_ode(rhs, 1, 1.0, SimConfig(dt=1e-3, horizon=20.0),
-                        lambda s: np.zeros(1))
+    traj = simulate_ode(problem.mode, problem.activation, 1.0,
+                        SimConfig(dt=1e-3, horizon=20.0), lambda s: np.zeros(1))
     rows.append(_row("ode_equilibrium", presets.LINEAR_VARIATIONAL_EQUILIBRIUM,
                      math.sqrt(traj.V[-1]), 1e-8))
     return rows

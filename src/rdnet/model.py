@@ -21,7 +21,7 @@ DEFAULT_SAMPLES = 10_000
 
 def signed_cbrt(u):
     """Real cube root, sign-preserving for negative arguments."""
-    return np.sign(u) * np.abs(u) ** (1.0 / 3.0)
+    return np.sign(u) * np.power(np.abs(u), 1.0 / 3.0)
 
 
 def piecewise_cbrt(u, d: float, a: float, mu1: float):
@@ -56,11 +56,12 @@ def _tabulated(p):
 
 # The activation registry: name -> builder(params) returning the activation
 # and its antiderivative vanishing at 0 (None where there is no closed form),
-# both elementwise on float arrays of any shape.
+# both elementwise on float arrays of any shape. An activation gives the same
+# bits on a Python float as on a 1-element array (simulate_ode relies on it).
 ACTIVATIONS = {
     "affine": lambda p: (lambda s: p["a"] * s + p["b"],
                          lambda s: 0.5 * p["a"] * s**2 + p["b"] * s),
-    "identity": lambda p: (lambda s: s.copy(), lambda s: 0.5 * s**2),
+    "identity": lambda p: (lambda s: s * 1.0, lambda s: 0.5 * s**2),
     "scaled_sine": lambda p: (
         lambda s: p["a"] + p["b"] * s + p["c"] * np.sin(s),
         lambda s: p["a"] * s + 0.5 * p["b"] * s**2 + p["c"] * (1.0 - np.cos(s))),

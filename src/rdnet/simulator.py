@@ -19,7 +19,7 @@ import numpy as np
 
 from .certificates import mode_margin_matrix
 from .geometry import Grid, helmholtz_solve, l2_inner
-from .model import Mode, SwitchedNetwork, constant_delay
+from .model import Activation, Mode, SwitchedNetwork, constant_delay
 
 BLOWUP_FACTOR = 1e6
 
@@ -36,9 +36,10 @@ class History:
     """Delay window of (time, state) entries spanning at least the delay.
 
     Times sit in a list that lookups bisect from the oldest live entry, and
-    each live entry holds one stored copy of the state. Entries no longer
-    reachable by a lookup are released on push, and the dead prefix is cut
-    off once it is over half the list.
+    each live entry holds one stored state: a float state (immutable) as is,
+    an array state as a copy. Entries no longer reachable by a lookup are
+    released on push, and the dead prefix is cut off once it is over half
+    the list.
     """
 
     def __init__(self, tau: float):
@@ -46,26 +47,28 @@ class History:
             raise ValueError("delay bound must be nonnegative")
         self.tau = tau
         self._times: list[float] = []
-        self._states: list[np.ndarray | None] = []   # None once released
+        self._states: list[np.ndarray | float | None] = []   # None once released
         self._start = 0                               # oldest live entry
 
     @classmethod
-    def from_sampler(cls, sampler: Callable[[float], np.ndarray], tau: float,
+    def from_sampler(cls, sampler: Callable[[float], np.ndarray | float], tau: float,
                      dt: float) -> "History":
-        """Seed the window [-tau, 0] by sampling the initial function."""
+        """Seed the window [-tau, 0] by sampling the initial function; a float
+        sample is kept as a float, any other as a float array."""
         hist = cls(tau)
         steps = max(1, int(round(tau / dt))) if tau > 0 else 0
         for k in range(steps, -1, -1):
             s = -k * tau / steps if steps else 0.0
-            hist.push(s, np.array(sampler(s), dtype=float))
+            x = sampler(s)
+            hist.push(s, x if isinstance(x, float) else np.asarray(x, dtype=float))
         return hist
 
-    def push(self, t: float, u: np.ndarray) -> None:
+    def push(self, t: float, u: np.ndarray | float) -> None:
         times, states, start = self._times, self._states, self._start
         if times and t <= times[-1]:
             raise ValueError("history times must be strictly increasing")
         times.append(float(t))
-        states.append(u.copy())
+        states.append(u if isinstance(u, float) else u.copy())
         end = len(times) - 1
         while end - start >= 2 and times[start + 1] <= t - self.tau:
             states[start] = None
@@ -75,7 +78,7 @@ class History:
             start = 0
         self._start = start
 
-    def value(self, t: float) -> np.ndarray:
+    def value(self, t: float) -> np.ndarray | float:
         """Linear interpolation between stored snapshots."""
         times, start = self._times, self._start
         if not times:
@@ -171,15 +174,18 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
 
     A step is u <- implicit(mode, u + dt * explicit(mode, t, u, u_delay)), then
     the history push and the blow-up guard, whose bound is guard(hist, u0).
-    switch(u, mode) returns the new mode.
+    switch(u, mode) returns the new mode. The state is a float array of the
+    given shape, or a Python float where shape is (); the loop only rebinds
+    u, so the history stores a float as is and copies an array, and a
+    snapshot is an array of at least one dimension.
     """
     dt = config.dt
     if tau > 0 and dt > tau:
         raise ValueError("dt must not exceed the delay bound")
     hist = History.from_sampler(phi, tau, dt)
-    u = np.array(hist.value(0.0), dtype=float)
-    if u.shape != shape:
-        raise ValueError(f"initial state has shape {u.shape}, expected {shape}")
+    u = hist.value(0.0)
+    if np.shape(u) != shape:
+        raise ValueError(f"initial state has shape {np.shape(u)}, expected {shape}")
     bound = guard(hist, u)
 
     steps = int(round(config.horizon / dt))
@@ -194,7 +200,7 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
     t = 0.0
     times[0], V[0] = t, norm2(u)
     if stride:
-        snapshots.append((t, u.copy()))
+        snapshots.append((t, np.array(u, ndmin=1)))
     for k in range(1, steps + 1):
         if switch is not None:
             new_mode = switch(u, mode)
@@ -216,7 +222,7 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
             raise BlowUpError(f"norm blew up at t={t:.4g} (V={v:.3e})")
         times[k], V[k], modes[k] = t, v, mode
         if stride and k % stride == 0:
-            snapshots.append((t, u.copy()))
+            snapshots.append((t, np.array(u, ndmin=1)))
     return Trajectory(times, V, modes, switch_count, snapshots)
 
 
@@ -265,33 +271,52 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
                 implicit, norm2, guard, switch if config.switching else None)
 
 
-def ode_from_mode(mode: Mode, activation, deviation: bool = False):
-    """Right-hand side du/dt = -C u + A g(u) + B g(u_tau) + J as n coupled ODEs.
-
-    deviation=True drops J and recenters g at 0 (the zero solution is then
-    exactly invariant).
-    """
-    f = _deviation_activation(activation, mode.n) if deviation else activation
-    neg_C, A, B = -mode.C, mode.A, mode.B
-    J = 0.0 if deviation else mode.J
-
-    def rhs(t, u, u_delay):
-        return neg_C @ u + A @ f(u) + B @ f(u_delay) + J
-    return rhs
-
-
-def simulate_ode(rhs, n: int, tau: float, config: SimConfig,
-                 phi: Callable[[float], np.ndarray],
+def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConfig,
+                 phi: Callable[[float], np.ndarray], *, deviation: bool = False,
                  delay: Callable[[float], float] | None = None) -> Trajectory:
-    """Forward-Euler integration of n delayed ODEs with the shared stepping loop.
+    """Forward-Euler integration of du/dt = -C u + A g(u) + B g(u_tau) + J.
 
-    rhs(t, u, u_delay) -> du/dt. V records the squared Euclidean norm, so
-    the decay-rate estimator applies unchanged. The blow-up guard is 1e6
-    times max(|u0|^2, 1); the delay defaults to the constant tau.
+    The lumped mode's n coupled ODEs run in the shared stepping loop;
+    phi(s) gives the initial state of shape (n,) for s in [-tau, 0].
+    deviation=True drops J and recenters g at 0 (the zero solution is then
+    exactly invariant). V records the squared Euclidean norm, so the
+    decay-rate estimator applies unchanged. The blow-up guard is 1e6 times
+    max(|u0|^2, 1); the delay defaults to the constant tau.
+
+    With n = 1 the state steps as a Python float, bit for bit as the (1,)
+    array would: the registry function is applied to floats, and numpy's
+    1x1 product c @ x is 0 + c*x, written c*x + 0.0 (it turns -0.0 into
+    +0.0; later terms cannot, as the sum then never holds -0.0). For n >= 2
+    numpy may fuse the products with FMA, so the arrays stay.
     """
-    norm2 = lambda u: float(u @ u)
-    return _run(phi, (n,), tau, delay or constant_delay(tau), config,
-                explicit=lambda mode, t, u, u_delay: rhs(t, u, u_delay),
+    n = mode.n
+    if n == 1:
+        c, a, b = float(-mode.C[0, 0]), float(mode.A[0, 0]), float(mode.B[0, 0])
+        j = 0.0 if deviation else float(mode.J[0])
+        g = activation._fns[0]
+        g0 = float(g(0.0)) if deviation else 0.0      # x - 0.0 is x, -0.0 included
+
+        def f(x):
+            return float(g(x)) - g0
+
+        def explicit(_, t, u, u_delay):
+            return c * u + 0.0 + a * f(u) + b * f(u_delay) + j
+
+        def sample(s):
+            v = np.asarray(phi(s), dtype=float)
+            if v.shape != (1,):
+                raise ValueError(f"initial state has shape {v.shape}, expected (1,)")
+            return float(v[0])
+        shape, norm2 = (), lambda u: u * u
+    else:
+        f = _deviation_activation(activation, n) if deviation else activation
+        neg_C, A, B = -mode.C, mode.A, mode.B
+        J = 0.0 if deviation else mode.J
+
+        def explicit(_, t, u, u_delay):
+            return neg_C @ u + A @ f(u) + B @ f(u_delay) + J
+        sample, shape, norm2 = phi, (n,), lambda u: float(u @ u)
+    return _run(sample, shape, tau, delay or constant_delay(tau), config, explicit,
                 implicit=lambda mode, x: x, norm2=norm2,
                 guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0))
 

@@ -16,8 +16,7 @@ from rdnet.certificates import (check_uniqueness_A3, search_certificate,
 from rdnet.geometry import (Grid, RectDomain, eigenfunction, first_eigenvalue,
                             helmholtz_solve, l2_norm, laplacian_matrix)
 from rdnet.model import (Activation, Mode, SwitchedNetwork, check_A1_sampled)
-from rdnet.simulator import (SimConfig, estimate_decay_rate, ode_from_mode,
-                             simulate, simulate_ode)
+from rdnet.simulator import SimConfig, estimate_decay_rate, simulate, simulate_ode
 from rdnet.stationary import (EnergyFunctional, energy_eval, energy_from_problem,
                               energy_gradient, find_stationary_multiplicity,
                               fixed_point_solve, residual,
@@ -104,8 +103,7 @@ def test_criterion_4_boundary_layer_closed_form():
     h = grid.spacing[0]
     field, _ = fixed_point_solve(problem)
     sup_err = float(np.max(np.abs(field[0] - statement1_closed_form(grid))))
-    rhs = ode_from_mode(problem.mode, problem.activation)
-    traj = simulate_ode(rhs, 1, presets.BOUNDARY_LAYER_TAU,
+    traj = simulate_ode(problem.mode, problem.activation, presets.BOUNDARY_LAYER_TAU,
                         SimConfig(dt=1e-3, horizon=20.0), lambda s: np.zeros(1))
     ode_err = abs(math.sqrt(traj.V[-1]) - 200.0 / 357.0)
     const = np.full((1,) + grid.shape, presets.BOUNDARY_LAYER_EQUILIBRIUM)
@@ -127,9 +125,8 @@ def test_criterion_5_linear_variational_benchmark():
     vm, _ = variational_minimize(energy_from_problem(problem), grid, tol=1e-10)
     fp_err = float(np.max(np.abs(fp[0] - analytic)))
     vm_err = float(np.max(np.abs(vm - analytic)))
-    rhs = ode_from_mode(problem.mode, problem.activation)
-    traj = simulate_ode(rhs, 1, 1.0, SimConfig(dt=1e-3, horizon=20.0),
-                        lambda s: np.zeros(1))
+    traj = simulate_ode(problem.mode, problem.activation, 1.0,
+                        SimConfig(dt=1e-3, horizon=20.0), lambda s: np.zeros(1))
     ode_err = abs(math.sqrt(traj.V[-1]) - presets.LINEAR_VARIATIONAL_EQUILIBRIUM)
     ok = fp_err <= 1e-4 and vm_err <= 1e-4 and ode_err <= 1e-8
     _report(5, ok, f"fixed-point err {fp_err:.2e}, variational err {vm_err:.2e}, "

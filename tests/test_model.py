@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdnet.geometry import RectDomain, first_eigenvalue
-from rdnet.model import (Activation, Mode, SwitchedNetwork,
-                         check_A1_sampled, check_A2_on_box, constant_delay,
+from rdnet.model import (ACTIVATIONS, Activation, Mode, SwitchedNetwork,
+                         check_A1_sampled, check_A2_on_box,
                          make_activation_fn, piecewise_cbrt,
                          piecewise_cbrt_antiderivative, signed_cbrt,
                          stationarity_map)
@@ -47,6 +47,14 @@ class TestScalarFunctions:
                                    rtol=1e-6, atol=1e-6)
 
 
+_REGISTRY_CASES = [
+    ("affine", {"a": 2.0, "b": -1.0}), ("identity", {}),
+    ("scaled_sine", {"a": 9.75, "b": 0.5, "c": 0.25e-6}),
+    ("piecewise_cbrt", {"d": 0.1, "a_weight": 1.0, "mu1": 12.0}),
+    ("saturation", {"lo": -0.5, "hi": 2.0}),
+    ("tabulated", {"x": [-1.0, 0.0, 3.0], "y": [0.0, 1.0, -2.0]})]
+
+
 class TestActivationRegistry:
     def test_affine(self):
         f = make_activation_fn("affine", {"a": 2.0, "b": -1.0})
@@ -69,12 +77,7 @@ class TestActivationRegistry:
         with pytest.raises(KeyError):
             make_activation_fn("nope", {})
 
-    @pytest.mark.parametrize("name,params", [
-        ("affine", {"a": 2.0, "b": -1.0}), ("identity", {}),
-        ("scaled_sine", {"a": 9.75, "b": 0.5, "c": 0.25e-6}),
-        ("piecewise_cbrt", {"d": 0.1, "a_weight": 1.0, "mu1": 12.0}),
-        ("saturation", {"lo": -0.5, "hi": 2.0}),
-        ("tabulated", {"x": [-1.0, 0.0, 3.0], "y": [0.0, 1.0, -2.0]})])
+    @pytest.mark.parametrize("name,params", _REGISTRY_CASES)
     def test_uniform_bundle_matches_components(self, name, params):
         act = Activation.uniform(name, params, 1.0, 3)
         v = np.random.default_rng(5).normal(scale=3.0, size=(3, 7, 9))
@@ -82,6 +85,17 @@ class TestActivationRegistry:
         np.testing.assert_array_equal(
             out, np.stack([act.component(i)(v[i]) for i in range(3)]))
         assert not np.shares_memory(out, v)
+
+    @pytest.mark.parametrize("name,params", _REGISTRY_CASES)
+    def test_float_matches_one_element_array(self, name, params):
+        # simulate_ode steps scalar modes on floats through these functions
+        fn = ACTIVATIONS[name](params)[0]
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 8.0, -27.0],
+                             rng.normal(size=4000) * 10.0 ** rng.integers(-3, 4, 4000)])
+        for x in xs.tolist():
+            got = np.asarray(fn(x), dtype=float)
+            assert got.shape == () and got.tobytes() == fn(np.array([x])).tobytes(), x
 
     def test_bundle_apply(self):
         act = Activation.per_neuron([

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from hypothesis import strategies as st
 
 from rdnet import cli, presets
 from rdnet.certificates import mode_margin_matrix, search_certificate, verify_certificate
-from rdnet.geometry import Grid, RectDomain, eigenfunction, l2_inner
-from rdnet.model import Activation, Mode, SwitchedNetwork
+from rdnet.geometry import Grid, RectDomain, eigenfunction
+from rdnet.model import Activation, Mode, SwitchedNetwork, constant_delay
 from rdnet.schema import dump_system
-from rdnet.simulator import (BlowUpError, History, HistoryUnderrunError,
-                             SimConfig, Trajectory, estimate_decay_rate,
-                             ode_from_mode, simulate, simulate_ode,
+from rdnet.simulator import (BLOWUP_FACTOR, BlowUpError, History,
+                             HistoryUnderrunError, SimConfig, Trajectory, _run,
+                             estimate_decay_rate, simulate, simulate_ode,
                              switching_decide)
 
 
@@ -325,28 +326,27 @@ class TestOdeIntegration:
     def test_linear_decay_rate(self):
         mode = Mode([[1.0]], [[2.0]], [[0.0]], [[0.0]], [0.0], RectDomain((1.0,)))
         act = Activation.uniform("identity", {}, 1.0, 1)
-        rhs = ode_from_mode(mode, act, deviation=True)
         config = SimConfig(dt=1e-4, horizon=5.0)
-        traj = simulate_ode(rhs, 1, 0.0, config, lambda s: np.array([1.0]))
+        traj = simulate_ode(mode, act, 0.0, config, lambda s: np.array([1.0]),
+                            deviation=True)
         est = estimate_decay_rate(traj)
         assert est.rate == pytest.approx(2.0, rel=1e-3)
         assert est.r_squared > 0.999
 
     def test_equilibrium_of_scalar_benchmark(self):
         problem = presets.boundary_layer_problem(11)
-        rhs = ode_from_mode(problem.mode, problem.activation)
         config = SimConfig(dt=1e-3, horizon=20.0)
-        traj = simulate_ode(rhs, 1, presets.BOUNDARY_LAYER_TAU, config,
-                            lambda s: np.zeros(1))
+        traj = simulate_ode(problem.mode, problem.activation, presets.BOUNDARY_LAYER_TAU,
+                            config, lambda s: np.zeros(1))
         assert math.sqrt(traj.V[-1]) == pytest.approx(200.0 / 357.0, abs=1e-6)
 
     def test_blow_up_guard(self):
         mode = Mode([[1.0]], [[1.0]], [[5.0]], [[0.0]], [0.0], RectDomain((1.0,)))
         act = Activation.uniform("identity", {}, 1.0, 1)
-        rhs = ode_from_mode(mode, act, deviation=True)
         config = SimConfig(dt=0.01, horizon=50.0)
         with pytest.raises(BlowUpError):
-            simulate_ode(rhs, 1, 0.0, config, lambda s: np.array([1.0]))
+            simulate_ode(mode, act, 0.0, config, lambda s: np.array([1.0]),
+                         deviation=True)
 
 
 def _sha1(a: np.ndarray) -> str:
@@ -360,7 +360,7 @@ class TestBitwiseTrajectories:
 
     def test_statement1_ode(self):
         problem = presets.boundary_layer_problem(11)
-        traj = simulate_ode(ode_from_mode(problem.mode, problem.activation), 1,
+        traj = simulate_ode(problem.mode, problem.activation,
                             presets.BOUNDARY_LAYER_TAU, SimConfig(dt=1e-3, horizon=20.0),
                             lambda s: np.zeros(1))
         assert len(traj.V) == 20001
@@ -368,7 +368,7 @@ class TestBitwiseTrajectories:
 
     def test_example35_ode(self):
         problem = presets.linear_variational_problem(11)
-        traj = simulate_ode(ode_from_mode(problem.mode, problem.activation), 1, 1.0,
+        traj = simulate_ode(problem.mode, problem.activation, 1.0,
                             SimConfig(dt=1e-3, horizon=20.0), lambda s: np.zeros(1))
         assert len(traj.V) == 20001
         assert _sha1(traj.V) == "9423fd4144001fd87ca77ed428d39070753d1fd6"
@@ -377,12 +377,124 @@ class TestBitwiseTrajectories:
         mode = Mode(np.diag([1.0, 0.5]), np.diag([1.5, 1.0]), [[0.2, -0.3], [0.4, 0.1]],
                     [[0.1, 0.2], [-0.2, 0.3]], [0.3, -0.1], RectDomain((1.0,)))
         act = Activation.uniform("scaled_sine", {"a": 0.1, "b": 0.5, "c": 0.3}, 0.8, 2)
-        traj = simulate_ode(ode_from_mode(mode, act, deviation=True), 2, 0.5,
-                            SimConfig(dt=0.01, horizon=3.0),
+        traj = simulate_ode(mode, act, 0.5, SimConfig(dt=0.01, horizon=3.0),
                             lambda s: np.array([1.0 + s, -0.5 + 0.3 * s]),
+                            deviation=True,
                             delay=lambda t: 0.25 + 0.2 * math.sin(3.0 * t))
         assert len(traj.V) == 301
         assert _sha1(traj.V) == "e6642ec94348911c3114f4d66fce32ea00bf12c9"
+
+
+def _numpy_ode_rhs(mode, activation, deviation):
+    """The reference right-hand side: -C u + A f(u) + B f(u_tau) + J on (n,)
+    arrays with numpy products, as simulate_ode stepped every mode before
+    scalar modes stepped on floats."""
+    f = activation
+    if deviation:
+        g0 = activation(np.zeros(mode.n))
+        f = lambda v: activation(v) - g0
+    neg_C, A, B = -mode.C, mode.A, mode.B
+    J = 0.0 if deviation else mode.J
+    return lambda t, u, u_delay: neg_C @ u + A @ f(u) + B @ f(u_delay) + J
+
+
+def _reference_simulate_ode(mode, activation, tau, config, phi, deviation, delay):
+    """simulate_ode on (n,) array states: the reference rhs through _run."""
+    rhs = _numpy_ode_rhs(mode, activation, deviation)
+    norm2 = lambda u: float(u @ u)
+    return _run(phi, (mode.n,), tau, delay or constant_delay(tau), config,
+                explicit=lambda m, t, u, u_delay: rhs(t, u, u_delay),
+                implicit=lambda m, x: x, norm2=norm2,
+                guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0))
+
+
+def _outcome(run):
+    """The trajectory's bytes, or the error's type and message."""
+    try:
+        traj = run()
+    except (ValueError, BlowUpError) as exc:
+        return type(exc), str(exc)
+    snaps = [(t, u.shape, u.dtype, u.tobytes()) for t, u in traj.snapshots]
+    return (traj.times.tobytes(), traj.V.tobytes(), traj.modes.tobytes(),
+            traj.switch_count, snaps)
+
+
+_SIGNED = st.floats(-4.0, 4.0)      # hypothesis draws 0.0 and -0.0 often
+_POSITIVE = st.floats(0.1, 4.0)
+
+
+@st.composite
+def _scalar_ode_cases(draw):
+    """A scalar mode, one of the six registry activations, a delay kind and
+    linear initial data; ±0.0 comes up in data and coefficients (phi is
+    sampled at s = -0.0), and some cases raise: dt > tau, a delay outside
+    [0, tau] or a blow-up."""
+    name = draw(st.sampled_from(["affine", "identity", "scaled_sine",
+                                 "piecewise_cbrt", "saturation", "tabulated"]))
+    if name in ("affine", "scaled_sine"):
+        params = {k: draw(_SIGNED) for k in ("a", "b", "c")[:2 + (name == "scaled_sine")]}
+    elif name == "piecewise_cbrt":
+        params = {k: draw(_POSITIVE) for k in ("d", "a_weight", "mu1")}
+    elif name == "saturation":
+        lo = draw(st.floats(-3.0, 0.0))
+        params = {"lo": lo, "hi": lo + draw(_POSITIVE)}
+    elif name == "tabulated":
+        xs = sorted(draw(st.sets(st.floats(-5.0, 5.0), min_size=2, max_size=6)))
+        params = {"x": xs, "y": [draw(_SIGNED) for _ in xs]}
+    else:
+        params = {}
+    activation = Activation.uniform(name, params, 1.0, 1)
+    mode = Mode([[1.0]], [[draw(_POSITIVE)]], [[draw(_SIGNED)]], [[draw(_SIGNED)]],
+                [draw(_SIGNED)], RectDomain((1.0,)))
+    dt = draw(st.sampled_from([0.01, 0.05, 0.1]))
+    kind = draw(st.sampled_from(["none", "constant", "varying", "outside"]))
+    tau = 0.0 if kind == "none" else draw(st.sampled_from([0.05, 0.3, 1.0]))
+    delay = None
+    if kind == "varying":
+        w = draw(st.floats(0.5, 5.0))
+        delay = lambda t: tau * (0.5 + 0.5 * math.sin(w * t))
+    elif kind == "outside":
+        t_bad, bad = draw(st.floats(0.0, 2.0)), draw(st.sampled_from([-0.01, 1.25]))
+        delay = lambda t: tau * (bad if t >= t_bad else 0.5)
+    config = SimConfig(dt=dt, horizon=dt * draw(st.integers(1, 150)),
+                       snapshot_stride=draw(st.sampled_from([0, 1, 7])))
+    p0 = draw(st.one_of(st.sampled_from([0.0, -0.0]), _SIGNED))
+    p1 = draw(_SIGNED)
+    phi = lambda s: np.array([p0 + p1 * s])
+    return mode, activation, tau, config, phi, draw(st.booleans()), delay
+
+
+class TestScalarOdeMatchesNumpyRhs:
+    """A scalar mode steps on Python floats; its trajectory, snapshots and
+    errors must equal, bit for bit, those of the (1,) array run of the
+    reference right-hand side."""
+
+    @given(_scalar_ode_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_same_bits(self, case):
+        mode, activation, tau, config, phi, deviation, delay = case
+        got = _outcome(lambda: simulate_ode(mode, activation, tau, config, phi,
+                                            deviation=deviation, delay=delay))
+        want = _outcome(lambda: _reference_simulate_ode(*case))
+        assert got == want
+
+
+class TestInitialShape:
+    def test_simulate(self):
+        net = _diffusion_only_network()
+        grid = Grid(net.modes[0].domain, (15,))
+        with pytest.raises(ValueError, match=re.escape(
+                "initial state has shape (2, 15), expected (1, 15)")):
+            simulate(net, grid, SimConfig(dt=0.01, horizon=0.1),
+                     lambda s: np.zeros((2, 15)))
+
+    @pytest.mark.parametrize("value", [np.zeros(2), 0.0, np.zeros((1, 1))])
+    def test_scalar_simulate_ode(self, value):
+        problem = presets.boundary_layer_problem(11)
+        with pytest.raises(ValueError, match=re.escape(
+                f"initial state has shape {np.shape(value)}, expected (1,)")):
+            simulate_ode(problem.mode, problem.activation, 1.0,
+                         SimConfig(dt=0.01, horizon=0.1), lambda s: value)
 
 
 def _diffusion_only_network(d=0.1, c=1.0):
@@ -632,11 +744,10 @@ class TestDelays:
     @pytest.mark.parametrize("bad", [-0.5, 2.0])
     def test_delay_outside_bound_rejected_ode(self, bad):
         mode = Mode([[1.0]], [[1.0]], [[0.0]], [[0.5]], [0.0], RectDomain((1.0,)))
-        rhs = ode_from_mode(mode, Activation.uniform("identity", {}, 1.0, 1),
-                            deviation=True)
         with pytest.raises(ValueError, match=rf"t=0\.0 is {bad}"):
-            simulate_ode(rhs, 1, 1.0, SimConfig(dt=0.01, horizon=1.0),
-                         lambda s: np.ones(1), delay=lambda t: bad)
+            simulate_ode(mode, Activation.uniform("identity", {}, 1.0, 1), 1.0,
+                         SimConfig(dt=0.01, horizon=1.0), lambda s: np.ones(1),
+                         deviation=True, delay=lambda t: bad)
 
     @pytest.mark.parametrize("bad", [-0.5, 2.0])
     def test_delay_outside_bound_rejected_pde(self, bad):
@@ -655,10 +766,9 @@ class TestDelays:
 
     def test_time_varying_delay_ode(self):
         mode = Mode([[1.0]], [[self.c]], [[0.0]], [[self.b]], [0.0], RectDomain((1.0,)))
-        rhs = ode_from_mode(mode, Activation.uniform("identity", {}, 1.0, 1),
-                            deviation=True)
-        traj = simulate_ode(rhs, 1, self.tau, SimConfig(dt=self.dt, horizon=self.tau),
-                            lambda s: np.array([1.0 + s]),
+        traj = simulate_ode(mode, Activation.uniform("identity", {}, 1.0, 1), self.tau,
+                            SimConfig(dt=self.dt, horizon=self.tau),
+                            lambda s: np.array([1.0 + s]), deviation=True,
                             delay=lambda t: min(t, self.tau))
         a = 1.0
         for _ in range(10):
