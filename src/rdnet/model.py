@@ -43,7 +43,7 @@ def piecewise_cbrt_antiderivative(u, d: float, a: float, mu1: float):
     k = d / a * mu1
     u = np.asarray(u, dtype=float)
     core = 0.5 * k * u**2
-    tails = 2.25 * k * np.abs(u) ** (4.0 / 3.0) - 2.0 * k * np.abs(u) + 0.25 * k
+    tails = 2.25 * k * np.power(np.abs(u), 4.0 / 3.0) - 2.0 * k * np.abs(u) + 0.25 * k
     return np.where(np.abs(u) <= 1.0, core, tails)
 
 
@@ -56,8 +56,9 @@ def _tabulated(p):
 
 # The activation registry: name -> builder(params) returning the activation
 # and its antiderivative vanishing at 0 (None where there is no closed form),
-# both elementwise on float arrays of any shape. An activation gives the same
-# bits on a Python float as on a 1-element array (simulate_ode relies on it).
+# both elementwise on float arrays of any shape. An activation and its
+# antiderivative give the same bits on a Python float as on a 1-element array
+# (simulate_ode relies on it for the activation).
 ACTIVATIONS = {
     "affine": lambda p: (lambda s: p["a"] * s + p["b"],
                          lambda s: 0.5 * p["a"] * s**2 + p["b"] * s),

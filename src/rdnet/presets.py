@@ -74,6 +74,41 @@ def switched_benchmark(case: int = 1) -> SwitchedNetwork:
         tau_max=point.tau, Psi=0.00018 * np.eye(2), q=1.00001, gamma=point.gamma)
 
 
+def _arctan_inv(x: int, p: int) -> tuple[int, int]:
+    """(S, E) with |S - 2^p arctan(1/x)| < E, for an integer x > 1.
+
+    S sums the series' terms floor(2^p / ((2k+1) x^(2k+1))) with alternating
+    signs while floor(2^p / x^(2k+1)) is nonzero: each floor is off by under
+    1, and the alternating tail is under its first term, which is under 1.
+    """
+    power, total, k = (1 << p) // x, 0, 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= x * x
+        k += 1
+    return total, k + 1
+
+
+def _floor_pow2_over_2pi(g: int, guard: int = 32) -> int:
+    """floor(2^g / 2pi), exactly, in integers.
+
+    Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239) at p = g + guard
+    bits brackets 2^p pi within (Pi - E, Pi + E); floor(2^(g+p) / 2x) is
+    monotone in x, so when its values at both ends agree they give the
+    answer. Otherwise the guard bits double and the bracket is redone.
+    """
+    while True:
+        p = g + guard
+        s5, e5 = _arctan_inv(5, p)
+        s239, e239 = _arctan_inv(239, p)
+        pi_p, err = 16 * s5 - 4 * s239, 16 * e5 + 4 * e239
+        lo = (1 << (g + p)) // (2 * (pi_p + err))
+        if lo == (1 << (g + p)) // (2 * (pi_p - err)):
+            return lo
+        guard *= 2
+
+
 def switched_benchmark_initial(grid: Grid):
     """The benchmark's oscillatory initial field on a 2D grid, computed exactly.
 
@@ -87,9 +122,9 @@ def switched_benchmark_initial(grid: Grid):
     u = floor(a P 2^(lb+64-G)) and v = floor(b 2^(la+64)), (u v >> G) mod
     2^64 is ab/2pi mod 1 in units of 2^-64, in error by < 2|b| 2^-(lb+64) +
     |a| 2^-(la+64)/2pi + 2^-64 < 2^-62. Rounding that turn to float64
-    (<4e-16 rad) dominates. Returns a constant-in-s history sampler.
+    (<4e-16 rad) dominates. P is exact (see _floor_pow2_over_2pi). Returns a
+    constant-in-s history sampler.
     """
-    import mpmath   # only for the bits of 1/2pi
     if grid.domain.dims != 2:
         raise ValueError("the benchmark initial data lives on a 2D grid")
 
@@ -103,8 +138,7 @@ def switched_benchmark_initial(grid: Grid):
         a, b = exact(x1_axis, 33, 353, c), exact(x2_axis, 63, 79, c)
         la, lb = (max((abs(n) >> e).bit_length() for n, e in f) for f in (a, b))
         g = la + lb + 64
-        with mpmath.workprec(g + 64):
-            P = int(mpmath.floor(mpmath.ldexp(1, g) / (2 * mpmath.pi)))
+        P = _floor_pow2_over_2pi(g)
         v = np.array([(n << (la + 64)) >> e for n, e in b], dtype=object)
         for i, (n, e) in enumerate(a):   # one row of ~4k-bit products at a time
             u = ((n * P) << (lb + 64)) >> (e + g)

@@ -35,11 +35,16 @@ class HistoryUnderrunError(RuntimeError):
 class History:
     """Delay window of (time, state) entries spanning at least the delay.
 
-    Times sit in a list that lookups bisect from the oldest live entry, and
-    each live entry holds one stored state: a float state (immutable) as is,
-    an array state as a copy. Entries no longer reachable by a lookup are
-    released on push, and the dead prefix is cut off once it is over half
-    the list.
+    Times sit in a list that lookups bisect from the oldest live entry. A
+    history holds Python floats, kept as they are (immutable), or float
+    arrays of one shape, kept in one ring of slots allocated at the first
+    push. A push fills the ring's next slot in FIFO order: it stores the
+    slot that `slot` handed out as is and copies any other array in. When
+    that slot is still live, the ring doubles and the live entries move to
+    its front in order. Entries no longer reachable by a lookup are
+    released on push, and the dead prefix of the lists is cut off once it
+    is over half of them. A lookup never returns a ring slot, so what it
+    returns survives later pushes.
     """
 
     def __init__(self, tau: float):
@@ -49,13 +54,20 @@ class History:
         self._times: list[float] = []
         self._states: list[np.ndarray | float | None] = []   # None once released
         self._start = 0                               # oldest live entry
+        self._capacity = 16                           # ring slots at the first push
+        self._ring: np.ndarray | None = None          # (slots, *state shape)
+        self._slots: list[np.ndarray] = []            # one view per ring slot
+        self._head = 0                                # slot the next push fills
 
     @classmethod
     def from_sampler(cls, sampler: Callable[[float], np.ndarray | float], tau: float,
                      dt: float) -> "History":
         """Seed the window [-tau, 0] by sampling the initial function; a float
-        sample is kept as a float, any other as a float array."""
+        sample is kept as a float, any other as a float array. The ring holds
+        ceil(tau/dt) + 3 states: a window of steps dt, a free slot and a spare
+        against rounding in the window's edge."""
         hist = cls(tau)
+        hist._capacity = math.ceil(tau / dt) + 3
         steps = max(1, int(round(tau / dt))) if tau > 0 else 0
         for k in range(steps, -1, -1):
             s = -k * tau / steps if steps else 0.0
@@ -63,13 +75,48 @@ class History:
             hist.push(s, x if isinstance(x, float) else np.asarray(x, dtype=float))
         return hist
 
+    def slot(self) -> np.ndarray | None:
+        """The ring slot the next push fills, free until then; None for a
+        float or empty history. A stepping loop writes the new state into
+        it, and the push then stores it without a copy."""
+        if self._ring is None:
+            return None
+        if len(self._times) - self._start == len(self._slots):   # all live
+            self._grow()
+        return self._slots[self._head]
+
+    def _grow(self) -> None:
+        """Double the full ring; its live entries, oldest at the head slot,
+        move to the front in order."""
+        old, head = self._ring, self._head
+        cap = len(old)
+        ring = np.empty((2 * cap,) + old.shape[1:])
+        ring[:cap - head], ring[cap - head:cap] = old[head:], old[:head]
+        self._ring, self._head = ring, cap
+        self._slots = [ring[i, ...] for i in range(2 * cap)]
+        self._states[self._start:] = self._slots[:cap]
+
     def push(self, t: float, u: np.ndarray | float) -> None:
-        times, states, start = self._times, self._states, self._start
+        times, states = self._times, self._states
         if times and t <= times[-1]:
             raise ValueError("history times must be strictly increasing")
+        if self._ring is None and not isinstance(u, float):
+            if times:
+                raise ValueError("a float history cannot store an array")
+            self._ring = np.empty((self._capacity,) + np.shape(u))
+            self._slots = [self._ring[i, ...] for i in range(self._capacity)]
+        if self._ring is not None:
+            slot = self.slot()
+            if u is not slot:
+                if np.shape(u) != slot.shape:
+                    raise ValueError(f"state has shape {np.shape(u)}, "
+                                     f"the history holds {slot.shape}")
+                slot[...] = u
+            self._head = (self._head + 1) % len(self._slots)
+            u = slot
         times.append(float(t))
-        states.append(u if isinstance(u, float) else u.copy())
-        end = len(times) - 1
+        states.append(u)
+        start, end = self._start, len(times) - 1
         while end - start >= 2 and times[start + 1] <= t - self.tau:
             states[start] = None
             start += 1
@@ -79,7 +126,8 @@ class History:
         self._start = start
 
     def value(self, t: float) -> np.ndarray | float:
-        """Linear interpolation between stored snapshots."""
+        """Linear interpolation between stored snapshots; a stored array is
+        returned as a copy."""
         times, start = self._times, self._start
         if not times:
             raise HistoryUnderrunError("history is empty")
@@ -87,7 +135,8 @@ class History:
             raise HistoryUnderrunError(
                 f"requested t={t} before stored window start {times[start]}")
         if t >= times[-1] or start == len(times) - 1:
-            return self._states[-1]
+            latest = self._states[-1]
+            return latest if self._ring is None else latest.copy()
         j = max(start + 1, bisect_right(times, t, start))
         t0, t1 = times[j - 1], times[j]
         w = (t - t0) / (t1 - t0)
@@ -172,12 +221,15 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
          explicit, implicit, norm2, guard, switch=None) -> Trajectory:
     """The stepping loop shared by simulate and simulate_ode.
 
-    A step is u <- implicit(mode, u + dt * explicit(mode, t, u, u_delay)), then
-    the history push and the blow-up guard, whose bound is guard(hist, u0).
-    switch(u, mode) returns the new mode. The state is a float array of the
-    given shape, or a Python float where shape is (); the loop only rebinds
-    u, so the history stores a float as is and copies an array, and a
-    snapshot is an array of at least one dimension.
+    A step is u <- implicit(mode, u + dt * explicit(mode, t, u, u_delay), out),
+    then the history push and the blow-up guard, whose bound is guard(hist,
+    u0). out is the history's ring slot that the push fills (None for a
+    float state); implicit may write the new state into it, which the push
+    then stores without a copy, or return another array, which the push
+    copies into the ring. switch(u, mode) returns the new mode. The state is
+    a float array of the given shape, or a Python float where shape is ();
+    the loop only rebinds u, and a snapshot is a copy of at least one
+    dimension.
     """
     dt = config.dt
     if tau > 0 and dt > tau:
@@ -195,7 +247,7 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
     mode = switch_count = 0
     snapshots: list[tuple[float, np.ndarray]] = []
     stride = config.snapshot_stride
-    value, push, isfinite = hist.value, hist.push, math.isfinite
+    value, push, slot, isfinite = hist.value, hist.push, hist.slot, math.isfinite
 
     t = 0.0
     times[0], V[0] = t, norm2(u)
@@ -214,7 +266,7 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
             u_delay = value(t - d)
         else:
             u_delay = u
-        u = implicit(mode, u + dt * explicit(mode, t, u, u_delay))
+        u = implicit(mode, u + dt * explicit(mode, t, u, u_delay), slot())
         t = k * dt
         push(t, u)
         v = norm2(u)
@@ -236,7 +288,9 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     rebuilt on the shared domain, whose first eigenvalue each Mode derives.
     phi(s) supplies the initial field for s in [-tau, 0] with shape
     (n, *grid.shape). The blow-up guard is 1e6 times the largest squared
-    norm of five samples of phi.
+    norm of five samples of phi. Each step's backward-Euler solve writes the
+    new field straight into the delay history's next ring slot, so the
+    history neither allocates nor copies a field per step.
     """
     n, tau = network.n, network.tau_max
     shared_modes = [Mode(m.D, m.C, m.A, m.B, m.J, grid.domain) for m in network.modes]
@@ -250,9 +304,9 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
         flat, flat_delay = u.reshape(n, -1), u_delay.reshape(n, -1)
         return (-m.C @ flat + m.A @ f(flat) + m.B @ f(flat_delay)).reshape(u.shape)
 
-    def implicit(mode, x):
-        # backward Euler on D Lap: (c - Lap) u_i = c x_i with c = 1 / (dt D_i)
-        out = np.empty_like(x)
+    def implicit(mode, x, out):
+        # backward Euler on D Lap: (c - Lap) u_i = c x_i with c = 1 / (dt D_i),
+        # solved straight into the history slot the step's push stores
         for i, c in enumerate(coef[mode]):
             out[i] = helmholtz_solve(grid, c, c * x[i])
         return out
@@ -317,7 +371,7 @@ def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConf
             return neg_C @ u + A @ f(u) + B @ f(u_delay) + J
         sample, shape, norm2 = phi, (n,), lambda u: float(u @ u)
     return _run(sample, shape, tau, delay or constant_delay(tau), config, explicit,
-                implicit=lambda mode, x: x, norm2=norm2,
+                implicit=lambda mode, x, out: x, norm2=norm2,
                 guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0))
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import mpmath
 import numpy as np
 import pytest
@@ -47,3 +49,40 @@ class TestSwitchedBenchmarkInitial:
     def test_rejects_1d_grid(self):
         with pytest.raises(ValueError, match="2D grid"):
             presets.switched_benchmark_initial(Grid(RectDomain((1.0,)), (9,)))
+
+
+def _floor_mpmath(g):
+    with mpmath.workprec(g + 64):
+        return int(mpmath.floor(mpmath.ldexp(1, g) / (2 * mpmath.pi)))
+
+
+class TestIntegerInverseTwoPi:
+    def test_matches_mpmath(self):
+        for g in range(1, 6000, 7):
+            assert presets._floor_pow2_over_2pi(g) == _floor_mpmath(g), g
+
+    def test_narrow_guard_doubles_to_the_same_bits(self):
+        # one guard bit cannot separate the bracket, so the loop must widen it
+        for g in range(1, 6000, 97):
+            assert presets._floor_pow2_over_2pi(g, guard=1) == _floor_mpmath(g), g
+
+    def test_benchmark_grids(self, monkeypatch):
+        exact, seen = presets._floor_pow2_over_2pi, []
+        monkeypatch.setattr(presets, "_floor_pow2_over_2pi",
+                            lambda g: seen.append(g) or exact(g))
+        domain = presets.switched_benchmark(1).modes[0].domain
+        for nodes in (31, 61, 101, 151):
+            presets.switched_benchmark_initial(Grid(domain, (nodes, nodes)))
+        assert len(seen) == 12
+        for g in seen:
+            assert exact(g) == _floor_mpmath(g), g
+
+    @pytest.mark.parametrize("nodes, size, sha1", [
+        (31, 15376, "8d73af8c742b1f5f6e823b0c81f1606ff83c3d61"),
+        (101, 163216, "ced50cec7e7ef710aa79d03044f20c279d9df08c")])
+    def test_field_bits_pinned(self, nodes, size, sha1):
+        # pinned from the field whose P came from mpmath
+        domain = presets.switched_benchmark(1).modes[0].domain
+        field = presets.switched_benchmark_initial(Grid(domain, (nodes, nodes)))(0.0)
+        data = field.tobytes()
+        assert len(data) == size and hashlib.sha1(data).hexdigest() == sha1

@@ -344,6 +344,17 @@ class TestCliExitCodes:
                              text=True, check=True, env=env)
         assert out.stdout.strip() == "False"
 
+    def test_switched_benchmark_runs_without_mpmath(self, tmp_path):
+        # a None entry makes any import of mpmath raise
+        probe = ("import sys; sys.modules['mpmath'] = None; import rdnet.cli; "
+                 "sys.exit(rdnet.cli.main(sys.argv[1:]))")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", probe, "--out", str(tmp_path), "reproduce",
+             "example4_1", "--case", "1", "--grid", "31"],
+            capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+
     def test_import_leaves_scipy_unloaded(self):
         probe = "import sys, rdnet.cli; print('scipy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdnet import cli, presets
+from rdnet import cli, presets, simulator
 from rdnet.certificates import mode_margin_matrix, search_certificate, verify_certificate
 from rdnet.geometry import Grid, RectDomain, eigenfunction
 from rdnet.model import Activation, Mode, SwitchedNetwork, constant_delay
@@ -64,6 +65,23 @@ class _NumpyWindowHistory:
         t0, t1 = self._times[j - 1], self._times[j]
         w = (t - t0) / (t1 - t0)
         return (1.0 - w) * self._states[j - 1] + w * self._states[j]
+
+
+class _NumpyWindowSimHistory(_NumpyWindowHistory):
+    """The reference window behind simulate: seeded as History.from_sampler
+    seeds, and handing the loop a fresh array where History hands a ring slot."""
+
+    @classmethod
+    def from_sampler(cls, sampler, tau, dt):
+        hist = cls(tau)
+        steps = max(1, int(round(tau / dt))) if tau > 0 else 0
+        for k in range(steps, -1, -1):
+            s = -k * tau / steps if steps else 0.0
+            hist.push(s, np.asarray(sampler(s), dtype=float))
+        return hist
+
+    def slot(self):
+        return np.empty_like(self._states[-1])
 
 
 def _same_lookup(hist, ref, t):
@@ -136,6 +154,57 @@ class TestHistoryMatchesNumpyWindow:
                     _same_lookup(hist, ref, q)
         _same_lookup(hist, ref, 20000 * dt - 2 * tau)
 
+    def test_ring_grows_past_its_capacity(self):
+        # long steps wrap a window smaller than the initial 16 slots; short
+        # steps then make the ring double with its oldest live entry mid-ring
+        rng = np.random.default_rng(4)
+        tau = 1.0
+        hist, ref = History(tau), _NumpyWindowHistory(tau)
+        t = 0.0
+        for k in range(3000):
+            u = rng.normal(size=(2, 3))
+            hist.push(t, u)
+            ref.push(t, u)
+            for q in t - rng.uniform(-0.1, 1.2, 3) * tau:
+                _same_lookup(hist, ref, float(q))
+            t += 0.2 if k < 500 else 0.01 if k < 1500 else float(rng.uniform(1e-3, 0.1))
+        assert hist._ring.shape == (128, 2, 3)
+
+    def test_simulate_with_time_varying_delay(self, monkeypatch):
+        # dt does not divide tau, and the delay sweeps [tau/2, tau]
+        net = presets.switched_benchmark(1)
+        net = dataclasses.replace(
+            net, delay=lambda t: net.tau_max * (0.5 + 0.5 * math.sin(t) ** 2))
+        grid = Grid(net.modes[0].domain, (15, 15))
+        config = SimConfig(dt=0.3, horizon=12.0, switching=True, snapshot_stride=1)
+        phi = presets.switched_benchmark_initial(grid)
+        field = phi(0.0)
+        runs = []
+        for window in (History, _NumpyWindowSimHistory):
+            monkeypatch.setattr(simulator, "History", window)
+            runs.append(simulate(net, grid, config, lambda s: (1.0 + s / 7.0) * field))
+        ring, ref = runs
+        assert len(ring.V) == 41 and ring.V.tobytes() == ref.V.tobytes()
+        assert ring.modes.tobytes() == ref.modes.tobytes()
+        assert [(t, u.tobytes()) for t, u in ring.snapshots] == \
+            [(t, u.tobytes()) for t, u in ref.snapshots]
+
+    def test_stored_states_are_copies(self):
+        # neither the caller's pushed buffer nor a returned state aliases
+        # the ring
+        tau, dt = 0.3, 0.05
+        hist, ref = History(tau), _NumpyWindowHistory(tau)
+        buf = np.empty((2, 3))
+        for k in range(200):
+            t = k * dt
+            buf[:] = np.arange(6.0).reshape(2, 3) * math.sin(t)
+            hist.push(t, buf)
+            ref.push(t, buf)
+            buf[:] = np.nan
+            hist.value(t)[:] = np.nan
+            for q in (t - tau, t - 0.4 * tau, t - dt / 3, t, t + 1.0):
+                _same_lookup(hist, ref, q)
+
 
 class TestHistory:
     def test_linear_interpolation_exact(self):
@@ -167,6 +236,19 @@ class TestHistory:
         hist.push(0.0, np.array([1.0]))
         with pytest.raises(ValueError):
             hist.push(0.0, np.array([2.0]))
+
+    def test_rejects_other_state_kinds(self):
+        hist = History(1.0)
+        hist.push(0.0, np.zeros(2))
+        with pytest.raises(ValueError, match="shape"):
+            hist.push(1.0, np.zeros(3))
+        with pytest.raises(ValueError, match="shape"):
+            hist.push(1.0, 0.5)
+        floats = History(1.0)
+        floats.push(0.0, 0.5)
+        with pytest.raises(ValueError, match="array"):
+            floats.push(1.0, np.zeros(2))
+        assert hist.value(2.0).shape == (2,) and floats.value(2.0) == 0.5
 
     def test_trims_but_keeps_delay_window(self):
         hist = History(0.5)
@@ -404,7 +486,7 @@ def _reference_simulate_ode(mode, activation, tau, config, phi, deviation, delay
     norm2 = lambda u: float(u @ u)
     return _run(phi, (mode.n,), tau, delay or constant_delay(tau), config,
                 explicit=lambda m, t, u, u_delay: rhs(t, u, u_delay),
-                implicit=lambda m, x: x, norm2=norm2,
+                implicit=lambda m, x, out: x, norm2=norm2,
                 guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0))
 
 
