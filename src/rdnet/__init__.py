@@ -12,9 +12,9 @@ from .certificates import (Certificate, check_uniqueness_A3, margin_matrix,
                            solve_rate_equation, verify_certificate)
 from .geometry import (Grid, RectDomain, apply_laplacian, eigenfunction,
                        first_eigenvalue, helmholtz_solve, l2_inner, l2_norm,
-                       laplacian_matrix, poincare_cube_bound)
+                       laplacian_matrix)
 from .model import (Activation, Mode, SwitchedNetwork, Verdict,
-                    check_A1_sampled, check_A2_on_box, constant_delay,
+                    check_A1_sampled, constant_delay,
                     make_activation_fn, piecewise_cbrt,
                     piecewise_cbrt_antiderivative, signed_cbrt,
                     stationarity_map)

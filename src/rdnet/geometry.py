@@ -34,26 +34,10 @@ class RectDomain:
     def dims(self) -> int:
         return len(self.lengths)
 
-    @property
-    def measure(self) -> float:
-        return math.prod(self.lengths)
-
 
 def first_eigenvalue(domain: RectDomain) -> float:
     """Smallest eigenvalue of -Laplace with zero boundary: sum (pi/l_i)^2."""
     return sum((math.pi / l) ** 2 for l in domain.lengths)
-
-
-def poincare_cube_bound(half_lengths: tuple[float, ...]) -> tuple[float, ...]:
-    """Per-axis constants 1/l_i^2 for the cube |x_i| < l_i.
-
-    Each constant lower-bounds the Rayleigh quotient of the corresponding
-    axis derivative; their sum is a cheap lower bound on the first
-    eigenvalue of -Laplace on the cube.
-    """
-    if any(l <= 0 for l in half_lengths):
-        raise ValueError("half-lengths must be positive")
-    return tuple(1.0 / l**2 for l in half_lengths)
 
 
 @dataclass(frozen=True)
@@ -91,9 +75,6 @@ class Grid:
             np.linspace(h, l - h, c)
             for l, c, h in zip(self.domain.lengths, self.counts, self.spacing)
         )
-
-    def meshgrid(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.meshgrid(*self.axes(), indexing="ij"))
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)

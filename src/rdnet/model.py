@@ -9,7 +9,8 @@ validity beyond the box it was sampled on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -47,6 +48,36 @@ def piecewise_cbrt_antiderivative(u, d: float, a: float, mu1: float):
     return np.where(np.abs(u) <= 1.0, core, tails)
 
 
+def _floats(p, *keys) -> list[float]:
+    """The named params as floats; a missing or non-numeric one raises."""
+    missing = [k for k in keys if k not in p]
+    if missing:
+        raise ValueError(f"missing activation params {missing}")
+    return [float(p[k]) for k in keys]
+
+
+def _affine(p):
+    a, b = _floats(p, "a", "b")
+    return lambda s: a * s + b, lambda s: 0.5 * a * s**2 + b * s
+
+
+def _scaled_sine(p):
+    a, b, c = _floats(p, "a", "b", "c")
+    return (lambda s: a + b * s + c * np.sin(s),
+            lambda s: a * s + 0.5 * b * s**2 + c * (1.0 - np.cos(s)))
+
+
+def _piecewise_cbrt(p):
+    d, a, mu1 = _floats(p, "d", "a_weight", "mu1")
+    return (lambda s: piecewise_cbrt(s, d, a, mu1),
+            lambda s: piecewise_cbrt_antiderivative(s, d, a, mu1))
+
+
+def _saturation(p):
+    lo, hi = _floats({"lo": -1.0, "hi": 1.0, **p}, "lo", "hi")
+    return lambda s: np.clip(s, lo, hi), None
+
+
 def _tabulated(p):
     xs, ys = np.asarray(p["x"], dtype=float), np.asarray(p["y"], dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
@@ -56,38 +87,33 @@ def _tabulated(p):
 
 # The activation registry: name -> builder(params) returning the activation
 # and its antiderivative vanishing at 0 (None where there is no closed form),
-# both elementwise on float arrays of any shape. An activation and its
-# antiderivative give the same bits on a Python float as on a 1-element array
-# (simulate_ode relies on it for the activation).
+# both elementwise on float arrays of any shape. A builder reads and checks
+# its params when it runs, so a bad set fails before any evaluation. An
+# activation and its antiderivative give the same bits on a Python float as
+# on a 1-element array (simulate_ode relies on it for the activation).
 ACTIVATIONS = {
-    "affine": lambda p: (lambda s: p["a"] * s + p["b"],
-                         lambda s: 0.5 * p["a"] * s**2 + p["b"] * s),
+    "affine": _affine,
     "identity": lambda p: (lambda s: s * 1.0, lambda s: 0.5 * s**2),
-    "scaled_sine": lambda p: (
-        lambda s: p["a"] + p["b"] * s + p["c"] * np.sin(s),
-        lambda s: p["a"] * s + 0.5 * p["b"] * s**2 + p["c"] * (1.0 - np.cos(s))),
-    "piecewise_cbrt": lambda p: (
-        lambda s: piecewise_cbrt(s, p["d"], p["a_weight"], p["mu1"]),
-        lambda s: piecewise_cbrt_antiderivative(s, p["d"], p["a_weight"], p["mu1"])),
-    "saturation": lambda p: (lambda s: np.clip(s, p.get("lo", -1.0), p.get("hi", 1.0)),
-                             None),
+    "scaled_sine": _scaled_sine,
+    "piecewise_cbrt": _piecewise_cbrt,
+    "saturation": _saturation,
     "tabulated": _tabulated,
 }
 
 
-def _registry_entry(name: str, params: dict) -> tuple[Callable, Callable | None]:
+def _registry_entry(name: str, params: Mapping) -> tuple[Callable, Callable | None]:
     if name not in ACTIVATIONS:
         raise KeyError(f"unknown activation '{name}'")
-    return ACTIVATIONS[name](dict(params))
+    return ACTIVATIONS[name](params)
 
 
-def make_activation_fn(name: str, params: dict) -> Callable[[np.ndarray], np.ndarray]:
+def make_activation_fn(name: str, params: Mapping) -> Callable[[np.ndarray], np.ndarray]:
     """Build a scalar activation from the registry."""
     fn, _ = _registry_entry(name, params)
     return lambda s: fn(np.asarray(s, dtype=float))
 
 
-def make_activation_antiderivative(name: str, params: dict) -> Callable[[np.ndarray], np.ndarray]:
+def make_activation_antiderivative(name: str, params: Mapping) -> Callable[[np.ndarray], np.ndarray]:
     """Antiderivative (vanishing at 0) for registry activations that admit one."""
     _, antiderivative = _registry_entry(name, params)
     if antiderivative is None:
@@ -97,55 +123,45 @@ def make_activation_antiderivative(name: str, params: dict) -> Callable[[np.ndar
 
 @dataclass(frozen=True)
 class Activation:
-    """Per-neuron scalar activations with declared Lipschitz constants.
+    """One registry activation g applied to every neuron, with declared
+    per-neuron Lipschitz constants G_i (assumption A1).
 
-    is_uniform is True when every neuron has the same name and params."""
+    fn is the registry function, built once from name and params; it is
+    elementwise, so it applies to every component at once.
+    """
 
-    names: tuple[str, ...]
-    params: tuple[tuple, ...]          # frozen (key, value) pairs per neuron
+    name: str
+    params: Mapping                    # frozen, keys sorted, at construction
     lipschitz: tuple[float, ...]       # declared constants G_i > 0
+    fn: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False,
+                                                   compare=False)
 
     def __post_init__(self):
-        if not (len(self.names) == len(self.params) == len(self.lipschitz)):
-            raise ValueError("per-neuron field lengths differ")
         if any(g <= 0 for g in self.lipschitz):
             raise ValueError("Lipschitz constants must be positive")
-        # registry functions, built once; a uniform bundle takes one vectorised call
-        object.__setattr__(self, "_fns", tuple(
-            _registry_entry(name, dict(p))[0] for name, p in zip(self.names, self.params)))
-        object.__setattr__(self, "is_uniform", len(set(self.names)) <= 1
-                           and all(p == self.params[0] for p in self.params))
+        frozen = MappingProxyType(dict(sorted(dict(self.params).items())))
+        object.__setattr__(self, "params", frozen)
+        object.__setattr__(self, "fn", _registry_entry(self.name, self.params)[0])
 
     @classmethod
-    def uniform(cls, name: str, params: dict, lipschitz: float, n: int) -> "Activation":
-        frozen = tuple(sorted(params.items()))
-        return cls((name,) * n, (frozen,) * n, (lipschitz,) * n)
-
-    @classmethod
-    def per_neuron(cls, specs: Sequence[tuple[str, dict, float]]) -> "Activation":
-        names, params, lip = zip(*[(s[0], tuple(sorted(s[1].items())), s[2]) for s in specs])
-        return cls(names, params, lip)
+    def uniform(cls, name: str, params: Mapping, lipschitz: float, n: int) -> "Activation":
+        return cls(name, params, (lipschitz,) * n)
 
     @property
     def n(self) -> int:
-        return len(self.names)
+        return len(self.lipschitz)
 
     @property
     def G(self) -> np.ndarray:
         """Lipschitz matrix diag(G_1, ..., G_n)."""
         return np.diag(self.lipschitz)
 
-    def component(self, i: int) -> Callable[[np.ndarray], np.ndarray]:
-        return make_activation_fn(self.names[i], dict(self.params[i]))
-
     def __call__(self, v: np.ndarray) -> np.ndarray:
         """Apply componentwise; v has the component index on axis 0."""
         v = np.asarray(v, dtype=float)
-        if v.shape[0] != len(self.names):
+        if v.shape[0] != len(self.lipschitz):
             raise ValueError(f"expected {self.n} components, got {v.shape[0]}")
-        if self.is_uniform:
-            return self._fns[0](v)
-        return np.stack([fn(vi) for fn, vi in zip(self._fns, v)])
+        return self.fn(v)
 
 
 @dataclass(frozen=True)
@@ -233,15 +249,6 @@ class Verdict:
     witness: np.ndarray | None = None
 
 
-def _sample_box(box: np.ndarray, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Latin-hypercube sample of the box; shape (samples, n)."""
-    lo, hi = box[:, 0], box[:, 1]
-    n = box.shape[0]
-    u = (rng.permuted(np.tile(np.arange(samples), (n, 1)), axis=1).T
-         + rng.random((samples, n))) / samples
-    return lo + u * (hi - lo)
-
-
 def _as_box(box, n: int) -> np.ndarray:
     box = np.asarray(box, dtype=float)
     if box.ndim == 1:
@@ -266,7 +273,6 @@ def check_A1_sampled(activation: Activation, box=None, samples: int = DEFAULT_SA
     worst = 0.0
     witness = None
     for i in range(n):
-        g = activation.component(i)
         lo, hi = box[i]
         s = rng.uniform(lo, hi, samples)
         t = rng.uniform(lo, hi, samples)
@@ -274,7 +280,7 @@ def check_A1_sampled(activation: Activation, box=None, samples: int = DEFAULT_SA
         eps = 1e-6 * (hi - lo)
         s = np.concatenate([s, s])
         t = np.concatenate([t, np.clip(s[:samples] + eps, lo, hi)])
-        gs, gt = g(s), g(t)
+        gs, gt = activation.fn(s), activation.fn(t)
         if not (np.all(np.isfinite(gs)) and np.all(np.isfinite(gt))):
             raise FloatingPointError(f"activation {i} returned non-finite values")
         ds = np.abs(s - t)
@@ -285,7 +291,7 @@ def check_A1_sampled(activation: Activation, box=None, samples: int = DEFAULT_SA
         if rel[j] > worst:
             worst = float(rel[j])
             witness = np.array([s[mask][j], t[mask][j]])
-    # worst is relative to G_i; report the raw ratio of the worst neuron
+    # worst is the largest sampled slope over G_i, across all neurons
     return Verdict(holds=worst <= 1.0 + 1e-9, worst_ratio=worst, witness=witness)
 
 
@@ -293,31 +299,3 @@ def stationarity_map(mode: Mode, activation: Activation, v: np.ndarray) -> np.nd
     """-C v + A g(v) + B g(v) + J, columnwise for v of shape (n, k)."""
     gv = activation(v)
     return -mode.C @ v + (mode.A + mode.B) @ gv + mode.J[:, None]
-
-
-def check_A2_on_box(mode: Mode, activation: Activation, c: float, box=None,
-                    samples: int = DEFAULT_SAMPLES, signed: bool = True,
-                    seed: int = 0) -> Verdict:
-    """Sampled boundedness check of the stationarity map against c * D * 1.
-
-    signed=True requires 0 <= map <= c D 1 componentwise; signed=False only
-    the absolute bound (the variant admitting sign-changing solutions).
-    Returns the first violating sample as witness, if any.
-    """
-    if c <= 0:
-        raise ValueError("c must be positive")
-    n = mode.n
-    box = _as_box(box if box is not None else [-DEFAULT_BOX_HALFWIDTH, DEFAULT_BOX_HALFWIDTH], n)
-    rng = np.random.default_rng(seed)
-    v = _sample_box(box, samples, rng).T            # (n, samples)
-    vals = stationarity_map(mode, activation, v)    # (n, samples)
-    bound = c * np.diag(mode.D)[:, None]
-    ratio = np.abs(vals) / bound
-    ok = np.all(ratio <= 1.0, axis=0)
-    if signed:
-        ok &= np.all(vals >= 0.0, axis=0)
-    worst = float(ratio.max())
-    if np.all(ok):
-        return Verdict(holds=True, worst_ratio=worst)
-    bad = int(np.argmin(ok))
-    return Verdict(holds=False, worst_ratio=worst, witness=v[:, bad].copy())

@@ -55,14 +55,13 @@ def _parse_system(doc: dict) -> tuple[SwitchedNetwork, Grid]:
     if not isinstance(mode_docs, list) or not mode_docs:
         raise SystemFileError("'modes' must be a non-empty list")
     n = len(mode_docs[0]["J"])
+    params = act_doc.get("params", {})
+    if not isinstance(params, dict):
+        raise SystemFileError("activation 'params' must be an object")
     lipschitz = act_doc.get("lipschitz", 1.0)
     if np.isscalar(lipschitz):
-        activation = Activation.uniform(act_doc["name"], act_doc.get("params", {}),
-                                        float(lipschitz), n)
-    else:
-        specs = [(act_doc["name"], act_doc.get("params", {}), float(g))
-                 for g in lipschitz]
-        activation = Activation.per_neuron(specs)
+        lipschitz = [lipschitz] * n
+    activation = Activation(act_doc["name"], params, tuple(float(g) for g in lipschitz))
 
     modes = []
     for mdoc in mode_docs:
@@ -86,10 +85,8 @@ def _parse_system(doc: dict) -> tuple[SwitchedNetwork, Grid]:
 
 
 def dump_system(network: SwitchedNetwork, grid: Grid) -> dict:
-    """Inverse of load_system; one activation name and params for all neurons."""
+    """Inverse of load_system."""
     act = network.activation
-    if not act.is_uniform:
-        raise ValueError("system files hold one activation name and params for all neurons")
     return {
         "schema_version": SCHEMA_VERSION,
         "modes": [
@@ -98,7 +95,7 @@ def dump_system(network: SwitchedNetwork, grid: Grid) -> dict:
              "domain": list(m.domain.lengths)}
             for m in network.modes
         ],
-        "activation": {"name": act.names[0], "params": dict(act.params[0]),
+        "activation": {"name": act.name, "params": dict(act.params),
                        "lipschitz": list(act.lipschitz)},
         "delay": {"tau_max": network.tau_max},
         "Psi": network.Psi.tolist(),

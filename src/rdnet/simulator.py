@@ -347,7 +347,7 @@ def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConf
     if n == 1:
         c, a, b = float(-mode.C[0, 0]), float(mode.A[0, 0]), float(mode.B[0, 0])
         j = 0.0 if deviation else float(mode.J[0])
-        g = activation._fns[0]
+        g = activation.fn
         g0 = float(g(0.0)) if deviation else 0.0      # x - 0.0 is x, -0.0 included
 
         def f(x):

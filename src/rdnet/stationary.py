@@ -329,8 +329,8 @@ def energy_from_problem(problem: StationaryProblem) -> EnergyFunctional:
     d = float(problem.mode.D[0, 0])
     return EnergyFunctional(
         c0=float(problem.mode.C[0, 0]) / d, source=float(problem.mode.J[0]) / d,
-        weight=float(problem.W[0, 0]) / d, name=problem.activation.names[0],
-        params=problem.activation.params[0])
+        weight=float(problem.W[0, 0]) / d, name=problem.activation.name,
+        params=tuple(problem.activation.params.items()))
 
 
 def find_stationary_multiplicity(problem: StationaryProblem, inits,

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from rdnet.geometry import (MAX_AXIS_NODES, Grid, RectDomain, apply_laplacian,
                             eigenfunction, first_eigenvalue, helmholtz_solve,
-                            l2_inner, l2_norm, laplacian_matrix,
-                            poincare_cube_bound)
+                            l2_inner, l2_norm, laplacian_matrix)
 
 
 class TestRectDomain:
@@ -21,9 +20,6 @@ class TestRectDomain:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             RectDomain((1.0, 0.0))
-
-    def test_measure(self):
-        assert RectDomain((2.0, 3.0)).measure == 6.0
 
 
 class TestFirstEigenvalue:
@@ -46,11 +42,6 @@ class TestFirstEigenvalue:
         for _ in range(100):
             first_eigenvalue(domain)
         assert (time.perf_counter() - start) / 100 < 1e-3
-
-    def test_poincare_cube_bound(self):
-        assert poincare_cube_bound((2.0, 0.5)) == (0.25, 4.0)
-        with pytest.raises(ValueError):
-            poincare_cube_bound((1.0, -1.0))
 
 
 class TestGrid:

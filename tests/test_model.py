@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from rdnet.geometry import RectDomain, first_eigenvalue
 from rdnet.model import (ACTIVATIONS, Activation, Mode, SwitchedNetwork,
-                         check_A1_sampled, check_A2_on_box,
-                         make_activation_fn, piecewise_cbrt,
+                         check_A1_sampled, make_activation_fn, piecewise_cbrt,
                          piecewise_cbrt_antiderivative, signed_cbrt,
                          stationarity_map)
 
@@ -83,7 +82,7 @@ class TestActivationRegistry:
         v = np.random.default_rng(5).normal(scale=3.0, size=(3, 7, 9))
         out = act(v)
         np.testing.assert_array_equal(
-            out, np.stack([act.component(i)(v[i]) for i in range(3)]))
+            out, np.stack([make_activation_fn(name, params)(v[i]) for i in range(3)]))
         assert not np.shares_memory(out, v)
 
     @pytest.mark.parametrize("name,params", _REGISTRY_CASES)
@@ -99,15 +98,6 @@ class TestActivationRegistry:
             for x in xs.tolist():
                 got = np.asarray(fn(x), dtype=float)
                 assert got.shape == () and got.tobytes() == fn(np.array([x])).tobytes(), x
-
-    def test_bundle_apply(self):
-        act = Activation.per_neuron([
-            ("affine", {"a": 1.0, "b": 0.0}, 1.0),
-            ("affine", {"a": 2.0, "b": 1.0}, 2.0),
-        ])
-        out = act(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_allclose(out, [[1.0, 2.0], [7.0, 9.0]])
-        np.testing.assert_allclose(act.G, np.diag([1.0, 2.0]))
 
     def test_rejects_nonpositive_lipschitz(self):
         with pytest.raises(ValueError):
@@ -167,18 +157,6 @@ class TestSampledChecks:
         assert not verdict.holds
         assert verdict.worst_ratio == pytest.approx(2.0, abs=1e-9)
         assert verdict.witness is not None
-
-    def test_A2_signed_bound(self):
-        # map is -v + 0.5 v = -0.5 v: on [-1, 0] it lies in [0, 0.5] <= c D
-        mode = Mode([[1.0]], [[1.0]], [[0.25]], [[0.25]], [0.0], RectDomain((1.0,)))
-        act = Activation.uniform("identity", {}, 1.0, 1)
-        good = check_A2_on_box(mode, act, c=0.6, box=[-1.0, 0.0], samples=500)
-        assert good.holds
-        bad = check_A2_on_box(mode, act, c=0.6, box=[-1.0, 1.0], samples=500)
-        assert not bad.holds
-        unsigned = check_A2_on_box(mode, act, c=0.6, box=[-1.0, 1.0], samples=500,
-                                   signed=False)
-        assert unsigned.holds
 
     def test_stationarity_map_columns(self):
         mode = Mode([[1.0]], [[2.0]], [[1.0]], [[1.0]], [0.5], RectDomain((1.0,)))

@@ -10,7 +10,7 @@ import pytest
 
 from rdnet import cli, presets, stationary
 from rdnet.geometry import Grid, RectDomain
-from rdnet.model import Activation, SwitchedNetwork
+from rdnet.model import SwitchedNetwork, check_A1_sampled
 from rdnet.schema import (SCHEMA_VERSION, SystemFileError, dump_system,
                           load_system, write_field_csv, write_report,
                           write_trajectory_csv)
@@ -83,13 +83,17 @@ class TestSchema:
         np.testing.assert_array_equal(loaded.Psi, net.Psi)
         assert loaded.activation.lipschitz == net.activation.lipschitz
 
-    def test_mixed_activation_not_dumped(self):
-        net = presets.switched_benchmark(1)
-        mixed = Activation.per_neuron([("affine", {"a": 1.0, "b": 0.0}, 1.0),
-                                       ("saturation", {}, 1.0)])
-        net = SwitchedNetwork(net.modes, mixed, net.tau_max, net.Psi, net.q, net.gamma)
-        with pytest.raises(ValueError, match="activation"):
-            dump_system(net, Grid(net.modes[0].domain, (15, 15)))
+    def test_distinct_lipschitz_constants(self, tmp_path):
+        net, grid = _write_benchmark(tmp_path / "ok.json")
+        doc = dump_system(net, grid)
+        doc["activation"] = {"name": "identity", "lipschitz": [1.0, 0.5]}
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(doc))
+        act = load_system(f)[0].activation
+        np.testing.assert_array_equal(act.G, np.diag([1.0, 0.5]))
+        verdict = check_A1_sampled(act, samples=2000)
+        assert not verdict.holds
+        assert verdict.worst_ratio == pytest.approx(2.0, abs=1e-9)
 
     def test_malformed_json_reports_line(self, tmp_path):
         f = tmp_path / "bad.json"
@@ -247,6 +251,19 @@ class TestCliExitCodes:
         assert err == [f"error: {f}: 'modes' must be a non-empty list"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("params", [{}, [1, 2]], ids=["missing", "not-object"])
+    def test_bad_activation_params_rejected_on_load(self, tmp_path, capsys, params):
+        net, grid = _write_benchmark(tmp_path / "ok.json", counts=(9, 9))
+        doc = dump_system(net, grid)
+        doc["activation"]["params"] = params
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "simulate", str(f), "--T", "1.0"]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith(f"error: {f}: ")
+        assert not out.exists()
+
     def test_simulate_writes_trajectory(self, tmp_path):
         f = tmp_path / "sys.json"
         _write_benchmark(f, counts=(9, 9))
@@ -361,6 +378,18 @@ class TestCliExitCodes:
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                              text=True, check=True, env=env)
         assert out.stdout.strip() == "False"
+
+    def test_runs_leave_scipy_and_mpmath_unloaded(self, tmp_path):
+        # both stay off the runtime path: importing the CLI and running a
+        # 1-D and a 2-D target loads neither
+        probe = ("import sys, rdnet.cli; "
+                 "codes = [rdnet.cli.main(['--out', sys.argv[1], 'reproduce', *t]) for t in "
+                 "(['statement1'], ['example4_1', '--grid', '15'])]; "
+                 "print(codes, sorted({'scipy', 'mpmath'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                             capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip().split("\n")[-1] == "[0, 0] []"
 
     def test_stationary_inits_over_newton_cap_exit_2(self, tmp_path, capsys, monkeypatch):
         # 61^2 nodes x 2 components: 7,442 unknowns, over NEWTON_MAX_UNKNOWNS;
