@@ -9,6 +9,7 @@ current directory.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -120,16 +121,21 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     amp = rng.uniform(-1.0, 1.0, network.n)
     field = np.stack([a * phi1 for a in amp])
+    index = itertools.count()
+
+    def snapshot(t, snap):
+        # the first snapshot comes after simulate has checked dt and shapes
+        path = _outdir(args) / f"snapshot_{next(index):04d}.csv"
+        write_field_csv(path, grid, snap)
+
     try:
-        traj = simulate(network, grid, config, lambda s: field)
-    except BlowUpError as exc:
+        traj = simulate(network, grid, config, lambda s: field, snapshot)
+    except BlowUpError as exc:   # the snapshots written so far stay
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     est = estimate_decay_rate(traj)
     outdir = _outdir(args)   # after simulate has checked dt against the delay
     write_trajectory_csv(outdir / "trajectory.csv", traj)
-    for i, (t, snap) in enumerate(traj.snapshots):
-        write_field_csv(outdir / f"snapshot_{i:04d}.csv", grid, snap)
     switch_times = traj.times[1:][np.diff(traj.modes) != 0]
     write_report(outdir / "simulate_report.json", {
         "command": "simulate", "dt": dt, "horizon": args.T,

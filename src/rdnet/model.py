@@ -48,8 +48,16 @@ def piecewise_cbrt_antiderivative(u, d: float, a: float, mu1: float):
     return np.where(np.abs(u) <= 1.0, core, tails)
 
 
+def _known(p, *keys) -> None:
+    """Raise on a param not among keys, naming both."""
+    unknown = [k for k in p if k not in keys]
+    if unknown:
+        raise ValueError(f"unknown activation params {unknown}, expected {list(keys)}")
+
+
 def _floats(p, *keys) -> list[float]:
-    """The named params as floats; a missing or non-numeric one raises."""
+    """The named params as floats; an unknown, missing or non-numeric one raises."""
+    _known(p, *keys)
     missing = [k for k in keys if k not in p]
     if missing:
         raise ValueError(f"missing activation params {missing}")
@@ -73,12 +81,18 @@ def _piecewise_cbrt(p):
             lambda s: piecewise_cbrt_antiderivative(s, d, a, mu1))
 
 
+def _identity(p):
+    _known(p)
+    return lambda s: s * 1.0, lambda s: 0.5 * s**2
+
+
 def _saturation(p):
     lo, hi = _floats({"lo": -1.0, "hi": 1.0, **p}, "lo", "hi")
     return lambda s: np.clip(s, lo, hi), None
 
 
 def _tabulated(p):
+    _known(p, "x", "y")
     xs, ys = np.asarray(p["x"], dtype=float), np.asarray(p["y"], dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
         raise ValueError("tabulated activation needs matching 1D x/y arrays")
@@ -88,12 +102,13 @@ def _tabulated(p):
 # The activation registry: name -> builder(params) returning the activation
 # and its antiderivative vanishing at 0 (None where there is no closed form),
 # both elementwise on float arrays of any shape. A builder reads and checks
-# its params when it runs, so a bad set fails before any evaluation. An
-# activation and its antiderivative give the same bits on a Python float as
-# on a 1-element array (simulate_ode relies on it for the activation).
+# its params when it runs, so a bad set, an unknown key included, fails
+# before any evaluation. An activation and its antiderivative give the same
+# bits on a Python float as on a 1-element array (simulate_ode relies on it
+# for the activation).
 ACTIVATIONS = {
     "affine": _affine,
-    "identity": lambda p: (lambda s: s * 1.0, lambda s: 0.5 * s**2),
+    "identity": _identity,
     "scaled_sine": _scaled_sine,
     "piecewise_cbrt": _piecewise_cbrt,
     "saturation": _saturation,

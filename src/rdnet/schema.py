@@ -136,18 +136,21 @@ def write_trajectory_csv(path, trajectory) -> None:
 def write_field_csv(path, grid: Grid, field: np.ndarray) -> None:
     """Columns x[,y],component,value for a (n, *grid.shape) field.
 
-    Nodes run in C order (the last axis fastest); each line along that axis
-    is one template of preformatted coordinates, filled by one % call.
+    Nodes run in C order (the last axis fastest). Each grid line is one
+    template, prefix + (row + prefix).join(last-axis coordinates) + row,
+    filled by one % call; the prefix is the line's leading coordinates and
+    a comma (empty in 1-D), so the working memory is one line.
     """
     field = np.asarray(field, float)
     if field.ndim == grid.domain.dims:
         field = field[None]
     axes = [[FLOAT_FMT % x for x in axis.tolist()] for axis in grid.axes()]
-    lines = [[",".join(h + (x,)) for x in axes[-1]] for h in itertools.product(*axes[:-1])]
+    prefixes = ["".join(x + "," for x in h) for h in itertools.product(*axes[:-1])]
     with open(path, "w") as fh:
         header = "x,y" if grid.domain.dims == 2 else "x"
         fh.write(f"{header},component,value\n")
         for comp in range(field.shape[0]):
             row = f",{comp},{FLOAT_FMT}\n"
-            for line, values in zip(lines, field[comp].reshape(len(lines), -1).tolist()):
-                fh.write((row.join(line) + row) % tuple(values))
+            for prefix, values in zip(prefixes, field[comp].reshape(len(prefixes), -1)):
+                line = prefix + (row + prefix).join(axes[-1]) + row
+                fh.write(line % tuple(values.tolist()))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -169,7 +169,6 @@ class Trajectory:
     V: np.ndarray
     modes: np.ndarray
     switch_count: int
-    snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -218,7 +217,7 @@ def _deviation_activation(activation, shape):
 
 
 def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
-         explicit, implicit, norm2, guard, switch=None) -> Trajectory:
+         explicit, implicit, norm2, guard, switch=None, snapshot=None) -> Trajectory:
     """The stepping loop shared by simulate and simulate_ode.
 
     A step is u <- implicit(mode, u + dt * explicit(mode, t, u, u_delay), out),
@@ -228,9 +227,14 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
     then stores without a copy, or return another array, which the push
     copies into the ring. switch(u, mode) returns the new mode. The state is
     a float array of the given shape, or a Python float where shape is ();
-    the loop only rebinds u, and a snapshot is a copy of at least one
-    dimension.
+    the loop only rebinds u. At t = 0 and every snapshot_stride-th step the
+    loop calls snapshot(t, copy), the copy an array of at least one
+    dimension that the loop keeps no reference to; a stride without a
+    snapshot callable raises before the history is seeded.
     """
+    stride = config.snapshot_stride
+    if stride and snapshot is None:
+        raise ValueError("snapshot_stride needs a snapshot callable")
     dt = config.dt
     if tau > 0 and dt > tau:
         raise ValueError("dt must not exceed the delay bound")
@@ -245,14 +249,12 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
     V = np.empty(steps + 1)
     modes = np.zeros(steps + 1, dtype=int)
     mode = switch_count = 0
-    snapshots: list[tuple[float, np.ndarray]] = []
-    stride = config.snapshot_stride
     value, push, slot, isfinite = hist.value, hist.push, hist.slot, math.isfinite
 
     t = 0.0
     times[0], V[0] = t, norm2(u)
     if stride:
-        snapshots.append((t, np.array(u, ndmin=1)))
+        snapshot(t, np.array(u, ndmin=1))
     for k in range(1, steps + 1):
         if switch is not None:
             new_mode = switch(u, mode)
@@ -274,12 +276,13 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
             raise BlowUpError(f"norm blew up at t={t:.4g} (V={v:.3e})")
         times[k], V[k], modes[k] = t, v, mode
         if stride and k % stride == 0:
-            snapshots.append((t, np.array(u, ndmin=1)))
-    return Trajectory(times, V, modes, switch_count, snapshots)
+            snapshot(t, np.array(u, ndmin=1))
+    return Trajectory(times, V, modes, switch_count)
 
 
 def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
-             phi: Callable[[float], np.ndarray]) -> Trajectory:
+             phi: Callable[[float], np.ndarray],
+             snapshot: Callable[[float, np.ndarray], None] | None = None) -> Trajectory:
     """Integrate the deviation system u_t = D Lap u - C u + A f(u) + B f(u_tau).
 
     Every mode uses the one recentring f(u) = g(u) - g(0), so u = 0 is an
@@ -290,7 +293,9 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     (n, *grid.shape). The blow-up guard is 1e6 times the largest squared
     norm of five samples of phi. Each step's backward-Euler solve writes the
     new field straight into the delay history's next ring slot, so the
-    history neither allocates nor copies a field per step.
+    history neither allocates nor copies a field per step. With
+    config.snapshot_stride > 0, snapshot(t, field) receives a copy of the
+    field at t = 0 and every stride-th step as the run reaches it.
     """
     n, tau = network.n, network.tau_max
     shared_modes = [Mode(m.D, m.C, m.A, m.B, m.J, grid.domain) for m in network.modes]
@@ -322,12 +327,14 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
         return BLOWUP_FACTOR * max(max(norm2(hist.value(s)) for s in samples), 1e-300)
 
     return _run(phi, (n,) + grid.shape, tau, network.delay, config, explicit,
-                implicit, norm2, guard, switch if config.switching else None)
+                implicit, norm2, guard, switch if config.switching else None, snapshot)
 
 
 def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConfig,
                  phi: Callable[[float], np.ndarray], *, deviation: bool = False,
-                 delay: Callable[[float], float] | None = None) -> Trajectory:
+                 delay: Callable[[float], float] | None = None,
+                 snapshot: Callable[[float, np.ndarray], None] | None = None
+                 ) -> Trajectory:
     """Forward-Euler integration of du/dt = -C u + A g(u) + B g(u_tau) + J.
 
     The lumped mode's n coupled ODEs run in the shared stepping loop;
@@ -335,7 +342,8 @@ def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConf
     deviation=True drops J and recenters g at 0 (the zero solution is then
     exactly invariant). V records the squared Euclidean norm, so the
     decay-rate estimator applies unchanged. The blow-up guard is 1e6 times
-    max(|u0|^2, 1); the delay defaults to the constant tau.
+    max(|u0|^2, 1); the delay defaults to the constant tau. Snapshots go
+    to snapshot(t, state) as in simulate, each state a (n,) array.
 
     With n = 1 the state steps as a Python float, bit for bit as the (1,)
     array would: the registry function is applied to floats, and numpy's
@@ -372,7 +380,8 @@ def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConf
         sample, shape, norm2 = phi, (n,), lambda u: float(u @ u)
     return _run(sample, shape, tau, delay or constant_delay(tau), config, explicit,
                 implicit=lambda mode, x, out: x, norm2=norm2,
-                guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0))
+                guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0),
+                snapshot=snapshot)
 
 
 def fit_window_start(samples: int, window_fraction: float = 0.5) -> int:

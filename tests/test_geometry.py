@@ -202,6 +202,20 @@ class TestSineBasisSolve:
         assert lam1_h < first_eigenvalue(grid.domain)
         assert lam1_h == pytest.approx(first_eigenvalue(grid.domain), rel=0.05)
 
+    def test_equal_axes_share_one_basis(self):
+        (s1, lam1), (s2, lam2) = Grid(RectDomain((1.0, 1.0)), (151, 151)).sine_basis
+        assert s2 is s1 and lam2 is lam1
+
+    @pytest.mark.parametrize("lengths,counts", [((1.0, 1.0), (151, 149)),
+                                                ((1.0, 2.0), (151, 151))],
+                             ids=["counts", "lengths"])
+    def test_rectangular_axes_get_their_own_basis(self, lengths, counts):
+        grid = Grid(RectDomain(lengths), counts)
+        (s1, lam1), (s2, lam2) = grid.sine_basis
+        assert s2 is not s1 and lam2 is not lam1
+        want = Grid(RectDomain(lengths[1:]), counts[1:]).sine_basis[0]
+        assert s2.tobytes() == want[0].tobytes() and lam2.tobytes() == want[1].tobytes()
+
     @pytest.mark.parametrize("grid", CLOSED_FORM_GRIDS, ids=["1d", "2d"])
     def test_basis_symmetric_and_self_inverse(self, grid):
         for s, _ in grid.sine_basis:

@@ -76,6 +76,20 @@ class TestActivationRegistry:
         with pytest.raises(KeyError):
             make_activation_fn("nope", {})
 
+    def test_saturation_rejects_misspelt_bounds(self):
+        # "low"/"high" would otherwise fall back to the default [-1, 1]
+        with pytest.raises(ValueError, match=r"\['high', 'low'\], expected \['lo', 'hi'\]"):
+            Activation.uniform("saturation", {"low": -2.0, "high": 2.0}, 1.0, 1)
+
+    def test_affine_rejects_extra_param(self):
+        with pytest.raises(ValueError, match=r"\['c'\], expected \['a', 'b'\]"):
+            Activation.uniform("affine", {"a": 1.0, "b": 0.0, "c": 3.0}, 1.0, 1)
+
+    @pytest.mark.parametrize("name,params", _REGISTRY_CASES)
+    def test_every_builder_rejects_an_unknown_param(self, name, params):
+        with pytest.raises(ValueError, match="unknown activation params"):
+            ACTIVATIONS[name]({**params, "typo": 1.0})
+
     @pytest.mark.parametrize("name,params", _REGISTRY_CASES)
     def test_uniform_bundle_matches_components(self, name, params):
         act = Activation.uniform(name, params, 1.0, 3)

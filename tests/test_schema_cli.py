@@ -10,7 +10,7 @@ import pytest
 
 from rdnet import cli, presets, stationary
 from rdnet.geometry import Grid, RectDomain
-from rdnet.model import SwitchedNetwork, check_A1_sampled
+from rdnet.model import Activation, Mode, SwitchedNetwork, check_A1_sampled
 from rdnet.schema import (SCHEMA_VERSION, SystemFileError, dump_system,
                           load_system, write_field_csv, write_report,
                           write_trajectory_csv)
@@ -263,6 +263,40 @@ class TestCliExitCodes:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith(f"error: {f}: ")
         assert not out.exists()
+
+    def test_unknown_activation_param_rejected_on_load(self, tmp_path, capsys):
+        net, grid = _write_benchmark(tmp_path / "ok.json", counts=(9, 9))
+        doc = dump_system(net, grid)
+        doc["activation"]["params"]["d"] = 1.0    # scaled_sine takes a, b, c
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "simulate", str(f), "--T", "1.0"]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"error: {f}: unknown activation params ['d'], "
+                       "expected ['a', 'b', 'c']"]
+        assert not out.exists()
+
+    def test_simulate_blow_up_keeps_written_snapshots(self, tmp_path, capsys):
+        # strong positive feedback: V passes the 1e6 guard near t = 0.7, so
+        # the snapshots of t = 0, 0.1, ..., 0.6 are on disk by then
+        mode = Mode([[0.01]], [[0.1]], [[10.0]], [[0.0]], [0.0], RectDomain((1.0,)))
+        net = SwitchedNetwork((mode,), Activation.uniform("identity", {}, 1.0, 1),
+                              tau_max=0.0, Psi=np.eye(1))
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(dump_system(net, Grid(mode.domain, (31,)))))
+        out = tmp_path / "out"
+        code = cli.main(["--out", str(out), "simulate", str(f), "--T", "50",
+                         "--dt", "0.01", "--snapshots", "10"])
+        assert code == 1
+        assert "norm blew up" in capsys.readouterr().err
+        snaps = sorted(p.name for p in out.glob("snapshot_*.csv"))
+        assert len(snaps) >= 7
+        assert snaps == [f"snapshot_{i:04d}.csv" for i in range(len(snaps))]
+        assert sorted(p.name for p in out.iterdir()) == snaps   # no report, no trajectory
+        for name in snaps:
+            lines = (out / name).read_text().split("\n")
+            assert lines[0] == "x,component,value" and len(lines) == 33
 
     def test_simulate_writes_trajectory(self, tmp_path):
         f = tmp_path / "sys.json"

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,12 +183,15 @@ class TestHistoryMatchesNumpyWindow:
         runs = []
         for window in (History, _NumpyWindowSimHistory):
             monkeypatch.setattr(simulator, "History", window)
-            runs.append(simulate(net, grid, config, lambda s: (1.0 + s / 7.0) * field))
-        ring, ref = runs
+            snaps = []
+            traj = simulate(net, grid, config, lambda s: (1.0 + s / 7.0) * field,
+                            lambda t, u: snaps.append((t, u)))
+            runs.append((traj, snaps))
+        (ring, ring_snaps), (ref, ref_snaps) = runs
         assert len(ring.V) == 41 and ring.V.tobytes() == ref.V.tobytes()
         assert ring.modes.tobytes() == ref.modes.tobytes()
-        assert [(t, u.tobytes()) for t, u in ring.snapshots] == \
-            [(t, u.tobytes()) for t, u in ref.snapshots]
+        assert [(t, u.tobytes()) for t, u in ring_snaps] == \
+            [(t, u.tobytes()) for t, u in ref_snaps]
 
     def test_stored_states_are_copies(self):
         # neither the caller's pushed buffer nor a returned state aliases
@@ -480,23 +484,26 @@ def _numpy_ode_rhs(mode, activation, deviation):
     return lambda t, u, u_delay: neg_C @ u + A @ f(u) + B @ f(u_delay) + J
 
 
-def _reference_simulate_ode(mode, activation, tau, config, phi, deviation, delay):
+def _reference_simulate_ode(mode, activation, tau, config, phi, deviation, delay,
+                            snapshot):
     """simulate_ode on (n,) array states: the reference rhs through _run."""
     rhs = _numpy_ode_rhs(mode, activation, deviation)
     norm2 = lambda u: float(u @ u)
     return _run(phi, (mode.n,), tau, delay or constant_delay(tau), config,
                 explicit=lambda m, t, u, u_delay: rhs(t, u, u_delay),
                 implicit=lambda m, x, out: x, norm2=norm2,
-                guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0))
+                guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0),
+                snapshot=snapshot)
 
 
 def _outcome(run):
-    """The trajectory's bytes, or the error's type and message."""
+    """The trajectory's bytes and snapshots, or the error's type and message;
+    run(snapshot) runs the simulation with the given snapshot callable."""
+    snaps = []
     try:
-        traj = run()
+        traj = run(lambda t, u: snaps.append((t, u.shape, u.dtype, u.tobytes())))
     except (ValueError, BlowUpError) as exc:
         return type(exc), str(exc)
-    snaps = [(t, u.shape, u.dtype, u.tobytes()) for t, u in traj.snapshots]
     return (traj.times.tobytes(), traj.V.tobytes(), traj.modes.tobytes(),
             traj.switch_count, snaps)
 
@@ -555,9 +562,10 @@ class TestScalarOdeMatchesNumpyRhs:
     @settings(max_examples=400, deadline=None)
     def test_same_bits(self, case):
         mode, activation, tau, config, phi, deviation, delay = case
-        got = _outcome(lambda: simulate_ode(mode, activation, tau, config, phi,
-                                            deviation=deviation, delay=delay))
-        want = _outcome(lambda: _reference_simulate_ode(*case))
+        got = _outcome(lambda snapshot: simulate_ode(
+            mode, activation, tau, config, phi, deviation=deviation, delay=delay,
+            snapshot=snapshot))
+        want = _outcome(lambda snapshot: _reference_simulate_ode(*case, snapshot))
         assert got == want
 
 
@@ -635,9 +643,62 @@ class TestPdeSimulation:
         grid = Grid(net.modes[0].domain, (15,))
         phi, _ = eigenfunction(grid.domain, (1,), grid)
         config = SimConfig(dt=0.1, horizon=1.0, snapshot_stride=5)
-        traj = simulate(net, grid, config, lambda s: phi[None])
-        assert len(traj.snapshots) == 3   # t = 0, 0.5, 1.0
-        assert traj.snapshots[1][0] == pytest.approx(0.5)
+        snaps = []
+        simulate(net, grid, config, lambda s: phi[None],
+                 lambda t, u: snaps.append((t, u)))
+        assert len(snaps) == 3   # t = 0, 0.5, 1.0
+        assert snaps[1][0] == pytest.approx(0.5)
+
+    def test_stride_without_snapshot_callable_raises_before_stepping(self):
+        net = _diffusion_only_network()
+        grid = Grid(net.modes[0].domain, (15,))
+        sampled = []
+        phi = lambda s: sampled.append(s) or np.zeros((1, 15))
+        config = SimConfig(dt=0.1, horizon=1.0, snapshot_stride=5)
+        with pytest.raises(ValueError, match="snapshot callable"):
+            simulate(net, grid, config, phi)
+        problem = presets.boundary_layer_problem(11)
+        with pytest.raises(ValueError, match="snapshot callable"):
+            simulate_ode(problem.mode, problem.activation, 1.0, config,
+                         lambda s: sampled.append(s) or np.zeros(1))
+        assert sampled == []
+
+    def test_snapshots_are_copies(self):
+        # the field handed out is the loop's to forget: overwriting each one
+        # in the callable moves no later snapshot and no V sample
+        net = presets.switched_benchmark(1)
+        grid = Grid(net.modes[0].domain, (15, 15))
+        phi = presets.switched_benchmark_initial(grid)
+        config = SimConfig(dt=0.035, horizon=1.0, switching=True, snapshot_stride=1)
+        runs = []
+        for scribble in (False, True):
+            snaps = []
+
+            def snapshot(t, u):
+                snaps.append((t, u.tobytes()))
+                if scribble:
+                    u[...] = np.nan
+            runs.append((simulate(net, grid, config, phi, snapshot).V.tobytes(), snaps))
+        assert len(runs[0][1]) == 30 and runs[0] == runs[1]
+
+    def test_streamed_snapshots_hold_no_state(self):
+        # a stride-1 run on 31x31 peaks below the delay ring plus a few
+        # states; holding all 344 snapshots would take 344 states
+        net = presets.switched_benchmark(1)
+        grid = Grid(net.modes[0].domain, (31, 31))
+        field = presets.switched_benchmark_initial(grid)(0.0)
+        dt = net.tau_max / 100.0
+        config = SimConfig(dt=dt, horizon=12.0, switching=True, snapshot_stride=1)
+        times = []
+        tracemalloc.start()
+        try:
+            simulate(net, grid, config, lambda s: field, lambda t, u: times.append(t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ring_slots = math.ceil(net.tau_max / dt) + 3
+        assert len(times) == 344
+        assert peak < (ring_slots + 16) * field.nbytes
 
     def test_determinism(self):
         net = presets.switched_benchmark(1)
