@@ -14,8 +14,7 @@ from .geometry import (Grid, RectDomain, apply_laplacian, eigenfunction,
                        first_eigenvalue, helmholtz_solve, l2_inner, l2_norm,
                        laplacian_matrix)
 from .model import (Activation, Mode, SwitchedNetwork, Verdict,
-                    check_A1_sampled, constant_delay,
-                    make_activation_fn, piecewise_cbrt,
+                    check_A1_sampled, constant_delay, piecewise_cbrt,
                     piecewise_cbrt_antiderivative, signed_cbrt,
                     stationarity_map)
 from .schema import (SystemFileError, dump_system, load_system,
@@ -24,10 +23,9 @@ from .simulator import (BlowUpError, DecayEstimate, History,
                         HistoryUnderrunError, SimConfig, Trajectory,
                         estimate_decay_rate, simulate, simulate_ode,
                         switching_decide)
-from .stationary import (DivergenceError, EnergyFunctional, StationaryProblem,
-                         energy_eval, energy_from_problem, energy_gradient,
-                         find_stationary_multiplicity, fixed_point_solve,
-                         residual, statement1_closed_form, statement1_profile,
-                         variational_minimize)
+from .stationary import (DivergenceError, StationaryProblem, energy_eval,
+                         energy_gradient, find_stationary_multiplicity,
+                         fixed_point_solve, residual, statement1_closed_form,
+                         statement1_profile, variational_minimize)
 
 __version__ = "1.0.0"

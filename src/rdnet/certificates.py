@@ -189,29 +189,24 @@ def search_certificate(network: SwitchedNetwork, beta_step: float | None = None,
     return cert
 
 
-def check_uniqueness_A3(modes, epsilon: float, p="auto", G: np.ndarray | None = None,
-                        activation=None) -> list[dict]:
+def check_uniqueness_A3(modes, epsilon: float, G: np.ndarray, p="auto") -> list[dict]:
     """Per-mode uniqueness condition: -C + (p/2)(1/eps I + eps G^2) < lambda1 D.
 
-    p="auto" takes the largest singular value of A + B, the smallest constant
-    compatible with p^2 I >= (A+B)^T (A+B). Returns one verdict dict per mode.
+    G is the Lipschitz matrix (Activation.G). p is one float for every mode,
+    or "auto" for each mode's largest singular value of A + B, the smallest
+    constant compatible with p^2 I >= (A+B)^T (A+B). Returns one verdict
+    dict per mode.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if G is None:
-        if activation is None:
-            raise ValueError("supply G or an activation")
-        G = activation.G
     G2 = G @ G
     n = G.shape[0]
     results = []
     for idx, mode in enumerate(modes):
         if p == "auto":
             p_sigma = float(np.linalg.svd(mode.A + mode.B, compute_uv=False).max())
-        elif np.isscalar(p):
-            p_sigma = float(p)
         else:
-            p_sigma = float(p[idx])
+            p_sigma = float(p)
         lhs = -mode.C + 0.5 * p_sigma * (np.eye(n) / epsilon + epsilon * G2)
         gap = _symmetrize(lhs - mode.lambda1 * mode.D)
         max_eig = float(np.linalg.eigvalsh(gap).max())

@@ -28,7 +28,8 @@ from .simulator import (BlowUpError, SimConfig, estimate_decay_rate,
                         fit_window_start, simulate, simulate_ode)
 from .stationary import (DivergenceError, StationaryProblem,
                          find_stationary_multiplicity, fixed_point_solve,
-                         residual, statement1_closed_form, statement1_profile)
+                         residual, statement1_closed_form, statement1_profile,
+                         variational_minimize)
 
 EXIT_OK, EXIT_FAIL, EXIT_PARSE = 0, 1, 2
 
@@ -38,6 +39,15 @@ def _outdir(args) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _eigenfunction_starts(grid: Grid, n: int, seed: int, count: int) -> list[np.ndarray]:
+    """count fields a * phi1, phi1 the grid's first Dirichlet eigenfunction and
+    the n amplitudes a of each drawn uniform in [-1, 1] from one seeded RNG."""
+    phi1, _ = eigenfunction(grid.domain, (1,) * grid.domain.dims, grid)
+    rng = np.random.default_rng(seed)
+    return [np.stack([a * phi1 for a in rng.uniform(-1.0, 1.0, n)])
+            for _ in range(count)]
 
 
 def cmd_certify(args) -> int:
@@ -71,12 +81,8 @@ def cmd_stationary(args) -> int:
     problem = StationaryProblem(network.modes[0], network.activation, grid)
     try:
         if args.inits > 1:
-            phi1, _ = eigenfunction(grid.domain, (1,) * grid.domain.dims, grid)
-            rng = np.random.default_rng(args.seed)
-            inits = [problem.zeros()]
-            for _ in range(args.inits - 1):
-                amp = rng.uniform(-1.0, 1.0, problem.n)
-                inits.append(np.stack([a * phi1 for a in amp]))
+            inits = [problem.zeros()] + _eigenfunction_starts(
+                grid, problem.n, args.seed, args.inits - 1)
             sols = find_stationary_multiplicity(problem, inits, tol=args.tol)
             outdir = _outdir(args)   # once the solver has accepted --tol
             for i, sol in enumerate(sols):
@@ -117,10 +123,7 @@ def cmd_simulate(args) -> int:
     config = SimConfig(dt=dt, horizon=args.T, switching=args.switching,
                        snapshot_stride=args.snapshots)
     fit_window_start(int(round(args.T / dt)) + 1)   # simulate's sample count
-    phi1, _ = eigenfunction(grid.domain, (1,) * grid.domain.dims, grid)
-    rng = np.random.default_rng(args.seed)
-    amp = rng.uniform(-1.0, 1.0, network.n)
-    field = np.stack([a * phi1 for a in amp])
+    field, = _eigenfunction_starts(grid, network.n, args.seed, 1)
     index = itertools.count()
 
     def snapshot(t, snap):
@@ -159,6 +162,11 @@ def _row(name, expected, computed, tol) -> dict:
             "tolerance": tol, "pass": bool(ok)}
 
 
+def _flag_row(name, expected, computed) -> dict:
+    return {"check": name, "expected": expected, "computed": computed,
+            "tolerance": 0, "pass": bool(computed == expected)}
+
+
 def _bound_row(name, bound, computed) -> dict:
     return {"check": name, "expected": f">= {bound}", "computed": computed,
             "tolerance": 0.0, "pass": bool(computed >= bound)}
@@ -171,14 +179,11 @@ def reproduce_tables() -> list[dict]:
     for case, point in presets.CASE_POINTS.items():
         network = presets.switched_benchmark(case)
         cert = verify_certificate(network, point.beta, point.gamma)
-        rows.append({"check": f"case{case}_feasible", "expected": True,
-                     "computed": cert.feasible, "tolerance": 0,
-                     "pass": cert.feasible})
+        rows.append(_flag_row(f"case{case}_feasible", True, cert.feasible))
         rate = cert.rate if cert.rate is not None else float("nan")
         rows.append(_row(f"case{case}_rate", point.rate, rate, 1e-12))
-        rows.append({"check": f"case{case}_theorem_constraint",
-                     "expected": False, "computed": cert.theorem_constraint_ok,
-                     "tolerance": 0, "pass": cert.theorem_constraint_ok is False})
+        rows.append(_flag_row(f"case{case}_theorem_constraint", False,
+                              cert.theorem_constraint_ok))
         rates[case] = rate
     rows.append(_bound_row("diffusion_ordering_case2_gt_case1",
                            rates[1] + 1e-12, rates[2]))
@@ -214,7 +219,6 @@ def reproduce_statement1(nodes: int = 401) -> list[dict]:
 
 
 def reproduce_example35(nodes: int = 401) -> list[dict]:
-    from .stationary import energy_from_problem, variational_minimize
     rows = []
     problem = presets.linear_variational_problem(nodes)
     grid = problem.grid
@@ -222,8 +226,7 @@ def reproduce_example35(nodes: int = 401) -> list[dict]:
     fp, _ = fixed_point_solve(problem)
     rows.append(_row("fixed_point_vs_analytic_sup", 0.0,
                      float(np.max(np.abs(fp[0] - analytic))), 1e-4))
-    functional = energy_from_problem(problem)
-    vm, _ = variational_minimize(functional, grid, tol=1e-10)
+    vm, _ = variational_minimize(problem, tol=1e-10)
     rows.append(_row("variational_vs_analytic_sup", 0.0,
                      float(np.max(np.abs(vm - analytic))), 1e-4))
     rows.append(_row("cross_solver_sup", 0.0,
@@ -271,15 +274,13 @@ def reproduce_example41(case: int, grid_nodes: int = 61, horizon: float = 12.0
     point = presets.CASE_POINTS[case]
     network = presets.switched_benchmark(case)
     cert = verify_certificate(network, point.beta, point.gamma)
-    rows.append({"check": "certificate_feasible", "expected": True,
-                 "computed": cert.feasible, "tolerance": 0, "pass": cert.feasible})
+    rows.append(_flag_row("certificate_feasible", True, cert.feasible))
     rate = cert.rate if cert.rate is not None else float("nan")
     rows.append(_row("certificate_rate", point.rate, rate, 1e-12))
     a3 = check_uniqueness_A3(network.modes, epsilon=2.0, p=1.0,
                              G=network.activation.G)
-    rows.append({"check": "uniqueness_A3_all_modes", "expected": True,
-                 "computed": all(r["holds"] for r in a3), "tolerance": 0,
-                 "pass": all(r["holds"] for r in a3)})
+    rows.append(_flag_row("uniqueness_A3_all_modes", True,
+                          all(r["holds"] for r in a3)))
     grid = Grid(network.modes[0].domain, (grid_nodes, grid_nodes))
     phi = presets.switched_benchmark_initial(grid)
     config = SimConfig(dt=network.tau_max / 100.0, horizon=horizon, switching=True)
@@ -290,7 +291,6 @@ def reproduce_example41(case: int, grid_nodes: int = 61, horizon: float = 12.0
 
 
 def cmd_reproduce(args) -> int:
-    outdir = _outdir(args)
     targets = {"tables": reproduce_tables, "statement1": reproduce_statement1,
                "example3_5": reproduce_example35, "statement2": reproduce_statement2}
     try:
@@ -301,6 +301,7 @@ def cmd_reproduce(args) -> int:
     except (DivergenceError, BlowUpError) as exc:
         print(f"error: stage failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    outdir = _outdir(args)   # once the target has run
     report = {"command": "reproduce", "target": args.target, "rows": rows}
     if args.target == "example4_1":
         report["case"] = args.case

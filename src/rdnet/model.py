@@ -116,33 +116,14 @@ ACTIVATIONS = {
 }
 
 
-def _registry_entry(name: str, params: Mapping) -> tuple[Callable, Callable | None]:
-    if name not in ACTIVATIONS:
-        raise KeyError(f"unknown activation '{name}'")
-    return ACTIVATIONS[name](params)
-
-
-def make_activation_fn(name: str, params: Mapping) -> Callable[[np.ndarray], np.ndarray]:
-    """Build a scalar activation from the registry."""
-    fn, _ = _registry_entry(name, params)
-    return lambda s: fn(np.asarray(s, dtype=float))
-
-
-def make_activation_antiderivative(name: str, params: Mapping) -> Callable[[np.ndarray], np.ndarray]:
-    """Antiderivative (vanishing at 0) for registry activations that admit one."""
-    _, antiderivative = _registry_entry(name, params)
-    if antiderivative is None:
-        raise KeyError(f"no closed antiderivative for activation '{name}'")
-    return lambda s: antiderivative(np.asarray(s, dtype=float))
-
-
 @dataclass(frozen=True)
 class Activation:
     """One registry activation g applied to every neuron, with declared
     per-neuron Lipschitz constants G_i (assumption A1).
 
-    fn is the registry function, built once from name and params; it is
-    elementwise, so it applies to every component at once.
+    fn and antiderivative are the registry entry, built once from name and
+    params; both are elementwise, so they apply to every component at once.
+    antiderivative is None where the registry has no closed form.
     """
 
     name: str
@@ -150,13 +131,19 @@ class Activation:
     lipschitz: tuple[float, ...]       # declared constants G_i > 0
     fn: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False,
                                                    compare=False)
+    antiderivative: Callable[[np.ndarray], np.ndarray] | None = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(g <= 0 for g in self.lipschitz):
             raise ValueError("Lipschitz constants must be positive")
         frozen = MappingProxyType(dict(sorted(dict(self.params).items())))
         object.__setattr__(self, "params", frozen)
-        object.__setattr__(self, "fn", _registry_entry(self.name, self.params)[0])
+        if self.name not in ACTIVATIONS:
+            raise KeyError(f"unknown activation '{self.name}'")
+        fn, antiderivative = ACTIVATIONS[self.name](self.params)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "antiderivative", antiderivative)
 
     @classmethod
     def uniform(cls, name: str, params: Mapping, lipschitz: float, n: int) -> "Activation":

@@ -193,16 +193,18 @@ def linear_variational_profile(x) -> np.ndarray:
 
 # multiplicity benchmark: piecewise cube-root activation tuned so the whole
 # segment t * phi1 with |t phi1| <= 1 solves the stationary equation
-def multiplicity_problem(nodes: int = 201, diffusion: float = 0.1,
-                         decay: float = 0.2, coupling: float = 1.0,
-                         domain: RectDomain | None = None) -> StationaryProblem:
-    domain = domain or RectDomain((1.0,))
-    mu1 = decay / diffusion + first_eigenvalue(domain)
-    n_axes = (nodes,) * domain.dims
-    mode = Mode(D=np.diag([diffusion]), C=np.diag([decay]),
-                A=np.array([[coupling]]), B=np.zeros((1, 1)), J=np.zeros(1),
-                domain=domain)
+MULTIPLICITY_DIFFUSION = 0.1
+MULTIPLICITY_DECAY = 0.2
+MULTIPLICITY_COUPLING = 1.0
+MULTIPLICITY_DOMAIN = RectDomain((1.0,))
+
+
+def multiplicity_problem(nodes: int = 201) -> StationaryProblem:
+    d, c, w = MULTIPLICITY_DIFFUSION, MULTIPLICITY_DECAY, MULTIPLICITY_COUPLING
+    domain = MULTIPLICITY_DOMAIN
+    mu1 = c / d + first_eigenvalue(domain)
+    mode = Mode(D=np.diag([d]), C=np.diag([c]), A=np.array([[w]]), B=np.zeros((1, 1)),
+                J=np.zeros(1), domain=domain)
     activation = Activation.uniform(
-        "piecewise_cbrt", {"d": diffusion, "a_weight": coupling, "mu1": mu1},
-        diffusion / coupling * mu1, 1)
-    return StationaryProblem(mode, activation, Grid(domain, n_axes))
+        "piecewise_cbrt", {"d": d, "a_weight": w, "mu1": mu1}, d / w * mu1, 1)
+    return StationaryProblem(mode, activation, Grid(domain, (nodes,)))

@@ -16,8 +16,7 @@ import numpy as np
 
 from .geometry import (Grid, RectDomain, apply_laplacian, helmholtz_solve,
                        l2_inner, l2_norm, laplacian_matrix)
-from .model import (Activation, Mode, make_activation_antiderivative,
-                    make_activation_fn, stationarity_map)
+from .model import Activation, Mode, stationarity_map
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
@@ -157,56 +156,51 @@ def statement1_closed_form(grid: Grid) -> np.ndarray:
     return statement1_profile(grid.axes()[0])
 
 
-@dataclass(frozen=True)
-class EnergyFunctional:
-    """Scalar energy 1/2 |grad u|^2 + (c0/2) u^2 - source u - weight F(u).
+def _energy_terms(problem: StationaryProblem) -> tuple[float, float, float]:
+    """(c0, source, weight) = (C/D, J/D, (A+B)/D) of a scalar problem.
 
-    F is the antiderivative (F(0) = 0) of the registry activation f named
-    `name` with `params`; the gradient carries the matching term weight f(u).
+    The energy 1/2 |grad u|^2 + (c0/2) u^2 - source u - weight F(u), F the
+    activation's antiderivative with F(0) = 0, has the problem's stationary
+    states, divided by D, as its critical points. A problem with n != 1 or
+    an activation without a closed antiderivative raises ValueError.
     """
-
-    c0: float
-    source: float | np.ndarray = 0.0
-    weight: float = 0.0
-    name: str = "identity"
-    params: tuple = ()
-
-    def __post_init__(self):
-        if self.c0 < 0:
-            raise ValueError("quadratic coefficient must be nonnegative")
-        # built once: the minimizer evaluates them in its inner loops
-        p = dict(self.params)
-        object.__setattr__(self, "_F", make_activation_antiderivative(self.name, p))
-        object.__setattr__(self, "_f", make_activation_fn(self.name, p))
-
-    def _nonlinear(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(F(u), f(u)) scaled by the weight."""
-        return self.weight * self._F(u), self.weight * self._f(u)
+    if problem.n != 1:
+        raise ValueError("energy form available for scalar problems only")
+    if problem.activation.antiderivative is None:
+        raise ValueError(f"no closed antiderivative for activation "
+                         f"'{problem.activation.name}'")
+    d = float(problem.mode.D[0, 0])
+    return (float(problem.mode.C[0, 0]) / d, float(problem.mode.J[0]) / d,
+            float(problem.W[0, 0]) / d)
 
 
-def energy_eval(functional: EnergyFunctional, grid: Grid, u: np.ndarray) -> float:
+def energy_eval(problem: StationaryProblem, u: np.ndarray) -> float:
     """Quadrature energy; the Dirichlet term uses the discrete Laplacian form.
 
     Writing the gradient energy as <u, -Lap_h u>/2 makes energy_gradient the
-    exact discrete first variation.
+    exact discrete first variation. u is the scalar field, shaped like the grid.
     """
+    grid = problem.grid
     if u.shape != grid.shape:
         raise ValueError("field does not live on this grid")
+    c0, source, weight = _energy_terms(problem)
     vol = grid.cell_volume
     lap_u = apply_laplacian(grid, u)
     quad = 0.5 * float(np.sum(u * (-lap_u))) * vol
-    quad += 0.5 * functional.c0 * float(np.sum(u * u)) * vol
-    lin = float(np.sum(functional.source * u)) * vol
-    F, _ = functional._nonlinear(u)
+    quad += 0.5 * c0 * float(np.sum(u * u)) * vol
+    lin = float(np.sum(source * u)) * vol
+    F = weight * problem.activation.antiderivative(u)
     return quad - lin - float(np.sum(F)) * vol
 
 
-def energy_gradient(functional: EnergyFunctional, grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Discrete first variation: -Lap_h u + c0 u - source - nonlinear term."""
+def energy_gradient(problem: StationaryProblem, u: np.ndarray) -> np.ndarray:
+    """Discrete first variation: -Lap_h u + c0 u - source - weight f(u)."""
+    grid = problem.grid
     if u.shape != grid.shape:
         raise ValueError("field does not live on this grid")
-    _, f = functional._nonlinear(u)
-    return -apply_laplacian(grid, u) + functional.c0 * u - functional.source * np.ones_like(u) - f
+    c0, source, weight = _energy_terms(problem)
+    f = weight * problem.activation.fn(u)
+    return -apply_laplacian(grid, u) + c0 * u - source - f
 
 
 @dataclass(frozen=True)
@@ -264,9 +258,8 @@ def _newton(grid: Grid, F, jacobian, y: np.ndarray, tol: float, roots=()) -> np.
                           f"(last step {size:.3e})", y, size)
 
 
-def variational_minimize(functional: EnergyFunctional, grid: Grid,
-                         init: np.ndarray | None = None, tol: float = 1e-8
-                         ) -> tuple[np.ndarray, MinimizeReport]:
+def variational_minimize(problem: StationaryProblem, init: np.ndarray | None = None,
+                         tol: float = 1e-8) -> tuple[np.ndarray, MinimizeReport]:
     """Preconditioned descent with Armijo backtracking, Newton-polished.
 
     The descent direction solves (c0 I - Lap_h) p = grad E, removing the
@@ -275,62 +268,49 @@ def variational_minimize(functional: EnergyFunctional, grid: Grid,
     point the attainable energy decrease drops below floating-point noise
     in E. A step must decrease E strictly, so the line search then stalls
     and `_newton` polishes the iterate on the gradient, with the Jacobian
-    -Lap_h + diag(c0 - f') and no such floor. Stops when the L2 norm of the
-    gradient drops below tol.
+    -Lap_h + diag(c0 - weight f') and no such floor. Stops when the L2 norm
+    of the gradient drops below tol. Works on the scalar field (shape
+    grid.shape) of a problem with a closed energy (see _energy_terms).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    grid = problem.grid
+    c0, _, weight = _energy_terms(problem)
     _check_newton_size(grid, 1)
     u = grid.zeros() if init is None else np.array(init, dtype=float)
-    e = energy_eval(functional, grid, u)
+    e = energy_eval(problem, u)
     step = DESCENT_STEP0
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        g = energy_gradient(functional, grid, u)
+        g = energy_gradient(problem, u)
         gnorm = l2_norm(grid, g)
         if gnorm <= tol:
             return u, MinimizeReport(True, it - 1, gnorm, e)
-        p = helmholtz_solve(grid, functional.c0, g)
+        p = helmholtz_solve(grid, c0, g)
         slope = l2_inner(grid, g, p)   # positive: SPD preconditioner
         step = min(step * 2.0, DESCENT_STEP0)
         while step >= 1e-16:
             trial = u - step * p
-            e_trial = energy_eval(functional, grid, trial)
+            e_trial = energy_eval(problem, trial)
             bar = e - ARMIJO * step * slope
             # a tie at E's rounding floor shows no progress; it is kept only
             # when the step already lands within tol
             if e_trial < bar or (e_trial == bar and l2_norm(
-                    grid, energy_gradient(functional, grid, trial)) <= tol):
+                    grid, energy_gradient(problem, trial)) <= tol):
                 break
             step *= 0.5
         else:
             break   # stalled
         u, e = trial, e_trial
     lap = laplacian_matrix(grid)
-    f = lambda v: functional._nonlinear(v)[1]
-    u = _newton(grid, lambda v: energy_gradient(functional, grid, v),
-                lambda v: np.diag(functional.c0 - _slope(f, v).ravel()) - lap, u, tol)
-    gnorm = l2_norm(grid, energy_gradient(functional, grid, u))
+    f = lambda v: weight * problem.activation.fn(v)
+    u = _newton(grid, lambda v: energy_gradient(problem, v),
+                lambda v: np.diag(c0 - _slope(f, v).ravel()) - lap, u, tol)
+    gnorm = l2_norm(grid, energy_gradient(problem, u))
     if gnorm <= tol:
-        return u, MinimizeReport(True, it, gnorm, energy_eval(functional, grid, u))
+        return u, MinimizeReport(True, it, gnorm, energy_eval(problem, u))
     raise DivergenceError(
         f"energy minimization did not converge in {DEFAULT_MAX_ITER} iterations "
         f"(gradient norm {gnorm:.3e})", u, gnorm)
-
-
-def energy_from_problem(problem: StationaryProblem) -> EnergyFunctional:
-    """Energy functional whose critical points are the scalar stationary states.
-
-    It is the stationary equation divided by D: c0 = C/D, source = J/D and
-    weight (A+B)/D on the activation. Only defined for n = 1 with a registry
-    activation admitting an antiderivative.
-    """
-    if problem.n != 1:
-        raise ValueError("energy form available for scalar problems only")
-    d = float(problem.mode.D[0, 0])
-    return EnergyFunctional(
-        c0=float(problem.mode.C[0, 0]) / d, source=float(problem.mode.J[0]) / d,
-        weight=float(problem.W[0, 0]) / d, name=problem.activation.name,
-        params=tuple(problem.activation.params.items()))
 
 
 def find_stationary_multiplicity(problem: StationaryProblem, inits,
@@ -376,12 +356,8 @@ def find_stationary_multiplicity(problem: StationaryProblem, inits,
             if known(sol):
                 break
             solutions.append(sol)
-    try:
-        functional = energy_from_problem(problem)
-    except (KeyError, ValueError):
-        functional = None
-    if functional is not None:
-        key = lambda s: (energy_eval(functional, grid, s[0]), l2_norm(grid, s))
+    if problem.n == 1 and problem.activation.antiderivative is not None:
+        key = lambda s: (energy_eval(problem, s[0]), l2_norm(grid, s))
     else:
         key = lambda s: (l2_norm(grid, s),)
     solutions.sort(key=key)

@@ -17,11 +17,10 @@ from rdnet.geometry import (Grid, RectDomain, eigenfunction, first_eigenvalue,
                             helmholtz_solve, l2_norm, laplacian_matrix)
 from rdnet.model import (Activation, Mode, SwitchedNetwork, check_A1_sampled)
 from rdnet.simulator import SimConfig, estimate_decay_rate, simulate, simulate_ode
-from rdnet.stationary import (EnergyFunctional, energy_eval, energy_from_problem,
-                              energy_gradient, find_stationary_multiplicity,
-                              fixed_point_solve, residual,
-                              statement1_closed_form, statement1_profile,
-                              variational_minimize)
+from rdnet.stationary import (StationaryProblem, energy_eval, energy_gradient,
+                              find_stationary_multiplicity, fixed_point_solve,
+                              residual, statement1_closed_form,
+                              statement1_profile, variational_minimize)
 
 
 _capsys = None
@@ -88,7 +87,7 @@ def test_criterion_3_uniqueness_condition():
     modes_ok = all(r["holds"] for r in results)
     scalar = presets.linear_variational_problem(11)
     scalar_ok = check_uniqueness_A3([scalar.mode], epsilon=1.0, p=0.02,
-                                    activation=scalar.activation)[0]["holds"]
+                                    G=scalar.activation.G)[0]["holds"]
     ok = modes_ok and scalar_ok
     _report(3, ok, f"benchmark modes eps=2 p=1: {modes_ok}, "
                    f"scalar instance eps=1 p=0.02: {scalar_ok}")
@@ -122,7 +121,7 @@ def test_criterion_5_linear_variational_benchmark():
     grid = problem.grid
     analytic = presets.linear_variational_profile(grid.axes()[0])
     fp, _ = fixed_point_solve(problem)
-    vm, _ = variational_minimize(energy_from_problem(problem), grid, tol=1e-10)
+    vm, _ = variational_minimize(problem, tol=1e-10)
     fp_err = float(np.max(np.abs(fp[0] - analytic)))
     vm_err = float(np.max(np.abs(vm - analytic)))
     traj = simulate_ode(problem.mode, problem.activation, 1.0,
@@ -241,19 +240,22 @@ def test_criterion_9_numerics_hygiene():
     ratio = err(50) / err(101)
     ratio_ok = 0.8 * 4 <= ratio <= 1.2 * 4
 
-    g = Grid(RectDomain((1.0,)), (31,))
-    func = EnergyFunctional(c0=2.0, source=0.5, weight=10.0, name="piecewise_cbrt",
-                            params=(("a_weight", 1.0), ("d", 0.1), ("mu1", 12.0)))
+    # energy terms c0 = 2, source = 0.5, weight = 10: D = 1, C = 2, A = 10, J = 0.5
+    mode = Mode([[1.0]], [[2.0]], [[10.0]], [[0.0]], [0.5], RectDomain((1.0,)))
+    act = Activation.uniform("piecewise_cbrt", {"a_weight": 1.0, "d": 0.1, "mu1": 12.0},
+                             1.0, 1)
+    problem = StationaryProblem(mode, act, Grid(mode.domain, (31,)))
+    g = problem.grid
     u = 0.4 * np.sin(math.pi * g.axes()[0])
     rng = np.random.default_rng(11)
-    grad = energy_gradient(func, g, u)
+    grad = energy_gradient(problem, u)
     grad_ok = True
     worst_rel = 0.0
     for _ in range(5):
         v = rng.standard_normal(g.shape)
         eps = 1e-6
-        fd = (energy_eval(func, g, u + eps * v)
-              - energy_eval(func, g, u - eps * v)) / (2 * eps)
+        fd = (energy_eval(problem, u + eps * v)
+              - energy_eval(problem, u - eps * v)) / (2 * eps)
         analytic = float(np.sum(grad * v)) * g.cell_volume
         rel = abs(fd - analytic) / max(abs(analytic), 1e-12)
         worst_rel = max(worst_rel, rel)

@@ -251,7 +251,7 @@ class TestUniqueness:
     def test_scalar_benchmark_eps1(self):
         problem = presets.linear_variational_problem(11)
         results = check_uniqueness_A3([problem.mode], epsilon=1.0, p=0.02,
-                                      activation=problem.activation)
+                                      G=problem.activation.G)
         assert results[0]["holds"]
 
     def test_auto_p_is_largest_singular_value(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rdnet.geometry import RectDomain, first_eigenvalue
 from rdnet.model import (ACTIVATIONS, Activation, Mode, SwitchedNetwork,
-                         check_A1_sampled, make_activation_fn, piecewise_cbrt,
+                         check_A1_sampled, piecewise_cbrt,
                          piecewise_cbrt_antiderivative, signed_cbrt,
                          stationarity_map)
 
@@ -54,27 +54,32 @@ _REGISTRY_CASES = [
     ("tabulated", {"x": [-1.0, 0.0, 3.0], "y": [0.0, 1.0, -2.0]})]
 
 
+def _fn(name, params):
+    """The registry function an Activation builds from name and params."""
+    return Activation.uniform(name, params, 1.0, 1).fn
+
+
 class TestActivationRegistry:
     def test_affine(self):
-        f = make_activation_fn("affine", {"a": 2.0, "b": -1.0})
+        f = _fn("affine", {"a": 2.0, "b": -1.0})
         assert f(3.0) == pytest.approx(5.0)
 
     def test_scaled_sine(self):
-        f = make_activation_fn("scaled_sine", {"a": 9.75, "b": 0.5, "c": 0.25e-6})
+        f = _fn("scaled_sine", {"a": 9.75, "b": 0.5, "c": 0.25e-6})
         s = 1.3
         assert f(s) == pytest.approx((39 + 2 * s + 1e-6 * math.sin(s)) / 4)
 
     def test_saturation(self):
-        f = make_activation_fn("saturation", {})
+        f = _fn("saturation", {})
         np.testing.assert_allclose(f(np.array([-5.0, 0.3, 5.0])), [-1.0, 0.3, 1.0])
 
     def test_tabulated(self):
-        f = make_activation_fn("tabulated", {"x": [0, 1], "y": [0, 2]})
+        f = _fn("tabulated", {"x": [0, 1], "y": [0, 2]})
         assert f(0.5) == pytest.approx(1.0)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
-            make_activation_fn("nope", {})
+            _fn("nope", {})
 
     def test_saturation_rejects_misspelt_bounds(self):
         # "low"/"high" would otherwise fall back to the default [-1, 1]
@@ -96,7 +101,7 @@ class TestActivationRegistry:
         v = np.random.default_rng(5).normal(scale=3.0, size=(3, 7, 9))
         out = act(v)
         np.testing.assert_array_equal(
-            out, np.stack([make_activation_fn(name, params)(v[i]) for i in range(3)]))
+            out, np.stack([_fn(name, params)(v[i]) for i in range(3)]))
         assert not np.shares_memory(out, v)
 
     @pytest.mark.parametrize("name,params", _REGISTRY_CASES)

@@ -205,6 +205,40 @@ class TestBitwiseSimulateOutputs:
         assert written == self.PINS
 
 
+class TestBitwiseStationaryOutputs:
+    """SHA-1 of every file that `rdnet stationary <system> --inits 3` writes
+    for the 101-node multiplicity system: deflated Newton, the energy sort
+    and the writers behind them are pinned byte for byte. The run is a
+    subprocess on one BLAS thread, as the blocked LU factorisation behind
+    Newton's dense solves rounds differently on one thread than on several."""
+
+    PINS = {
+        "stationary_0.csv": "fc848387218e265a9a7e3d44941431fe6a601a06",
+        "stationary_1.csv": "1bdfb0be50de48f42690cf67d4d7711d43476923",
+        "stationary_2.csv": "d96ebc8c7ef0371693d6f08201b0f7bfb42ad987",
+        "stationary_report.json": "c5ff39b5bfd659a528cce36193d02f446d20802c",
+    }
+
+    def test_multiplicity_101_inits_3(self, tmp_path):
+        problem = presets.multiplicity_problem(101)
+        net = SwitchedNetwork((problem.mode,), problem.activation, 1.0,
+                              0.01 * np.eye(1))
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(dump_system(net, problem.grid)))
+        out = tmp_path / "out"
+        probe = "import sys, rdnet.cli; sys.exit(rdnet.cli.main(sys.argv[1:]))"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
+        run = subprocess.run([sys.executable, "-c", probe, "--out", str(out),
+                              "stationary", str(f), "--inits", "3"],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        written = {p.name: hashlib.sha1(p.read_bytes()).hexdigest()
+                   for p in out.iterdir()}
+        assert written == self.PINS
+
+
 class TestCliExitCodes:
     def test_certify_feasible_exit_0(self, tmp_path):
         f = tmp_path / "sys.json"
@@ -346,6 +380,14 @@ class TestCliExitCodes:
         report = json.loads((tmp_path / "stationary_report.json").read_text())
         assert report["distinct_solutions"] == 3
         assert max(report["residuals"]) <= 1e-10
+
+    def test_reproduce_failure_leaves_no_out_dir(self, tmp_path, capsys):
+        # a 2-node grid has no interior node, so the target fails up front
+        out = tmp_path / "out"
+        code = cli.main(["--out", str(out), "reproduce", "example4_1", "--grid", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_reproduce_tables_exit_0(self, tmp_path):
         assert cli.main(["--out", str(tmp_path), "reproduce", "tables"]) == 0

@@ -7,12 +7,20 @@ from rdnet import presets, stationary
 from rdnet.geometry import (Grid, RectDomain, apply_laplacian, eigenfunction,
                             l2_norm)
 from rdnet.model import Activation, Mode, stationarity_map
-from rdnet.stationary import (EnergyFunctional, StationaryProblem, energy_eval,
-                              energy_from_problem, energy_gradient,
+from rdnet.stationary import (StationaryProblem, energy_eval, energy_gradient,
                               find_stationary_multiplicity, fixed_point_solve,
-                              make_activation_antiderivative, residual,
-                              statement1_closed_form, statement1_profile,
-                              variational_minimize)
+                              residual, statement1_closed_form,
+                              statement1_profile, variational_minimize)
+
+
+def _energy_problem(counts, c0, source=0.0, weight=0.0, name="identity", params=None):
+    """The scalar problem with energy terms c0, source and weight: D = 1,
+    C = c0, A = weight, B = 0 and J = source, which C/D, J/D and (A+B)/D
+    give back exactly."""
+    domain = RectDomain((1.0,) * len(counts))
+    mode = Mode([[1.0]], [[c0]], [[weight]], [[0.0]], [source], domain)
+    act = Activation.uniform(name, params or {}, 1.0, 1)
+    return StationaryProblem(mode, act, Grid(domain, counts))
 
 
 class TestClosedFormProfile:
@@ -83,44 +91,41 @@ class TestFixedPoint:
 class TestEnergy:
     def test_gradient_matches_fd(self):
         # directional derivatives against central finite differences of E
-        g = Grid(RectDomain((1.0,)), (31,))
-        func = EnergyFunctional(c0=2.0, source=1.0, weight=10.0, name="piecewise_cbrt",
-                                params=(("a_weight", 1.0), ("d", 0.1),
-                                        ("mu1", 12.0)))
+        problem = _energy_problem((31,), c0=2.0, source=1.0, weight=10.0,
+                                  name="piecewise_cbrt",
+                                  params={"a_weight": 1.0, "d": 0.1, "mu1": 12.0})
+        g = problem.grid
         rng = np.random.default_rng(3)
         u = 0.5 * np.sin(math.pi * g.axes()[0])
-        grad = energy_gradient(func, g, u)
+        grad = energy_gradient(problem, u)
         for _ in range(5):
             v = rng.standard_normal(g.shape)
             eps = 1e-6
-            fd = (energy_eval(func, g, u + eps * v)
-                  - energy_eval(func, g, u - eps * v)) / (2 * eps)
+            fd = (energy_eval(problem, u + eps * v)
+                  - energy_eval(problem, u - eps * v)) / (2 * eps)
             analytic = float(np.sum(grad * v)) * g.cell_volume
             assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-9)
 
     def test_quadratic_minimizer_solves_ode(self):
         # 0.1 u'' = 1.98 u - 0.1 via the energy route
         problem = presets.linear_variational_problem(401)
-        func = energy_from_problem(problem)
-        u, report = variational_minimize(func, problem.grid, tol=1e-10)
+        u, report = variational_minimize(problem, tol=1e-10)
         exact = presets.linear_variational_profile(problem.grid.axes()[0])
         assert report.converged
         assert np.max(np.abs(u - exact)) < 1e-4
 
     def test_cross_solver_agreement(self):
         problem = presets.linear_variational_problem(201)
-        func = energy_from_problem(problem)
-        u_var, _ = variational_minimize(func, problem.grid, tol=1e-10)
+        u_var, _ = variational_minimize(problem, tol=1e-10)
         u_fp, _ = fixed_point_solve(problem, tol=1e-12)
         assert np.max(np.abs(u_var - u_fp[0])) < 1e-8
 
     def test_registry_activation_minimizer_unchanged(self):
         # frozen from the version that rebuilt the callables on every call
-        g = Grid(RectDomain((1.0,)), (41,))
-        func = EnergyFunctional(
-            c0=2.0, source=1.0, weight=0.8, name="scaled_sine",
-            params=(("a", 0.1), ("b", 0.3), ("c", 0.5)))
-        u, report = variational_minimize(func, g, tol=1e-10)
+        problem = _energy_problem((41,), c0=2.0, source=1.0, weight=0.8,
+                                  name="scaled_sine",
+                                  params={"a": 0.1, "b": 0.3, "c": 0.5})
+        u, report = variational_minimize(problem, tol=1e-10)
         assert report.converged and report.iterations == 8
         assert report.energy == pytest.approx(-0.04276130540698486, rel=1e-12)
         assert float(u.max()) == pytest.approx(0.11818421633829695, rel=1e-12)
@@ -130,19 +135,19 @@ class TestEnergy:
     def test_descent_hands_over_to_newton(self):
         # energy ties at the rounding floor used to be accepted as descent
         # steps, so the descent ran its whole budget without reaching tol
-        g = Grid(RectDomain((1.0,)), (61,))
-        func = EnergyFunctional(c0=2.0, source=0.5, weight=10.0, name="piecewise_cbrt",
-                                params=(("a_weight", 1.0), ("d", 0.1),
-                                        ("mu1", 12.0)))
+        problem = _energy_problem((61,), c0=2.0, source=0.5, weight=10.0,
+                                  name="piecewise_cbrt",
+                                  params={"a_weight": 1.0, "d": 0.1, "mu1": 12.0})
+        g = problem.grid
         for tol in (1e-8, 1e-10):
-            u, report = variational_minimize(func, g, tol=tol)
+            u, report = variational_minimize(problem, tol=tol)
             assert report.converged and report.iterations < 10_000
             assert report.grad_norm <= tol
-            assert l2_norm(g, energy_gradient(func, g, u)) <= tol
+            assert l2_norm(g, energy_gradient(problem, u)) <= tol
 
     def test_unknown_registry_activation_fails_up_front(self):
         with pytest.raises(KeyError):
-            EnergyFunctional(c0=1.0, weight=1.0, name="nope")
+            _energy_problem((11,), c0=1.0, weight=1.0, name="nope")
 
     @pytest.mark.parametrize("name, params, d, w", [
         ("identity", {}, 0.1, 0.02),
@@ -158,7 +163,7 @@ class TestEnergy:
         grid = problem.grid
         x = grid.axes()[0]
         u = 1.5 * np.sin(math.pi * x) - 0.4 * np.sin(3 * math.pi * x)   # cbrt tails too
-        grad = energy_gradient(energy_from_problem(problem), grid, u)
+        grad = energy_gradient(problem, u)
         scaled = -(d * apply_laplacian(grid, u)
                    + stationarity_map(mode, act, u[None])[0]) / d
         assert l2_norm(grid, grad - scaled) <= 1e-12 * l2_norm(grid, scaled)
@@ -168,8 +173,7 @@ class TestEnergy:
         mode = Mode([[0.1]], [[1.0]], [[1.0]], [[0.5]], [0.1], RectDomain((1.0,)))
         act = Activation.uniform("identity", {}, 1.0, 1)
         problem = StationaryProblem(mode, act, Grid(mode.domain, (101,)))
-        u, report = variational_minimize(energy_from_problem(problem), problem.grid,
-                                         tol=1e-10)
+        u, report = variational_minimize(problem, tol=1e-10)
         fp, _ = fixed_point_solve(problem, tol=1e-12)
         assert report.converged
         assert np.max(np.abs(u - fp[0])) <= 1e-8
@@ -179,22 +183,41 @@ class TestEnergy:
                     np.zeros((2, 2)), np.zeros(2), RectDomain((1.0,)))
         act = Activation.uniform("identity", {}, 1.0, 2)
         problem = StationaryProblem(mode, act, Grid(mode.domain, (11,)))
-        with pytest.raises(ValueError):
-            energy_from_problem(problem)
+        with pytest.raises(ValueError, match="scalar"):
+            energy_eval(problem, problem.grid.zeros())
+        with pytest.raises(ValueError, match="scalar"):
+            energy_gradient(problem, problem.grid.zeros())
+
+    @pytest.mark.parametrize("n, name", [(2, "identity"), (1, "saturation")],
+                             ids=["vector", "saturation"])
+    def test_minimize_rejects_before_iterating(self, monkeypatch, n, name):
+        # neither has an energy: a vector problem, and an activation with no
+        # closed antiderivative; both fail before the first gradient
+        def no_iteration(*args, **kwargs):
+            raise AssertionError("minimization iterated")
+
+        monkeypatch.setattr(stationary, "energy_gradient", no_iteration)
+        monkeypatch.setattr(stationary, "energy_eval", no_iteration)
+        mode = Mode(np.eye(n) * 0.1, np.eye(n), np.eye(n), np.zeros((n, n)),
+                    np.full(n, 0.1), RectDomain((1.0,)))
+        act = Activation.uniform(name, {}, 1.0, n)
+        problem = StationaryProblem(mode, act, Grid(mode.domain, (11,)))
+        with pytest.raises(ValueError, match="scalar|antiderivative"):
+            variational_minimize(problem)
 
     def test_antiderivative_registry(self):
         for name, params in [("affine", {"a": 2.0, "b": 1.0}),
                              ("identity", {}),
                              ("scaled_sine", {"a": 1.0, "b": 0.5, "c": 0.1})]:
-            from rdnet.model import make_activation_fn
-            f = make_activation_fn(name, params)
-            F = make_activation_antiderivative(name, params)
+            act = Activation.uniform(name, params, 1.0, 1)
+            f, F = act.fn, act.antiderivative
             s = np.linspace(-2, 2, 101)
             eps = 1e-6
             fd = (F(s + eps) - F(s - eps)) / (2 * eps)
             np.testing.assert_allclose(fd, f(s), rtol=1e-6, atol=1e-6)
-        with pytest.raises(KeyError):
-            make_activation_antiderivative("saturation", {})
+        for name in ("saturation", "tabulated"):
+            params = {"x": [0.0, 1.0], "y": [0.0, 1.0]} if name == "tabulated" else {}
+            assert Activation.uniform(name, params, 1.0, 1).antiderivative is None
 
 
 class TestMultiplicity:
@@ -319,9 +342,28 @@ class TestMultiplicity:
         problem = StationaryProblem(mode, network.activation, grid)
         with pytest.raises(ValueError, match="unknowns"):
             find_stationary_multiplicity(problem, [problem.zeros()])
-        grid = Grid(RectDomain((1.0, 1.0)), (3, 667))   # 2,001 unknowns
+        problem = _energy_problem((3, 667), c0=1.0)   # 2,001 unknowns
         with pytest.raises(ValueError, match="unknowns"):
-            variational_minimize(EnergyFunctional(c0=1.0), grid)
+            variational_minimize(problem)
+
+    def test_sorted_by_norm_without_antiderivative(self):
+        # saturation has no closed antiderivative, so no energy to sort by;
+        # W = 3 > C + D lambda1 = 1.99, so 0 and +-u* are all stationary
+        mode = Mode([[0.1]], [[1.0]], [[3.0]], [[0.0]], [0.0], RectDomain((1.0,)))
+        act = Activation.uniform("saturation", {}, 1.0, 1)
+        problem = StationaryProblem(mode, act, Grid(mode.domain, (51,)))
+        grid = problem.grid
+        phi1, _ = eigenfunction(grid.domain, (1,), grid)
+        sup = float(np.max(np.abs(phi1)))
+        inits = [2.0 / sup * phi1[None], -2.0 / sup * phi1[None], problem.zeros()]
+        sols = find_stationary_multiplicity(problem, inits)
+        assert len(sols) == 3
+        assert max(residual(problem, s) for s in sols) <= 1e-10
+        norms = [l2_norm(grid, s) for s in sols]
+        # found last, zero comes first: ordered by norm, not by discovery
+        assert norms[0] < 1e-12 and norms[0] <= norms[1] <= norms[2]
+        assert norms[2] == pytest.approx(norms[1], rel=1e-12)
+        assert np.max(np.abs(sols[1] + sols[2])) < 1e-9
 
     def test_requires_inits(self):
         problem = presets.multiplicity_problem(11)
