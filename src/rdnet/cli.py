@@ -21,7 +21,7 @@ from . import presets
 from .certificates import (check_uniqueness_A3, search_certificate,
                            verify_certificate)
 from .geometry import Grid, eigenfunction, l2_norm
-from .model import SwitchedNetwork
+from .model import SwitchedNetwork, seeded_uniforms
 from .schema import (dump_system, load_system, write_field_csv, write_report,
                      write_trajectory_csv)
 from .simulator import (BlowUpError, SimConfig, estimate_decay_rate,
@@ -43,11 +43,11 @@ def _outdir(args) -> Path:
 
 def _eigenfunction_starts(grid: Grid, n: int, seed: int, count: int) -> list[np.ndarray]:
     """count fields a * phi1, phi1 the grid's first Dirichlet eigenfunction and
-    the n amplitudes a of each drawn uniform in [-1, 1] from one seeded RNG."""
+    the n amplitudes a of each drawn uniform in [-1, 1] from one seeded stream,
+    the draws of np.random.default_rng(seed).uniform(-1.0, 1.0, n) count times."""
     phi1, _ = eigenfunction(grid.domain, (1,) * grid.domain.dims, grid)
-    rng = np.random.default_rng(seed)
-    return [np.stack([a * phi1 for a in rng.uniform(-1.0, 1.0, n)])
-            for _ in range(count)]
+    return [np.stack([a * phi1 for a in -1.0 + 2.0 * d])
+            for d in seeded_uniforms(seed, [n] * count)]
 
 
 def cmd_certify(args) -> int:
@@ -320,12 +320,21 @@ def cmd_reproduce(args) -> int:
     return EXIT_FAIL
 
 
+def _seed(text: str) -> int:
+    """--seed: a non-negative integer, checked at parse time."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rdnet",
         description="Switched delayed reaction-diffusion network laboratory")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0,
+                        help="start amplitudes of simulate and stationary --inits")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="check or search a stability certificate")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -18,6 +18,83 @@ from .geometry import RectDomain, first_eigenvalue
 
 DEFAULT_BOX_HALFWIDTH = 100.0
 DEFAULT_SAMPLES = 10_000
+# Up to this many draws in all, seeded_uniforms runs PCG64 in Python ints:
+# importing numpy.random costs about 16-18 ms and 6 MB resident (one core of
+# a 2-vCPU host, numpy 2.4), a pure-Python draw about 1 us, so 4,096 draws
+# take about 4.4 ms. Above it the draws come from numpy.
+PURE_DRAW_LIMIT = 4096
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """(state, increment) of np.random.PCG64(seed): SeedSequence's hash mix
+    of the seed's 32-bit words into a 4-word pool, 4 uint64 words generated
+    from it, then pcg64_srandom_r."""
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (4 - len(entropy))
+    mult = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal mult
+        v ^= mult
+        mult = mult * 0x931E8875 & _M32
+        v = v * mult & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        pool = [mix(p, hashmix(w)) for p in pool]
+    words, mult = [], 0x8B51F9DD
+    for i in range(8):
+        v = pool[i % 4] ^ mult
+        mult = mult * 0x58F38DED & _M32
+        v = v * mult & _M32
+        words.append(v ^ v >> 16)
+    # uint32 pairs read little-endian as the uint64 words w0..w3, then
+    # initstate = w0:w1 and initseq = w2:w3 as 128-bit (high, low) pairs
+    w = [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+    return ((inc + (w[0] << 64 | w[1])) * _PCG64_MULT + inc) & _M128, inc
+
+
+def seeded_uniforms(seed: int, counts: Sequence[int]) -> Iterator[np.ndarray]:
+    """One array per entry of counts, together the first sum(counts) doubles
+    in [0, 1) of np.random.default_rng(seed).random, bit for bit, in order;
+    Generator.uniform(lo, hi) would give lo + (hi - lo) * d.
+
+    Up to PURE_DRAW_LIMIT draws in all, the PCG64 stream (O'Neill,
+    HMC-CS-2014-0905: a 128-bit LCG with XSL-RR output) runs in Python ints,
+    so numpy.random is never imported; each draw is
+    (next_uint64 >> 11) * 2**-53. Each array is made only when it is asked
+    for.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if sum(counts) > PURE_DRAW_LIMIT:
+        rng = np.random.default_rng(seed)
+        for count in counts:
+            yield rng.random(count)
+        return
+    state, inc = _pcg64_seed(seed)
+    for count in counts:
+        draws = []
+        for _ in range(count):
+            state = (state * _PCG64_MULT + inc) & _M128
+            x = (state >> 64 ^ state) & _M64
+            rot = state >> 122
+            x = (x >> rot | x << (64 - rot)) & _M64
+            draws.append((x >> 11) * 2.0**-53)
+        yield np.array(draws)
 
 
 def signed_cbrt(u):
@@ -271,13 +348,17 @@ def check_A1_sampled(activation: Activation, box=None, samples: int = DEFAULT_SA
         raise ValueError("need at least 2 samples")
     n = activation.n
     box = _as_box(box if box is not None else [-DEFAULT_BOX_HALFWIDTH, DEFAULT_BOX_HALFWIDTH], n)
-    rng = np.random.default_rng(seed)
+    draws = seeded_uniforms(seed, [samples] * (2 * n))
     worst = 0.0
     witness = None
     for i in range(n):
         lo, hi = box[i]
-        s = rng.uniform(lo, hi, samples)
-        t = rng.uniform(lo, hi, samples)
+        s, t = next(draws), next(draws)
+        # scaled in place, to the bits of Generator.uniform's lo + (hi - lo) * d
+        s *= hi - lo
+        s += lo
+        t *= hi - lo
+        t += lo
         # slope probes at small separation catch the local Lipschitz constant
         eps = 1e-6 * (hi - lo)
         s = np.concatenate([s, s])

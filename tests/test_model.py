@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdnet.geometry import RectDomain, first_eigenvalue
-from rdnet.model import (ACTIVATIONS, Activation, Mode, SwitchedNetwork,
-                         check_A1_sampled, piecewise_cbrt,
-                         piecewise_cbrt_antiderivative, signed_cbrt,
-                         stationarity_map)
+from rdnet.model import (ACTIVATIONS, PURE_DRAW_LIMIT, Activation, Mode,
+                         SwitchedNetwork, _as_box, check_A1_sampled,
+                         piecewise_cbrt, piecewise_cbrt_antiderivative,
+                         seeded_uniforms, signed_cbrt, stationarity_map)
 
 
 class TestScalarFunctions:
@@ -177,8 +177,75 @@ class TestSampledChecks:
         assert verdict.worst_ratio == pytest.approx(2.0, abs=1e-9)
         assert verdict.witness is not None
 
+    @pytest.mark.parametrize("act, box, samples", [
+        (Activation.uniform("piecewise_cbrt", {"d": 1.0, "a_weight": 2.0, "mu1": 3.0},
+                            1.5, 1), [-50.0, 50.0], 500),
+        (Activation.uniform("piecewise_cbrt", {"d": 1.0, "a_weight": 2.0, "mu1": 3.0},
+                            1.5, 1), [-50.0, 50.0], PURE_DRAW_LIMIT),
+        (Activation("scaled_sine", {"a": 0.0, "b": 0.5, "c": 1.0}, (1.4, 1.6)),
+         [[-3.0, 1.0], [-50.0, 50.0]], 300),
+        (Activation("saturation", {}, (0.9, 1.0, 1.1)), None, 2000),
+    ], ids=["cbrt-pure", "cbrt-numpy", "sine-2-boxes-pure", "saturation-3-numpy"])
+    def test_A1_draws_match_numpy_uniform(self, act, box, samples):
+        # the numpy draws it replaced, kept as the reference: per neuron, s then t
+        # from one Generator's uniform(lo, hi, samples)
+        rng = np.random.default_rng(0)
+        box = _as_box(box if box is not None else [-100.0, 100.0], act.n)
+        worst, witness = 0.0, None
+        for i in range(act.n):
+            lo, hi = box[i]
+            s, t = rng.uniform(lo, hi, samples), rng.uniform(lo, hi, samples)
+            s = np.concatenate([s, s])
+            t = np.concatenate([t, np.clip(s[:samples] + 1e-6 * (hi - lo), lo, hi)])
+            mask = np.abs(s - t) > 0
+            rel = (np.abs(act.fn(s[mask]) - act.fn(t[mask])) / np.abs(s - t)[mask]
+                   / act.lipschitz[i])
+            j = int(np.argmax(rel))
+            if rel[j] > worst:
+                worst, witness = float(rel[j]), np.array([s[mask][j], t[mask][j]])
+        verdict = check_A1_sampled(act, box=box, samples=samples)
+        assert verdict.worst_ratio == worst
+        assert verdict.witness.tobytes() == witness.tobytes()
+
     def test_stationarity_map_columns(self):
         mode = Mode([[1.0]], [[2.0]], [[1.0]], [[1.0]], [0.5], RectDomain((1.0,)))
         act = Activation.uniform("identity", {}, 1.0, 1)
         out = stationarity_map(mode, act, np.array([[1.0, -1.0]]))
         np.testing.assert_allclose(out, [[0.5, 0.5]])
+
+
+class TestSeededUniforms:
+    """seeded_uniforms against numpy's PCG64 Generator, the reference."""
+
+    SEEDS = [0, 1, 3, 7, 2**32 - 1, 2**32, 2**64 + 5, 10**30]
+
+    @pytest.mark.parametrize("counts", [
+        [1], [2], [PURE_DRAW_LIMIT], [PURE_DRAW_LIMIT + 1],
+        [2, 0, 3, 1], [PURE_DRAW_LIMIT, 1],
+    ], ids=["1", "2", "limit", "limit+1", "split", "split-numpy"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bitwise_default_rng_random(self, seed, counts):
+        ours = list(seeded_uniforms(seed, counts))
+        assert [len(d) for d in ours] == counts
+        ref = np.random.default_rng(seed).random(sum(counts))
+        assert all(d.dtype == ref.dtype for d in ours)
+        assert np.concatenate(ours).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_scaled_draws_are_generator_uniform(self, seed, n):
+        ours = -1.0 + 2.0 * next(seeded_uniforms(seed, [n]))
+        ref = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        assert ours.tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**160),
+           st.lists(st.integers(0, 5), max_size=4))
+    def test_bitwise_any_seed(self, seed, counts):
+        ref = np.random.default_rng(seed).random(sum(counts))
+        ours = np.concatenate([np.empty(0)] + list(seeded_uniforms(seed, counts)))
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            next(seeded_uniforms(-1, [2]))

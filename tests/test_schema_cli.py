@@ -24,6 +24,32 @@ def _write_benchmark(path, case=1, counts=(15, 15)):
     return net, grid
 
 
+def _write_multiplicity(path, nodes=101):
+    problem = presets.multiplicity_problem(nodes)
+    net = SwitchedNetwork((problem.mode,), problem.activation, 1.0,
+                          0.01 * np.eye(1))
+    path.write_text(json.dumps(dump_system(net, problem.grid)))
+
+
+def _run_cli(argv, prelude="", **env):
+    """rdnet.cli.main(argv) in a fresh interpreter that first runs prelude."""
+    probe = f"{prelude}import sys, rdnet.cli; sys.exit(rdnet.cli.main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **env}
+    return subprocess.run([sys.executable, "-c", probe, *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+
+
+# one BLAS thread: the blocked LU behind Newton's dense solves rounds
+# differently on one thread than on several
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
+
+
+def _sha1s(directory, pattern="*"):
+    return {p.name: hashlib.sha1(p.read_bytes()).hexdigest()
+            for p in directory.glob(pattern)}
+
+
 def _reference_field_csv(grid: Grid, field: np.ndarray) -> bytes:
     """The reference writer: one f-string per row, nodes in C order.
     write_field_csv must produce these bytes exactly."""
@@ -200,17 +226,14 @@ class TestBitwiseSimulateOutputs:
         out = tmp_path / "out"
         assert cli.main(["--seed", "3", "--out", str(out), "simulate", str(f),
                          "--T", "12", "--switching", "--snapshots", "50"]) == 0
-        written = {p.name: hashlib.sha1(p.read_bytes()).hexdigest()
-                   for p in out.glob("*.csv")}
-        assert written == self.PINS
+        assert _sha1s(out, "*.csv") == self.PINS
 
 
 class TestBitwiseStationaryOutputs:
     """SHA-1 of every file that `rdnet stationary <system> --inits 3` writes
     for the 101-node multiplicity system: deflated Newton, the energy sort
     and the writers behind them are pinned byte for byte. The run is a
-    subprocess on one BLAS thread, as the blocked LU factorisation behind
-    Newton's dense solves rounds differently on one thread than on several."""
+    subprocess on one BLAS thread."""
 
     PINS = {
         "stationary_0.csv": "fc848387218e265a9a7e3d44941431fe6a601a06",
@@ -220,23 +243,13 @@ class TestBitwiseStationaryOutputs:
     }
 
     def test_multiplicity_101_inits_3(self, tmp_path):
-        problem = presets.multiplicity_problem(101)
-        net = SwitchedNetwork((problem.mode,), problem.activation, 1.0,
-                              0.01 * np.eye(1))
         f = tmp_path / "sys.json"
-        f.write_text(json.dumps(dump_system(net, problem.grid)))
+        _write_multiplicity(f)
         out = tmp_path / "out"
-        probe = "import sys, rdnet.cli; sys.exit(rdnet.cli.main(sys.argv[1:]))"
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
-               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-               "MKL_NUM_THREADS": "1"}
-        run = subprocess.run([sys.executable, "-c", probe, "--out", str(out),
-                              "stationary", str(f), "--inits", "3"],
-                             capture_output=True, text=True, env=env)
+        run = _run_cli(["--out", out, "stationary", f, "--inits", "3"],
+                       **_ONE_BLAS_THREAD)
         assert run.returncode == 0, run.stderr
-        written = {p.name: hashlib.sha1(p.read_bytes()).hexdigest()
-                   for p in out.iterdir()}
-        assert written == self.PINS
+        assert _sha1s(out) == self.PINS
 
 
 class TestCliExitCodes:
@@ -369,11 +382,8 @@ class TestCliExitCodes:
         assert 0.0 <= report["error_bound"] <= 1e-8
 
     def test_stationary_multiplicity_writes_each_solution(self, tmp_path):
-        problem = presets.multiplicity_problem(101)
-        net = SwitchedNetwork((problem.mode,), problem.activation, 1.0,
-                              0.01 * np.eye(1))
         f = tmp_path / "sys.json"
-        f.write_text(json.dumps(dump_system(net, problem.grid)))
+        _write_multiplicity(f)
         code = cli.main(["--out", str(tmp_path), "stationary", str(f), "--inits", "3"])
         assert code == 0
         assert len(list(tmp_path.glob("stationary_*.csv"))) == 3
@@ -418,6 +428,27 @@ class TestCliExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "{f}"],
+        ["stationary", "{f}", "--inits", "1"],
+        ["stationary", "{f}", "--inits", "3"],
+        ["certify", "{f}"],
+        ["reproduce", "tables"],
+    ], ids=["simulate", "stationary", "stationary-inits", "certify", "reproduce"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_rejected_at_parse_time(self, tmp_path, capsys, argv, seed):
+        f = tmp_path / "sys.json"
+        _write_benchmark(f, counts=(9, 9))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--out", str(out), "--seed", seed]
+                     + [a.format(f=f) for a in argv])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err[-1] == ("rdnet: error: argument --seed: must be a "
+                           f"non-negative integer, got '{seed}'")
+        assert not out.exists()
+
     def test_simulate_rejects_short_fit_window_before_simulating(
             self, tmp_path, monkeypatch):
         f = tmp_path / "sys.json"
@@ -439,14 +470,32 @@ class TestCliExitCodes:
 
     def test_switched_benchmark_runs_without_mpmath(self, tmp_path):
         # a None entry makes any import of mpmath raise
-        probe = ("import sys; sys.modules['mpmath'] = None; import rdnet.cli; "
-                 "sys.exit(rdnet.cli.main(sys.argv[1:]))")
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        out = subprocess.run(
-            [sys.executable, "-c", probe, "--out", str(tmp_path), "reproduce",
-             "example4_1", "--case", "1", "--grid", "31"],
-            capture_output=True, text=True, env=env)
+        out = _run_cli(["--out", tmp_path, "reproduce", "example4_1", "--case", "1",
+                        "--grid", "31"], "import sys; sys.modules['mpmath'] = None; ")
         assert out.returncode == 0, out.stderr
+
+    def test_seeded_runs_without_numpy_random(self, tmp_path):
+        # the start amplitudes come from rdnet's own PCG64 stream, so with
+        # any import of numpy.random made to raise, both seeded commands
+        # still write their pinned bytes
+        probe = "import sys, numpy; print('numpy.random' in sys.modules)"
+        loads = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                               text=True, check=True)
+        if loads.stdout.strip() == "True":
+            pytest.skip("this numpy imports numpy.random with numpy")
+        block = "import sys; sys.modules['numpy.random'] = None; "
+        f = tmp_path / "case1_31.json"
+        _write_benchmark(f, counts=(31, 31))
+        sim = _run_cli(["--seed", "3", "--out", tmp_path / "s", "simulate", f,
+                        "--T", "12", "--switching", "--snapshots", "50"], block)
+        assert sim.returncode == 0, sim.stderr
+        assert _sha1s(tmp_path / "s", "*.csv") == TestBitwiseSimulateOutputs.PINS
+        m = tmp_path / "multiplicity_101.json"
+        _write_multiplicity(m)
+        sta = _run_cli(["--out", tmp_path / "m", "stationary", m, "--inits", "3"],
+                       block, **_ONE_BLAS_THREAD)
+        assert sta.returncode == 0, sta.stderr
+        assert _sha1s(tmp_path / "m") == TestBitwiseStationaryOutputs.PINS
 
     def test_import_leaves_scipy_unloaded(self):
         probe = "import sys, rdnet.cli; print('scipy' in sys.modules)"
