@@ -9,6 +9,7 @@ current directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import math
 import os
@@ -21,7 +22,7 @@ from . import presets
 from .certificates import (check_uniqueness_A3, search_certificate,
                            verify_certificate)
 from .geometry import Grid, eigenfunction, l2_norm
-from .model import SwitchedNetwork, seeded_uniforms
+from .model import seeded_uniforms
 from .schema import (dump_system, load_system, write_field_csv, write_report,
                      write_trajectory_csv)
 from .simulator import (BlowUpError, SimConfig, estimate_decay_rate,
@@ -45,9 +46,9 @@ def _eigenfunction_starts(grid: Grid, n: int, seed: int, count: int) -> list[np.
     """count fields a * phi1, phi1 the grid's first Dirichlet eigenfunction and
     the n amplitudes a of each drawn uniform in [-1, 1] from one seeded stream,
     the draws of np.random.default_rng(seed).uniform(-1.0, 1.0, n) count times."""
-    phi1, _ = eigenfunction(grid.domain, (1,) * grid.domain.dims, grid)
-    return [np.stack([a * phi1 for a in -1.0 + 2.0 * d])
-            for d in seeded_uniforms(seed, [n] * count)]
+    phi1, _ = eigenfunction(grid, (1,) * grid.domain.dims)
+    amplitudes = -1.0 + 2.0 * seeded_uniforms(seed, n * count)
+    return [np.stack([a * phi1 for a in row]) for row in amplitudes.reshape(count, n)]
 
 
 def cmd_certify(args) -> int:
@@ -101,7 +102,7 @@ def cmd_stationary(args) -> int:
             report = {
                 "command": "stationary", "iterations": rep.iterations,
                 "residual": rep.residual, "update_norm": rep.update_norm,
-                "error_bound": rep.error_bound if math.isfinite(rep.error_bound) else None,
+                "error_bound": rep.error_bound,
                 "system": dump_system(network, grid),
             }
             write_report(outdir / "stationary_report.json", report)
@@ -116,13 +117,12 @@ def cmd_stationary(args) -> int:
 def cmd_simulate(args) -> int:
     network, grid = load_system(args.system)
     if args.tau is not None:
-        network = SwitchedNetwork(network.modes, network.activation, args.tau,
-                                  network.Psi, network.q, network.gamma)
+        network = dataclasses.replace(network, tau_max=args.tau)
     dt = args.dt if args.dt is not None else \
         (network.tau_max / 100.0 if network.tau_max > 0 else 1e-3)
     config = SimConfig(dt=dt, horizon=args.T, switching=args.switching,
                        snapshot_stride=args.snapshots)
-    fit_window_start(int(round(args.T / dt)) + 1)   # simulate's sample count
+    fit_window_start(config.steps + 1)   # simulate's sample count
     field, = _eigenfunction_starts(grid, network.n, args.seed, 1)
     index = itertools.count()
 
@@ -139,14 +139,14 @@ def cmd_simulate(args) -> int:
     est = estimate_decay_rate(traj)
     outdir = _outdir(args)   # after simulate has checked dt against the delay
     write_trajectory_csv(outdir / "trajectory.csv", traj)
-    switch_times = traj.times[1:][np.diff(traj.modes) != 0]
     write_report(outdir / "simulate_report.json", {
         "command": "simulate", "dt": dt, "horizon": args.T,
         "switching": args.switching, "switching_form": config.switching_form,
         "hysteresis": config.hysteresis, "seed": args.seed,
         "end_time": float(traj.times[-1]),   # after round(T / dt) steps
         "switch_count": traj.switch_count,
-        "min_dwell_time": float(np.diff(switch_times).min()) if len(switch_times) > 1 else None,
+        "min_dwell_time": (float(np.diff(traj.switch_times).min())
+                           if traj.switch_count > 1 else None),
         "decay": {"rate": est.rate, "prefactor": est.prefactor,
                   "window": est.window, "r_squared": est.r_squared},
         "system": dump_system(network, grid),
@@ -243,7 +243,7 @@ def reproduce_statement2(nodes: int = 201) -> list[dict]:
     rows = []
     problem = presets.multiplicity_problem(nodes)
     grid = problem.grid
-    phi1, _ = eigenfunction(grid.domain, (1,) * grid.domain.dims, grid)
+    phi1, _ = eigenfunction(grid, (1,) * grid.domain.dims)
     sup_phi = float(np.max(np.abs(phi1)))
     h = max(grid.spacing)
     d = float(problem.mode.D[0, 0])

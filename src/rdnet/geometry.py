@@ -166,14 +166,13 @@ def l2_norm(grid: Grid, a: np.ndarray) -> float:
     return math.sqrt(max(l2_inner(grid, a, a), 0.0))
 
 
-def eigenfunction(domain: RectDomain, k: tuple[int, ...], grid: Grid) -> tuple[np.ndarray, float]:
-    """Product-of-sines Dirichlet eigenfunction sampled on the grid.
+def eigenfunction(grid: Grid, k: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """Product-of-sines Dirichlet eigenfunction of grid.domain, sampled on the grid.
 
     Returns the field normalized to unit L2 quadrature norm together with
     its exact continuum eigenvalue sum (k_i pi / l_i)^2.
     """
-    if grid.domain != domain:
-        raise ValueError("grid does not discretize this domain")
+    domain = grid.domain
     if len(k) != domain.dims or any(ki < 1 for ki in k):
         raise ValueError("mode indices must be >= 1 per axis")
     fields = [np.sin(ki * math.pi * x / l) for ki, x, l in zip(k, grid.axes(), domain.lengths)]

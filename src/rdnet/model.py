@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -18,11 +18,6 @@ from .geometry import RectDomain, first_eigenvalue
 
 DEFAULT_BOX_HALFWIDTH = 100.0
 DEFAULT_SAMPLES = 10_000
-# Up to this many draws in all, seeded_uniforms runs PCG64 in Python ints:
-# importing numpy.random costs about 16-18 ms and 6 MB resident (one core of
-# a 2-vCPU host, numpy 2.4), a pure-Python draw about 1 us, so 4,096 draws
-# take about 4.4 ms. Above it the draws come from numpy.
-PURE_DRAW_LIMIT = 4096
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -67,34 +62,27 @@ def _pcg64_seed(seed: int) -> tuple[int, int]:
     return ((inc + (w[0] << 64 | w[1])) * _PCG64_MULT + inc) & _M128, inc
 
 
-def seeded_uniforms(seed: int, counts: Sequence[int]) -> Iterator[np.ndarray]:
-    """One array per entry of counts, together the first sum(counts) doubles
-    in [0, 1) of np.random.default_rng(seed).random, bit for bit, in order;
-    Generator.uniform(lo, hi) would give lo + (hi - lo) * d.
+def seeded_uniforms(seed: int, count: int) -> np.ndarray:
+    """The first count doubles in [0, 1) of np.random.default_rng(seed).random,
+    bit for bit; Generator.uniform(lo, hi) would give lo + (hi - lo) * d.
 
-    Up to PURE_DRAW_LIMIT draws in all, the PCG64 stream (O'Neill,
-    HMC-CS-2014-0905: a 128-bit LCG with XSL-RR output) runs in Python ints,
-    so numpy.random is never imported; each draw is
-    (next_uint64 >> 11) * 2**-53. Each array is made only when it is asked
-    for.
+    The PCG64 stream (O'Neill, HMC-CS-2014-0905: a 128-bit LCG with XSL-RR
+    output) runs in Python ints, so numpy.random is never imported; each
+    draw is (next_uint64 >> 11) * 2**-53. Importing numpy.random costs about
+    16-18 ms and 6 MB resident (one core of a 2-vCPU host, numpy 2.4), a
+    draw here about 1 us, and the CLI's seeded starts take a few draws.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if sum(counts) > PURE_DRAW_LIMIT:
-        rng = np.random.default_rng(seed)
-        for count in counts:
-            yield rng.random(count)
-        return
     state, inc = _pcg64_seed(seed)
-    for count in counts:
-        draws = []
-        for _ in range(count):
-            state = (state * _PCG64_MULT + inc) & _M128
-            x = (state >> 64 ^ state) & _M64
-            rot = state >> 122
-            x = (x >> rot | x << (64 - rot)) & _M64
-            draws.append((x >> 11) * 2.0**-53)
-        yield np.array(draws)
+    draws = []
+    for _ in range(count):
+        state = (state * _PCG64_MULT + inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        draws.append((x >> 11) * 2.0**-53)
+    return np.array(draws)
 
 
 def signed_cbrt(u):
@@ -288,7 +276,7 @@ class SwitchedNetwork:
     Psi: np.ndarray
     q: float = 1.00001
     gamma: float = 0.1
-    delay: Callable[[float], float] | None = None
+    delay: Callable[[float], float] | None = None   # tau(t); None: constant tau_max
 
     def __post_init__(self):
         if not self.modes:
@@ -307,8 +295,6 @@ class SwitchedNetwork:
             raise ValueError("gamma must be positive")
         if self.tau_max < 0:
             raise ValueError("tau_max must be nonnegative")
-        if self.delay is None:
-            object.__setattr__(self, "delay", constant_delay(self.tau_max))
 
     @property
     def n(self) -> int:
@@ -337,8 +323,8 @@ def _as_box(box, n: int) -> np.ndarray:
     return box
 
 
-def check_A1_sampled(activation: Activation, box=None, samples: int = DEFAULT_SAMPLES,
-                     seed: int = 0) -> Verdict:
+def check_A1_sampled(activation: Activation, box=None,
+                     samples: int = DEFAULT_SAMPLES) -> Verdict:
     """Sampled Lipschitz check: |g_i(s) - g_i(t)| <= G_i |s - t| on the box.
 
     Samples pairs per neuron plus close pairs (finite-difference slopes);
@@ -348,17 +334,12 @@ def check_A1_sampled(activation: Activation, box=None, samples: int = DEFAULT_SA
         raise ValueError("need at least 2 samples")
     n = activation.n
     box = _as_box(box if box is not None else [-DEFAULT_BOX_HALFWIDTH, DEFAULT_BOX_HALFWIDTH], n)
-    draws = seeded_uniforms(seed, [samples] * (2 * n))
+    rng = np.random.default_rng(0)
     worst = 0.0
     witness = None
     for i in range(n):
         lo, hi = box[i]
-        s, t = next(draws), next(draws)
-        # scaled in place, to the bits of Generator.uniform's lo + (hi - lo) * d
-        s *= hi - lo
-        s += lo
-        t *= hi - lo
-        t += lo
+        s, t = rng.uniform(lo, hi, samples), rng.uniform(lo, hi, samples)
         # slope probes at small separation catch the local Lipschitz constant
         eps = 1e-6 * (hi - lo)
         s = np.concatenate([s, s])

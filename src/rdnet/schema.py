@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,14 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _known_keys(doc, where: str, *keys) -> None:
+    if not isinstance(doc, dict):
+        raise SystemFileError(f"{where} must be an object")
+    unknown = [k for k in doc if k not in keys]
+    if unknown:
+        raise SystemFileError(f"unknown keys {unknown} in {where}, expected {list(keys)}")
+
+
 def load_system(path) -> tuple[SwitchedNetwork, Grid]:
     """Parse a system-definition file into a network and its grid."""
     path = Path(path)
@@ -50,7 +59,10 @@ def load_system(path) -> tuple[SwitchedNetwork, Grid]:
 
 
 def _parse_system(doc: dict) -> tuple[SwitchedNetwork, Grid]:
+    _known_keys(doc, "document", "schema_version", "modes", "activation", "delay",
+                "Psi", "q", "gamma", "grid")
     act_doc = _require(doc, "activation", "document")
+    _known_keys(act_doc, "activation", "name", "params", "lipschitz")
     mode_docs = _require(doc, "modes", "document")
     if not isinstance(mode_docs, list) or not mode_docs:
         raise SystemFileError("'modes' must be a non-empty list")
@@ -65,6 +77,7 @@ def _parse_system(doc: dict) -> tuple[SwitchedNetwork, Grid]:
 
     modes = []
     for mdoc in mode_docs:
+        _known_keys(mdoc, "mode", "D", "C", "A", "B", "J", "domain")
         domain = RectDomain(tuple(float(l) for l in _require(mdoc, "domain", "mode")))
         modes.append(Mode(
             D=np.asarray(mdoc["D"], float), C=np.asarray(mdoc["C"], float),
@@ -72,6 +85,7 @@ def _parse_system(doc: dict) -> tuple[SwitchedNetwork, Grid]:
             J=np.asarray(mdoc["J"], float), domain=domain))
 
     delay = doc.get("delay", {})
+    _known_keys(delay, "delay", "tau_max")
     network = SwitchedNetwork(
         modes=tuple(modes), activation=activation,
         tau_max=float(delay.get("tau_max", 0.0)),
@@ -106,7 +120,9 @@ def dump_system(network: SwitchedNetwork, grid: Grid) -> dict:
 
 
 def write_report(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    """Strict JSON, keys sorted: every non-finite float is written as null."""
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def _jsonable(obj):
@@ -115,22 +131,23 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and obj != obj:  # NaN
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
 
 
 def write_trajectory_csv(path, trajectory) -> None:
-    """Columns t, V, sqrtV, mode, switches_so_far; 17 significant digits."""
+    """Columns t, V, sqrtV, mode, switches_so_far; floats in FLOAT_FMT."""
     switches = np.cumsum(np.concatenate([[0], np.diff(trajectory.modes) != 0]))
+    row = f"{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT},%d,%d\n"
     with open(path, "w") as fh:
         fh.write("t,V,sqrtV,mode,switches_so_far\n")
         for t, v, m, s in zip(trajectory.times, trajectory.V, trajectory.modes,
                               switches):
-            fh.write(f"{t:.17g},{v:.17g},{np.sqrt(max(v, 0.0)):.17g},{m},{s}\n")
+            fh.write(row % (t, v, np.sqrt(max(v, 0.0)), m, s))
 
 
 def write_field_csv(path, grid: Grid, field: np.ndarray) -> None:

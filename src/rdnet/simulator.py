@@ -162,13 +162,26 @@ class SimConfig:
         if self.snapshot_stride < 0:
             raise ValueError("snapshot_stride must be nonnegative")
 
+    @property
+    def steps(self) -> int:
+        """Steps of a run: round(horizon / dt), so it may end past the horizon."""
+        return int(round(self.horizon / self.dt))
+
 
 @dataclass
 class Trajectory:
     times: np.ndarray
     V: np.ndarray
-    modes: np.ndarray
-    switch_count: int
+    modes: np.ndarray      # the active mode at each sample
+
+    @property
+    def switch_times(self) -> np.ndarray:
+        """Times of the samples whose mode differs from the one before."""
+        return self.times[1:][np.diff(self.modes) != 0]
+
+    @property
+    def switch_count(self) -> int:
+        return len(self.switch_times)
 
 
 @dataclass(frozen=True)
@@ -244,11 +257,11 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
         raise ValueError(f"initial state has shape {np.shape(u)}, expected {shape}")
     bound = guard(hist, u)
 
-    steps = int(round(config.horizon / dt))
+    steps = config.steps
     times = np.empty(steps + 1)
     V = np.empty(steps + 1)
     modes = np.zeros(steps + 1, dtype=int)
-    mode = switch_count = 0
+    mode = 0
     value, push, slot, isfinite = hist.value, hist.push, hist.slot, math.isfinite
 
     t = 0.0
@@ -257,10 +270,7 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
         snapshot(t, np.array(u, ndmin=1))
     for k in range(1, steps + 1):
         if switch is not None:
-            new_mode = switch(u, mode)
-            if new_mode != mode:
-                mode = new_mode
-                switch_count += 1
+            mode = switch(u, mode)
         if tau > 0:
             d = delay(t)
             if not 0.0 <= d <= tau:
@@ -277,7 +287,7 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
         times[k], V[k], modes[k] = t, v, mode
         if stride and k % stride == 0:
             snapshot(t, np.array(u, ndmin=1))
-    return Trajectory(times, V, modes, switch_count)
+    return Trajectory(times, V, modes)
 
 
 def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
@@ -290,10 +300,11 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     tracked. All modes share the given grid; the switching matrices are
     rebuilt on the shared domain, whose first eigenvalue each Mode derives.
     phi(s) supplies the initial field for s in [-tau, 0] with shape
-    (n, *grid.shape). The blow-up guard is 1e6 times the largest squared
-    norm of five samples of phi. Each step's backward-Euler solve writes the
-    new field straight into the delay history's next ring slot, so the
-    history neither allocates nor copies a field per step. With
+    (n, *grid.shape). The delay is network.delay, or the constant tau_max
+    where the network gives none. The blow-up guard is 1e6 times the
+    largest squared norm of five samples of phi. Each step's backward-Euler
+    solve writes the new field straight into the delay history's next ring
+    slot, so the history neither allocates nor copies a field per step. With
     config.snapshot_stride > 0, snapshot(t, field) receives a copy of the
     field at t = 0 and every stride-th step as the run reaches it.
     """
@@ -326,15 +337,14 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
         samples = np.linspace(-tau, 0, 5) if tau > 0 else (0.0,)
         return BLOWUP_FACTOR * max(max(norm2(hist.value(s)) for s in samples), 1e-300)
 
-    return _run(phi, (n,) + grid.shape, tau, network.delay, config, explicit,
-                implicit, norm2, guard, switch if config.switching else None, snapshot)
+    return _run(phi, (n,) + grid.shape, tau, network.delay or constant_delay(tau),
+                config, explicit, implicit, norm2, guard,
+                switch if config.switching else None, snapshot)
 
 
 def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConfig,
                  phi: Callable[[float], np.ndarray], *, deviation: bool = False,
-                 delay: Callable[[float], float] | None = None,
-                 snapshot: Callable[[float, np.ndarray], None] | None = None
-                 ) -> Trajectory:
+                 delay: Callable[[float], float] | None = None) -> Trajectory:
     """Forward-Euler integration of du/dt = -C u + A g(u) + B g(u_tau) + J.
 
     The lumped mode's n coupled ODEs run in the shared stepping loop;
@@ -342,8 +352,7 @@ def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConf
     deviation=True drops J and recenters g at 0 (the zero solution is then
     exactly invariant). V records the squared Euclidean norm, so the
     decay-rate estimator applies unchanged. The blow-up guard is 1e6 times
-    max(|u0|^2, 1); the delay defaults to the constant tau. Snapshots go
-    to snapshot(t, state) as in simulate, each state a (n,) array.
+    max(|u0|^2, 1); the delay defaults to the constant tau.
 
     With n = 1 the state steps as a Python float, bit for bit as the (1,)
     array would: the registry function is applied to floats, and numpy's
@@ -380,28 +389,25 @@ def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConf
         sample, shape, norm2 = phi, (n,), lambda u: float(u @ u)
     return _run(sample, shape, tau, delay or constant_delay(tau), config, explicit,
                 implicit=lambda mode, x, out: x, norm2=norm2,
-                guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0),
-                snapshot=snapshot)
+                guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0))
 
 
-def fit_window_start(samples: int, window_fraction: float = 0.5) -> int:
-    """Start index of the trailing fit window; raises if it holds under 10 samples."""
-    if not 0 < window_fraction <= 1:
-        raise ValueError("window fraction must lie in (0, 1]")
-    start = int(samples * (1.0 - window_fraction))
+def fit_window_start(samples: int) -> int:
+    """Start index of the fit window, the trailing half of the samples;
+    raises if it holds under 10 samples."""
+    start = samples // 2
     if samples - start < 10:
         raise ValueError("fewer than 10 samples in the fit window")
     return start
 
 
-def estimate_decay_rate(trajectory: Trajectory, window_fraction: float = 0.5
-                        ) -> DecayEstimate:
-    """Least-squares fit of ln ||u(t)|| over the trailing window.
+def estimate_decay_rate(trajectory: Trajectory) -> DecayEstimate:
+    """Least-squares fit of ln ||u(t)|| over the trailing half of the run.
 
     The rate is minus the slope (half the decay rate of V). An identically
     zero tail returns the +inf sentinel.
     """
-    start = fit_window_start(len(trajectory.times), window_fraction)
+    start = fit_window_start(len(trajectory.times))
     tw, Vw = trajectory.times[start:], trajectory.V[start:]
     if np.all(Vw <= 0.0):
         return DecayEstimate(math.inf, 0.0, (float(tw[0]), float(tw[-1])), 1.0)

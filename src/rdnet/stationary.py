@@ -95,26 +95,22 @@ class SolverReport:
     error_bound: float
 
 
-def fixed_point_solve(problem: StationaryProblem, init: np.ndarray | None = None,
-                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+def fixed_point_solve(problem: StationaryProblem, tol: float = DEFAULT_TOL
                       ) -> tuple[np.ndarray, SolverReport]:
-    """Iterate the stationary map until the sup-norm update drops below tol.
+    """Iterate the stationary map from zero until the sup-norm update drops
+    below tol, for at most DEFAULT_MAX_ITER iterations.
 
     The linear decay sits inside the solve:
     y_i <- (C_i/D_i - Lap_h)^(-1) [((A+B) g(y) + J)_i / D_i].
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     grid = problem.grid
-    y = problem.zeros() if init is None else np.array(init, dtype=float)
-    if y.shape != (problem.n,) + grid.shape:
-        raise ValueError("init shape does not match the problem")
+    y = problem.zeros()
     d = np.diag(problem.mode.D)
     c = np.diag(problem.mode.C)
     previous = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             flat = y.reshape(problem.n, -1)
             coupling = problem.W @ problem.activation(flat) + problem.mode.J[:, None]
@@ -133,7 +129,7 @@ def fixed_point_solve(problem: StationaryProblem, init: np.ndarray | None = None
             return y, SolverReport(it, update, residual(problem, y), bound)
         previous = update
     raise DivergenceError(
-        f"fixed-point iteration did not converge in {max_iter} iterations "
+        f"fixed-point iteration did not converge in {DEFAULT_MAX_ITER} iterations "
         f"(last update {update:.3e})", y, update)
 
 
@@ -258,8 +254,8 @@ def _newton(grid: Grid, F, jacobian, y: np.ndarray, tol: float, roots=()) -> np.
                           f"(last step {size:.3e})", y, size)
 
 
-def variational_minimize(problem: StationaryProblem, init: np.ndarray | None = None,
-                         tol: float = 1e-8) -> tuple[np.ndarray, MinimizeReport]:
+def variational_minimize(problem: StationaryProblem, tol: float = 1e-8
+                         ) -> tuple[np.ndarray, MinimizeReport]:
     """Preconditioned descent with Armijo backtracking, Newton-polished.
 
     The descent direction solves (c0 I - Lap_h) p = grad E, removing the
@@ -269,15 +265,15 @@ def variational_minimize(problem: StationaryProblem, init: np.ndarray | None = N
     in E. A step must decrease E strictly, so the line search then stalls
     and `_newton` polishes the iterate on the gradient, with the Jacobian
     -Lap_h + diag(c0 - weight f') and no such floor. Stops when the L2 norm
-    of the gradient drops below tol. Works on the scalar field (shape
-    grid.shape) of a problem with a closed energy (see _energy_terms).
+    of the gradient drops below tol. Starts from zero, on the scalar field
+    (shape grid.shape) of a problem with a closed energy (see _energy_terms).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = problem.grid
     c0, _, weight = _energy_terms(problem)
     _check_newton_size(grid, 1)
-    u = grid.zeros() if init is None else np.array(init, dtype=float)
+    u = grid.zeros()
     e = energy_eval(problem, u)
     step = DESCENT_STEP0
     for it in range(1, DEFAULT_MAX_ITER + 1):

@@ -137,7 +137,7 @@ def test_criterion_6_multiplicity():
     grid = problem.grid
     h = grid.spacing[0]
     d = float(problem.mode.D[0, 0])
-    phi1, _ = eigenfunction(grid.domain, (1,), grid)
+    phi1, _ = eigenfunction(grid, (1,))
     sup = float(np.max(np.abs(phi1)))
     worst_ratio = 0.0
     for t in np.linspace(-1.0, 1.0, 9):
@@ -172,8 +172,8 @@ def _random_feasible_network(rng):
 def test_criterion_7_decay_soundness_suite():
     rng = np.random.default_rng(2024)
     grid = Grid(RectDomain((1.0,)), (41,))
-    phi1, _ = eigenfunction(grid.domain, (1,), grid)
-    phi2, _ = eigenfunction(grid.domain, (2,), grid)
+    phi1, _ = eigenfunction(grid, (1,))
+    phi2, _ = eigenfunction(grid, (2,))
     checked = 0
     sound = True
     worst_margin = math.inf

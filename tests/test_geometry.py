@@ -76,7 +76,7 @@ class TestLaplacian:
         # sin(k pi x) is an exact eigenvector of the 3-point stencil
         g = Grid(RectDomain((1.0,)), (40,))
         h = g.spacing[0]
-        phi, _ = eigenfunction(g.domain, (2,), g)
+        phi, _ = eigenfunction(g, (2,))
         lam_h = (2.0 / h**2) * (1.0 - math.cos(2 * math.pi * h))
         np.testing.assert_allclose(apply_laplacian(g, phi), -lam_h * phi,
                                    rtol=1e-11, atol=1e-11)
@@ -226,14 +226,14 @@ class TestSineBasisSolve:
 class TestQuadrature:
     def test_eigenfunction_normalized(self):
         g = Grid(RectDomain((1.0, 1.3)), (30, 40))
-        phi, ev = eigenfunction(g.domain, (1, 2), g)
+        phi, ev = eigenfunction(g, (1, 2))
         assert l2_norm(g, phi) == pytest.approx(1.0, rel=1e-13)
         assert ev == pytest.approx((math.pi / 1.0)**2 + (2 * math.pi / 1.3)**2)
 
     def test_eigenfunctions_orthogonal(self):
         g = Grid(RectDomain((1.0,)), (64,))
-        phi1, _ = eigenfunction(g.domain, (1,), g)
-        phi2, _ = eigenfunction(g.domain, (2,), g)
+        phi1, _ = eigenfunction(g, (1,))
+        phi2, _ = eigenfunction(g, (2,))
         assert abs(l2_inner(g, phi1, phi2)) < 1e-12
 
     def test_vector_field_inner(self):

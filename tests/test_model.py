@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdnet.geometry import RectDomain, first_eigenvalue
-from rdnet.model import (ACTIVATIONS, PURE_DRAW_LIMIT, Activation, Mode,
+from rdnet.model import (ACTIVATIONS, Activation, Mode,
                          SwitchedNetwork, _as_box, check_A1_sampled,
                          piecewise_cbrt, piecewise_cbrt_antiderivative,
                          seeded_uniforms, signed_cbrt, stationarity_map)
@@ -148,9 +149,12 @@ class TestSwitchedNetwork:
         return Mode([[0.1]], [[1.0]], [[0.1]], [[0.1]], [0.0], RectDomain((1.0,)))
 
     def test_defaults_constant_delay(self):
+        # no stored delay: the simulator runs the constant tau_max, so a copy
+        # with another tau_max runs that one
         net = SwitchedNetwork((self._mode(),), Activation.uniform("identity", {}, 1.0, 1),
                               0.5, np.eye(1))
-        assert net.delay(17.0) == 0.5
+        assert net.delay is None
+        assert dataclasses.replace(net, tau_max=0.2).delay is None
 
     def test_rejects_indefinite_psi(self):
         with pytest.raises(ValueError):
@@ -181,14 +185,14 @@ class TestSampledChecks:
         (Activation.uniform("piecewise_cbrt", {"d": 1.0, "a_weight": 2.0, "mu1": 3.0},
                             1.5, 1), [-50.0, 50.0], 500),
         (Activation.uniform("piecewise_cbrt", {"d": 1.0, "a_weight": 2.0, "mu1": 3.0},
-                            1.5, 1), [-50.0, 50.0], PURE_DRAW_LIMIT),
+                            1.5, 1), [-50.0, 50.0], 4096),
         (Activation("scaled_sine", {"a": 0.0, "b": 0.5, "c": 1.0}, (1.4, 1.6)),
          [[-3.0, 1.0], [-50.0, 50.0]], 300),
         (Activation("saturation", {}, (0.9, 1.0, 1.1)), None, 2000),
     ], ids=["cbrt-pure", "cbrt-numpy", "sine-2-boxes-pure", "saturation-3-numpy"])
     def test_A1_draws_match_numpy_uniform(self, act, box, samples):
-        # the numpy draws it replaced, kept as the reference: per neuron, s then t
-        # from one Generator's uniform(lo, hi, samples)
+        # the reference loop: per neuron, s then t from one seed-0
+        # Generator's uniform(lo, hi, samples)
         rng = np.random.default_rng(0)
         box = _as_box(box if box is not None else [-100.0, 100.0], act.n)
         worst, witness = 0.0, None
@@ -219,33 +223,34 @@ class TestSeededUniforms:
 
     SEEDS = [0, 1, 3, 7, 2**32 - 1, 2**32, 2**64 + 5, 10**30]
 
+    # one draw, cut into consecutive pieces of the given lengths, equals the
+    # Generator's consecutive random(length) calls, as the CLI's starts read
+    # their rows from one draw; "limit", "limit+1" and "split-numpy" are the
+    # long streams of 4,096 and 4,097 draws
     @pytest.mark.parametrize("counts", [
-        [1], [2], [PURE_DRAW_LIMIT], [PURE_DRAW_LIMIT + 1],
-        [2, 0, 3, 1], [PURE_DRAW_LIMIT, 1],
-    ], ids=["1", "2", "limit", "limit+1", "split", "split-numpy"])
+        [0], [1], [2], [4096], [4097], [2, 0, 3, 1], [4096, 1],
+    ], ids=["0", "1", "2", "limit", "limit+1", "split", "split-numpy"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_bitwise_default_rng_random(self, seed, counts):
-        ours = list(seeded_uniforms(seed, counts))
-        assert [len(d) for d in ours] == counts
-        ref = np.random.default_rng(seed).random(sum(counts))
-        assert all(d.dtype == ref.dtype for d in ours)
-        assert np.concatenate(ours).tobytes() == ref.tobytes()
+        ours = seeded_uniforms(seed, sum(counts))
+        rng = np.random.default_rng(seed)
+        assert ours.dtype == np.float64 and len(ours) == sum(counts)
+        for piece, count in zip(np.split(ours, np.cumsum(counts)[:-1]), counts):
+            assert piece.tobytes() == rng.random(count).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_scaled_draws_are_generator_uniform(self, seed, n):
-        ours = -1.0 + 2.0 * next(seeded_uniforms(seed, [n]))
+        ours = -1.0 + 2.0 * seeded_uniforms(seed, n)
         ref = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
         assert ours.tobytes() == ref.tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**160),
-           st.lists(st.integers(0, 5), max_size=4))
-    def test_bitwise_any_seed(self, seed, counts):
-        ref = np.random.default_rng(seed).random(sum(counts))
-        ours = np.concatenate([np.empty(0)] + list(seeded_uniforms(seed, counts)))
-        assert ours.tobytes() == ref.tobytes()
+    @given(st.integers(min_value=0, max_value=2**160), st.integers(0, 12))
+    def test_bitwise_any_seed(self, seed, count):
+        ref = np.random.default_rng(seed).random(count)
+        assert seeded_uniforms(seed, count).tobytes() == ref.tobytes()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            next(seeded_uniforms(-1, [2]))
+            seeded_uniforms(-1, 2)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,13 @@ def _run_cli(argv, prelude="", **env):
 # differently on one thread than on several
 _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                     "MKL_NUM_THREADS": "1"}
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 def _sha1s(directory, pattern="*"):
@@ -152,16 +160,48 @@ class TestSchema:
 
     def test_report_serializes_numpy(self, tmp_path):
         out = tmp_path / "r.json"
-        write_report(out, {"m": np.eye(2), "x": np.float64(1.5),
-                           "nan": float("nan")})
-        doc = json.loads(out.read_text())
+        inf = float("inf")
+        write_report(out, {"m": np.eye(2), "x": np.float64(1.5), "k": np.int64(3),
+                           "nan": float("nan"), "np_nan": np.float64("nan"),
+                           "inf": inf, "np_ninf": np.float64(-inf),
+                           "array": np.array([[1.0, np.nan], [-inf, inf]]),
+                           "nested": [(inf, 2.5), {"v": -inf}]})
+        doc = _strict_json(out.read_text())
         assert doc["m"] == [[1.0, 0.0], [0.0, 1.0]]
-        assert doc["x"] == 1.5
-        assert doc["nan"] is None
+        assert doc["x"] == 1.5 and doc["k"] == 3
+        assert [doc[k] for k in ("nan", "np_nan", "inf", "np_ninf")] == [None] * 4
+        assert doc["array"] == [[1.0, None], [None, None]]
+        assert doc["nested"] == [[None, 2.5], {"v": None}]
+
+    def test_readme_system_file_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example, = re.findall(r"```json\n(.*?)```", readme, re.S)
+        f = tmp_path / "readme.json"
+        f.write_text(example)
+        net, grid = load_system(f)
+        assert net.tau_max == 1.0 and grid.counts == (15, 15)
+
+    @pytest.mark.parametrize("place, key", [
+        ([], "tau_max"), (["modes", 0], "E"), (["activation"], "param"),
+        (["delay"], "tau")], ids=["top-level-tau_max", "mode", "activation", "delay"])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, place, key):
+        net, grid = _write_benchmark(tmp_path / "ok.json", counts=(9, 9))
+        doc = dump_system(net, grid)
+        where = doc
+        for step in place:
+            where = where[step]
+        where[key] = 1.0
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "simulate", str(f), "--T", "1.0"]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith(f"error: {f}: unknown keys ['{key}'] in ")
+        assert not out.exists()
 
     def test_trajectory_csv_columns(self, tmp_path):
         traj = Trajectory(np.array([0.0, 0.1, 0.2]), np.array([4.0, 1.0, 0.25]),
-                          np.array([0, 1, 1]), 1)
+                          np.array([0, 1, 1]))
         out = tmp_path / "t.csv"
         write_trajectory_csv(out, traj)
         lines = out.read_text().strip().split("\n")
@@ -368,6 +408,27 @@ class TestCliExitCodes:
         # round(T / dt) = 29 steps of 0.035 end past --T 1.0
         assert report["horizon"] == 1.0
         assert report["end_time"] == 29 * dt
+
+    def test_simulate_tau_sets_the_delay(self, tmp_path):
+        f = tmp_path / "sys.json"
+        _write_benchmark(f)
+        assert cli.main(["--out", str(tmp_path), "simulate", str(f), "--tau", "1.0"]) == 0
+        report = json.loads((tmp_path / "simulate_report.json").read_text())
+        assert report["system"]["delay"] == {"tau_max": 1.0}
+        assert report["dt"] == 0.01   # the default step, tau_max / 100
+
+    def test_simulate_infinite_rate_is_null(self, tmp_path):
+        # strong decay drives V to 0.0 within the fit window, whose rate is
+        # the +inf sentinel
+        mode = Mode([[0.1]], [[50.0]], [[0.0]], [[0.0]], [0.0], RectDomain((1.0,)))
+        net = SwitchedNetwork((mode,), Activation.uniform("identity", {}, 1.0, 1),
+                              tau_max=0.0, Psi=np.eye(1))
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(dump_system(net, Grid(mode.domain, (31,)))))
+        assert cli.main(["--out", str(tmp_path), "simulate", str(f), "--T", "40",
+                         "--dt", "0.01"]) == 0
+        report = _strict_json((tmp_path / "simulate_report.json").read_text())
+        assert report["decay"]["rate"] is None
 
     def test_stationary_scalar_system(self, tmp_path):
         problem = presets.boundary_layer_problem(101)

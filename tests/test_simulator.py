@@ -325,7 +325,7 @@ class TestSwitchingDecide:
 
     def test_integrated_vs_pointwise_fields(self):
         g = Grid(RectDomain((1.0,)), (21,))
-        phi, _ = eigenfunction(g.domain, (1,), g)
+        phi, _ = eigenfunction(g, (1,))
         u = phi[None]
         Q = [np.array([[1.0]]), np.array([[-2.0]])]
         assert switching_decide(u, g, Q, 0, form="integrated") == 1
@@ -389,7 +389,7 @@ class TestSwitchingDecideMatchesEagerRule:
 class TestDecayEstimate:
     def test_exact_exponential_recovered(self):
         t = np.linspace(0, 10, 201)
-        traj = Trajectory(t, (3.0 * np.exp(-0.7 * t))**2, np.zeros(201, int), 0)
+        traj = Trajectory(t, (3.0 * np.exp(-0.7 * t))**2, np.zeros(201, int))
         est = estimate_decay_rate(traj)
         assert est.rate == pytest.approx(0.7, abs=1e-10)
         assert est.prefactor == pytest.approx(3.0, rel=1e-8)
@@ -397,15 +397,18 @@ class TestDecayEstimate:
 
     def test_zero_tail_returns_inf_sentinel(self):
         t = np.linspace(0, 1, 50)
-        traj = Trajectory(t, np.zeros(50), np.zeros(50, int), 0)
+        traj = Trajectory(t, np.zeros(50), np.zeros(50, int))
         est = estimate_decay_rate(traj)
         assert est.rate == math.inf
 
     def test_short_window_rejected(self):
-        t = np.linspace(0, 1, 10)
-        traj = Trajectory(t, np.exp(-t), np.zeros(10, int), 0)
-        with pytest.raises(ValueError):
-            estimate_decay_rate(traj, window_fraction=0.1)
+        # the trailing half of 18 samples holds 9, of 19 samples 10
+        t = np.linspace(0, 1, 19)
+        traj = Trajectory(t[:18], np.exp(-t[:18]), np.zeros(18, int))
+        with pytest.raises(ValueError, match="fewer than 10 samples"):
+            estimate_decay_rate(traj)
+        traj = Trajectory(t, np.exp(-t), np.zeros(19, int))
+        assert estimate_decay_rate(traj).window == (t[9], 1.0)
 
 
 class TestOdeIntegration:
@@ -484,28 +487,23 @@ def _numpy_ode_rhs(mode, activation, deviation):
     return lambda t, u, u_delay: neg_C @ u + A @ f(u) + B @ f(u_delay) + J
 
 
-def _reference_simulate_ode(mode, activation, tau, config, phi, deviation, delay,
-                            snapshot):
+def _reference_simulate_ode(mode, activation, tau, config, phi, deviation, delay):
     """simulate_ode on (n,) array states: the reference rhs through _run."""
     rhs = _numpy_ode_rhs(mode, activation, deviation)
     norm2 = lambda u: float(u @ u)
     return _run(phi, (mode.n,), tau, delay or constant_delay(tau), config,
                 explicit=lambda m, t, u, u_delay: rhs(t, u, u_delay),
                 implicit=lambda m, x, out: x, norm2=norm2,
-                guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0),
-                snapshot=snapshot)
+                guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0))
 
 
 def _outcome(run):
-    """The trajectory's bytes and snapshots, or the error's type and message;
-    run(snapshot) runs the simulation with the given snapshot callable."""
-    snaps = []
+    """The trajectory's bytes, or the error's type and message of run()."""
     try:
-        traj = run(lambda t, u: snaps.append((t, u.shape, u.dtype, u.tobytes())))
+        traj = run()
     except (ValueError, BlowUpError) as exc:
         return type(exc), str(exc)
-    return (traj.times.tobytes(), traj.V.tobytes(), traj.modes.tobytes(),
-            traj.switch_count, snaps)
+    return traj.times.tobytes(), traj.V.tobytes(), traj.modes.tobytes()
 
 
 _SIGNED = st.floats(-4.0, 4.0)      # hypothesis draws 0.0 and -0.0 often
@@ -545,8 +543,7 @@ def _scalar_ode_cases(draw):
     elif kind == "outside":
         t_bad, bad = draw(st.floats(0.0, 2.0)), draw(st.sampled_from([-0.01, 1.25]))
         delay = lambda t: tau * (bad if t >= t_bad else 0.5)
-    config = SimConfig(dt=dt, horizon=dt * draw(st.integers(1, 150)),
-                       snapshot_stride=draw(st.sampled_from([0, 1, 7])))
+    config = SimConfig(dt=dt, horizon=dt * draw(st.integers(1, 150)))
     p0 = draw(st.one_of(st.sampled_from([0.0, -0.0]), _SIGNED))
     p1 = draw(_SIGNED)
     phi = lambda s: np.array([p0 + p1 * s])
@@ -554,18 +551,17 @@ def _scalar_ode_cases(draw):
 
 
 class TestScalarOdeMatchesNumpyRhs:
-    """A scalar mode steps on Python floats; its trajectory, snapshots and
-    errors must equal, bit for bit, those of the (1,) array run of the
-    reference right-hand side."""
+    """A scalar mode steps on Python floats; its trajectory and errors must
+    equal, bit for bit, those of the (1,) array run of the reference
+    right-hand side."""
 
     @given(_scalar_ode_cases())
     @settings(max_examples=400, deadline=None)
     def test_same_bits(self, case):
         mode, activation, tau, config, phi, deviation, delay = case
-        got = _outcome(lambda snapshot: simulate_ode(
-            mode, activation, tau, config, phi, deviation=deviation, delay=delay,
-            snapshot=snapshot))
-        want = _outcome(lambda snapshot: _reference_simulate_ode(*case, snapshot))
+        got = _outcome(lambda: simulate_ode(
+            mode, activation, tau, config, phi, deviation=deviation, delay=delay))
+        want = _outcome(lambda: _reference_simulate_ode(*case))
         assert got == want
 
 
@@ -608,7 +604,7 @@ class TestPdeSimulation:
         d, c = 0.1, 1.0
         net = _diffusion_only_network(d, c)
         grid = Grid(net.modes[0].domain, (63,))
-        phi, lam = eigenfunction(grid.domain, (1,), grid)
+        phi, lam = eigenfunction(grid, (1,))
         config = SimConfig(dt=1e-4, horizon=2.0)
         traj = simulate(net, grid, config, lambda s: phi[None])
         est = estimate_decay_rate(traj)
@@ -624,7 +620,7 @@ class TestPdeSimulation:
         act = Activation.uniform("identity", {}, 1.0, 1)
         net = SwitchedNetwork((mode,), act, tau_max=0.0, Psi=np.eye(1), gamma=0.1)
         grid = Grid(mode.domain, (31,))
-        phi, _ = eigenfunction(grid.domain, (1,), grid)
+        phi, _ = eigenfunction(grid, (1,))
         with pytest.raises(BlowUpError):
             simulate(net, grid, SimConfig(dt=0.01, horizon=50.0),
                      lambda s: phi[None])
@@ -641,7 +637,7 @@ class TestPdeSimulation:
     def test_snapshots_stride(self):
         net = _diffusion_only_network()
         grid = Grid(net.modes[0].domain, (15,))
-        phi, _ = eigenfunction(grid.domain, (1,), grid)
+        phi, _ = eigenfunction(grid, (1,))
         config = SimConfig(dt=0.1, horizon=1.0, snapshot_stride=5)
         snaps = []
         simulate(net, grid, config, lambda s: phi[None],
@@ -766,8 +762,8 @@ class TestSwitchingHappens:
     def test_switched_decay_meets_certified_rate(self, seed, form):
         net, cert, amp = _switching_pair(seed)
         grid = Grid(net.modes[0].domain, (41,))
-        phi1, _ = eigenfunction(grid.domain, (1,), grid)
-        phi2, _ = eigenfunction(grid.domain, (2,), grid)
+        phi1, _ = eigenfunction(grid, (1,))
+        phi2, _ = eigenfunction(grid, (2,))
         field = np.stack([a1 * phi1 + a2 * phi2 for a1, a2 in amp])
         config = SimConfig(dt=0.01, horizon=15.0, switching=True, switching_form=form)
         traj = simulate(net, grid, config, lambda s: field)
@@ -821,8 +817,8 @@ class TestBitwiseSwitchedFields:
     def test_switching_pair(self, form, switches, v_sha1, modes_sha1):
         net, _, amp = _switching_pair(0)
         grid = Grid(net.modes[0].domain, (41,))
-        phi1, _ = eigenfunction(grid.domain, (1,), grid)
-        phi2, _ = eigenfunction(grid.domain, (2,), grid)
+        phi1, _ = eigenfunction(grid, (1,))
+        phi2, _ = eigenfunction(grid, (2,))
         field = np.stack([a1 * phi1 + a2 * phi2 for a1, a2 in amp])
         config = SimConfig(dt=0.01, horizon=15.0, switching=True, switching_form=form)
         traj = simulate(net, grid, config, lambda s: field)
@@ -884,6 +880,18 @@ class TestContinuumEigenvalue:
 
 
 class TestDelays:
+    def test_replaced_tau_max_sets_the_delay(self):
+        # the network stores no delay of its own, so a copy with another
+        # tau_max runs the constant delay of that tau_max
+        net = dataclasses.replace(presets.switched_benchmark(1), tau_max=1.0)
+        grid = Grid(net.modes[0].domain, (15, 15))
+        config = SimConfig(dt=0.05, horizon=3.0, switching=True)
+        field = presets.switched_benchmark_initial(grid)(0.0)
+        derived, given = [
+            simulate(n, grid, config, lambda s: (1.0 + s) * field)
+            for n in (net, dataclasses.replace(net, delay=constant_delay(1.0)))]
+        assert len(derived.V) == 61 and derived.V.tobytes() == given.V.tobytes()
+
     @pytest.mark.parametrize("bad", [-0.5, 2.0])
     def test_delay_outside_bound_rejected_ode(self, bad):
         mode = Mode([[1.0]], [[1.0]], [[0.0]], [[0.5]], [0.0], RectDomain((1.0,)))
@@ -898,7 +906,7 @@ class TestDelays:
         net = SwitchedNetwork((mode,), Activation.uniform("identity", {}, 1.0, 1),
                               tau_max=1.0, Psi=np.eye(1), delay=lambda t: bad)
         grid = Grid(mode.domain, (15,))
-        phi, _ = eigenfunction(grid.domain, (1,), grid)
+        phi, _ = eigenfunction(grid, (1,))
         with pytest.raises(ValueError, match=rf"t=0\.0 is {bad}"):
             simulate(net, grid, SimConfig(dt=0.01, horizon=1.0), lambda s: phi[None])
 
@@ -925,7 +933,7 @@ class TestDelays:
                               tau_max=self.tau, Psi=np.eye(1),
                               delay=lambda t: min(t, self.tau))
         grid = Grid(mode.domain, (31,))
-        phi, _ = eigenfunction(grid.domain, (1,), grid)
+        phi, _ = eigenfunction(grid, (1,))
         traj = simulate(net, grid, SimConfig(dt=self.dt, horizon=self.tau),
                         lambda s: (1.0 + s) * phi[None])
         h = grid.spacing[0]

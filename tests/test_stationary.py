@@ -81,11 +81,13 @@ class TestFixedPoint:
             assert report.iterations > 1
             assert np.max(np.abs(y - exact)) <= report.error_bound < math.inf
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_max_iter_below_one_rejected(self, max_iter):
+    def test_iteration_budget_exhausted(self, monkeypatch):
+        # the iteration stops at DEFAULT_MAX_ITER; this map needs 5 at tol 1e-8
+        monkeypatch.setattr(stationary, "DEFAULT_MAX_ITER", 3)
         problem = presets.linear_variational_problem(11)
-        with pytest.raises(ValueError, match="max_iter"):
-            fixed_point_solve(problem, max_iter=max_iter)
+        with pytest.raises(stationary.DivergenceError,
+                           match="did not converge in 3 iterations"):
+            fixed_point_solve(problem)
 
 
 class TestEnergy:
@@ -224,7 +226,7 @@ class TestMultiplicity:
     def test_three_solutions_from_symmetric_inits(self):
         problem = presets.multiplicity_problem(101)
         grid = problem.grid
-        phi1, _ = eigenfunction(grid.domain, (1,), grid)
+        phi1, _ = eigenfunction(grid, (1,))
         sup = float(np.max(np.abs(phi1)))
         inits = [0.5 / sup * phi1[None], -0.5 / sup * phi1[None], problem.zeros()]
         sols = find_stationary_multiplicity(problem, inits, tol=1e-6)
@@ -242,7 +244,7 @@ class TestMultiplicity:
     def test_scaled_eigenfunctions_near_stationary(self):
         problem = presets.multiplicity_problem(201)
         grid = problem.grid
-        phi1, _ = eigenfunction(grid.domain, (1,), grid)
+        phi1, _ = eigenfunction(grid, (1,))
         sup = float(np.max(np.abs(phi1)))
         h = grid.spacing[0]
         d = float(problem.mode.D[0, 0])
@@ -254,7 +256,7 @@ class TestMultiplicity:
     def test_deflation_converges_at_201_nodes(self):
         problem = presets.multiplicity_problem(201)
         grid = problem.grid
-        phi1, _ = eigenfunction(grid.domain, (1,), grid)
+        phi1, _ = eigenfunction(grid, (1,))
         sup = float(np.max(np.abs(phi1)))
         inits = [0.5 / sup * phi1[None], -0.5 / sup * phi1[None], problem.zeros()]
         sols = find_stationary_multiplicity(problem, inits, tol=1e-6)
@@ -273,7 +275,7 @@ class TestMultiplicity:
         for mode in network.modes:
             grid = Grid(mode.domain, (15, 15))
             problem = StationaryProblem(mode, network.activation, grid)
-            phi1, _ = eigenfunction(grid.domain, (1, 1), grid)
+            phi1, _ = eigenfunction(grid, (1, 1))
             amp = np.random.default_rng(case).uniform(-1.0, 1.0, problem.n)
             inits = [problem.zeros(), np.stack([a * phi1 for a in amp])]
             sols = find_stationary_multiplicity(problem, inits, tol=1e-10)
@@ -284,7 +286,7 @@ class TestMultiplicity:
     def test_known_root_start_adds_nothing(self, monkeypatch):
         problem = presets.multiplicity_problem(101)
         grid = problem.grid
-        phi1, _ = eigenfunction(grid.domain, (1,), grid)
+        phi1, _ = eigenfunction(grid, (1,))
         sup = float(np.max(np.abs(phi1)))
         roots = find_stationary_multiplicity(problem, [0.5 / sup * phi1[None]])
         assert len(roots) == 3
@@ -300,7 +302,7 @@ class TestMultiplicity:
     def test_failing_deflated_runs_stall_out(self, monkeypatch):
         problem = presets.multiplicity_problem(201)
         grid = problem.grid
-        phi1, _ = eigenfunction(grid.domain, (1,), grid)
+        phi1, _ = eigenfunction(grid, (1,))
         sup = float(np.max(np.abs(phi1)))
         inits = [0.5 / sup * phi1[None], -0.5 / sup * phi1[None], problem.zeros()]
         runs = []   # (Jacobian evaluations, stall message or None) per run
@@ -353,7 +355,7 @@ class TestMultiplicity:
         act = Activation.uniform("saturation", {}, 1.0, 1)
         problem = StationaryProblem(mode, act, Grid(mode.domain, (51,)))
         grid = problem.grid
-        phi1, _ = eigenfunction(grid.domain, (1,), grid)
+        phi1, _ = eigenfunction(grid, (1,))
         sup = float(np.max(np.abs(phi1)))
         inits = [2.0 / sup * phi1[None], -2.0 / sup * phi1[None], problem.zeros()]
         sols = find_stationary_multiplicity(problem, inits)
