@@ -102,8 +102,12 @@ class Grid:
 
 def laplacian_matrix(grid: Grid) -> np.ndarray:
     """Dense 3-point (1D) / 5-point (2D) discrete Laplacian on interior nodes, C order."""
-    blocks = [(np.eye(c, k=-1) - 2.0 * np.eye(c) + np.eye(c, k=1)) * (1.0 / h**2)
-              for c, h in zip(grid.counts, grid.spacing)]
+    blocks = []
+    for c, h in zip(grid.counts, grid.spacing):
+        block = np.zeros((c, c))   # filled in place: no dense temporaries
+        block.flat[::c + 1] = -2.0 * (1.0 / h**2)
+        block.flat[1::c + 1] = block.flat[c::c + 1] = 1.0 / h**2
+        blocks.append(block)
     if len(blocks) == 1:
         return blocks[0]
     (c1, c2), (b1, b2) = grid.counts, blocks

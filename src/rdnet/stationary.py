@@ -297,10 +297,19 @@ def variational_minimize(problem: StationaryProblem, tol: float = 1e-8
         else:
             break   # stalled
         u, e = trial, e_trial
-    lap = laplacian_matrix(grid)
     f = lambda v: weight * problem.activation.fn(v)
-    u = _newton(grid, lambda v: energy_gradient(problem, v),
-                lambda v: np.diag(c0 - _slope(f, v).ravel()) - lap, u, tol)
+    # the Jacobian diag(c0 - weight f') - Lap_h, one dense matrix for the
+    # whole polish: off the diagonal it is 0.0 - Lap_h at every step, so only
+    # its diagonal is rewritten, with the same roundings as the full formula
+    J = laplacian_matrix(grid)
+    lap_diag = J.diagonal().copy()
+    np.subtract(0.0, J, out=J)
+
+    def jacobian(v):
+        J.flat[::grid.size + 1] = (c0 - _slope(f, v).ravel()) - lap_diag
+        return J
+
+    u = _newton(grid, lambda v: energy_gradient(problem, v), jacobian, u, tol)
     gnorm = l2_norm(grid, energy_gradient(problem, u))
     if gnorm <= tol:
         return u, MinimizeReport(True, it, gnorm, energy_eval(problem, u))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdnet.geometry import RectDomain, first_eigenvalue
-from rdnet.model import (ACTIVATIONS, Activation, Mode,
+from rdnet.model import (_LANES, ACTIVATIONS, Activation, Mode,
                          SwitchedNetwork, _as_box, check_A1_sampled,
                          piecewise_cbrt, piecewise_cbrt_antiderivative,
                          seeded_uniforms, signed_cbrt, stationarity_map)
@@ -226,10 +226,14 @@ class TestSeededUniforms:
     # one draw, cut into consecutive pieces of the given lengths, equals the
     # Generator's consecutive random(length) calls, as the CLI's starts read
     # their rows from one draw; "limit", "limit+1" and "split-numpy" are the
-    # long streams of 4,096 and 4,097 draws
+    # long streams of 4,096 and 4,097 draws. The "lanes" counts sit at the
+    # block boundaries of the jumped-ahead stream, and 40,000 is the draw
+    # of reproduce statement2's Lipschitz probes
     @pytest.mark.parametrize("counts", [
         [0], [1], [2], [4096], [4097], [2, 0, 3, 1], [4096, 1],
-    ], ids=["0", "1", "2", "limit", "limit+1", "split", "split-numpy"])
+        [_LANES - 1], [_LANES], [_LANES + 1], [2 * _LANES + 1], [40_000],
+    ], ids=["0", "1", "2", "limit", "limit+1", "split", "split-numpy",
+            "lanes-1", "lanes", "lanes+1", "2lanes+1", "40000"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_bitwise_default_rng_random(self, seed, counts):
         ours = seeded_uniforms(seed, sum(counts))

@@ -53,6 +53,14 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def _skip_if_numpy_loads_random():
+    probe = "import sys, numpy; print('numpy.random' in sys.modules)"
+    loads = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                           text=True, check=True)
+    if loads.stdout.strip() == "True":
+        pytest.skip("this numpy imports numpy.random with numpy")
+
+
 def _sha1s(directory, pattern="*"):
     return {p.name: hashlib.sha1(p.read_bytes()).hexdigest()
             for p in directory.glob(pattern)}
@@ -290,6 +298,43 @@ class TestBitwiseStationaryOutputs:
                        **_ONE_BLAS_THREAD)
         assert run.returncode == 0, run.stderr
         assert _sha1s(out) == self.PINS
+
+
+class TestBitwiseCommandOutputs:
+    """SHA-1 of every file that the five reproduce targets (example4_1 on
+    31x31), certify --search with and without the theorem constraint, and
+    `rdnet --seed 3 simulate --T 4 --switching` write for case 1 on 31x31.
+    These bytes were the same on one and two BLAS threads. A change that
+    means to move an output changes its digest here and says why."""
+
+    PINS = {
+        "r/reproduce_statement1.json": "b75fa1a1865cb853782fcab7589b5cb7a589784d",
+        "r/reproduce_example3_5.json": "d1462c579b6fe986fcb022e75217a856cf217a00",
+        "r/reproduce_example4_1.json": "1446d3f620d27e75d82cc188b17381a10c2a64fd",
+        "r/example4_1_case1_trajectory.csv": "cfaaafa365ce760315d3c3588c5c12f6b1f2ae0d",
+        "r/reproduce_statement2.json": "2fac4beebfeb9d7177d8b544861343900538ae08",
+        "r/reproduce_tables.json": "ccfa0a7f3a8bb5c01051982b15e466cbc2bdb93d",
+        "honor/certify_report.json": "ca389695a60bca0d355152daed4386f33c466ea6",
+        "free/certify_report.json": "f6b5a317b205cb7043fb3df70f4b2453e1c8fcac",
+        "s/simulate_report.json": "da079ba1a9b5f8de52c04f02b3b0189296262c53",
+        "s/trajectory.csv": "758abfd4528a2c97772023f710ebab08c4b3d1a0",
+    }
+
+    def test_commands(self, tmp_path):
+        f = tmp_path / "case1_31.json"
+        _write_benchmark(f, counts=(31, 31))
+        out = tmp_path / "out"
+        runs = [["--out", out / "r", "reproduce", *target] for target in (
+            ["statement1"], ["example3_5"], ["example4_1", "--case", "1", "--grid", "31"],
+            ["statement2"], ["tables"])]
+        runs += [["--out", out / "honor", "certify", f, "--search", "--honor-theorem"],
+                 ["--out", out / "free", "certify", f, "--search", "--no-honor-theorem"],
+                 ["--seed", "3", "--out", out / "s", "simulate", f, "--T", "4",
+                  "--switching"]]
+        assert [cli.main(list(map(str, argv))) for argv in runs] == [0] * len(runs)
+        written = {p.relative_to(out).as_posix(): hashlib.sha1(p.read_bytes()).hexdigest()
+                   for p in out.rglob("*") if p.is_file()}
+        assert written == self.PINS
 
 
 class TestCliExitCodes:
@@ -536,14 +581,10 @@ class TestCliExitCodes:
         assert out.returncode == 0, out.stderr
 
     def test_seeded_runs_without_numpy_random(self, tmp_path):
-        # the start amplitudes come from rdnet's own PCG64 stream, so with
-        # any import of numpy.random made to raise, both seeded commands
-        # still write their pinned bytes
-        probe = "import sys, numpy; print('numpy.random' in sys.modules)"
-        loads = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                               text=True, check=True)
-        if loads.stdout.strip() == "True":
-            pytest.skip("this numpy imports numpy.random with numpy")
+        # the start amplitudes and statement2's Lipschitz probes come from
+        # rdnet's own PCG64 stream, so with any import of numpy.random made
+        # to raise, the seeded commands still write their pinned bytes
+        _skip_if_numpy_loads_random()
         block = "import sys; sys.modules['numpy.random'] = None; "
         f = tmp_path / "case1_31.json"
         _write_benchmark(f, counts=(31, 31))
@@ -557,6 +598,10 @@ class TestCliExitCodes:
                        block, **_ONE_BLAS_THREAD)
         assert sta.returncode == 0, sta.stderr
         assert _sha1s(tmp_path / "m") == TestBitwiseStationaryOutputs.PINS
+        st2 = _run_cli(["--out", tmp_path / "r", "reproduce", "statement2"], block)
+        assert st2.returncode == 0, st2.stderr
+        assert (_sha1s(tmp_path / "r")["reproduce_statement2.json"]
+                == TestBitwiseCommandOutputs.PINS["r/reproduce_statement2.json"])
 
     def test_import_leaves_scipy_unloaded(self):
         probe = "import sys, rdnet.cli; print('scipy' in sys.modules)"
@@ -576,6 +621,18 @@ class TestCliExitCodes:
         out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
                              capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip().split("\n")[-1] == "[0, 0] []"
+
+    def test_reproduce_targets_leave_numpy_random_unloaded(self, tmp_path):
+        _skip_if_numpy_loads_random()
+        probe = ("import sys, rdnet.cli; "
+                 "codes = [rdnet.cli.main(['--out', sys.argv[1], 'reproduce', *t]) for t in "
+                 "(['tables'], ['statement1'], ['example3_5'], ['statement2'], "
+                 "['example4_1', '--grid', '15'])]; "
+                 "print(codes, 'numpy.random' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                             capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip().split("\n")[-1] == "[0, 0, 0, 0, 0] False"
 
     def test_stationary_inits_over_newton_cap_exit_2(self, tmp_path, capsys, monkeypatch):
         # 61^2 nodes x 2 components: 7,442 unknowns, over NEWTON_MAX_UNKNOWNS;

@@ -5,7 +5,7 @@ import pytest
 
 from rdnet import presets, stationary
 from rdnet.geometry import (Grid, RectDomain, apply_laplacian, eigenfunction,
-                            l2_norm)
+                            l2_norm, laplacian_matrix)
 from rdnet.model import Activation, Mode, stationarity_map
 from rdnet.stationary import (StationaryProblem, energy_eval, energy_gradient,
                               find_stationary_multiplicity, fixed_point_solve,
@@ -146,6 +146,29 @@ class TestEnergy:
             assert report.converged and report.iterations < 10_000
             assert report.grad_norm <= tol
             assert l2_norm(g, energy_gradient(problem, u)) <= tol
+
+    @pytest.mark.parametrize("counts", [(61,), (9, 11)], ids=["1d", "2d"])
+    def test_polish_jacobian_is_the_dense_formula(self, monkeypatch, counts):
+        # the polish rewrites only the diagonal of one matrix; every Jacobian
+        # Newton solves with has the bits of diag(c0 - weight f') - Lap_h
+        problem = _energy_problem(counts, c0=2.0, source=0.5, weight=10.0,
+                                  name="piecewise_cbrt",
+                                  params={"a_weight": 1.0, "d": 0.1, "mu1": 12.0})
+        lap = laplacian_matrix(problem.grid)
+        f = lambda v: 10.0 * problem.activation.fn(v)
+        newton, same = stationary._newton, []
+
+        def checking_newton(grid, F, jacobian, y, tol, roots=()):
+            def checked(v):
+                J = jacobian(v)
+                ref = np.diag(2.0 - stationary._slope(f, v).ravel()) - lap
+                same.append(J.tobytes() == ref.tobytes())
+                return J
+            return newton(grid, F, checked, y, tol, roots)
+
+        monkeypatch.setattr(stationary, "_newton", checking_newton)
+        _, report = variational_minimize(problem, tol=1e-10)
+        assert report.converged and same and all(same)
 
     def test_unknown_registry_activation_fails_up_front(self):
         with pytest.raises(KeyError):
