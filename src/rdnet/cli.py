@@ -141,8 +141,7 @@ def cmd_simulate(args) -> int:
     write_trajectory_csv(outdir / "trajectory.csv", traj)
     write_report(outdir / "simulate_report.json", {
         "command": "simulate", "dt": dt, "horizon": args.T,
-        "switching": args.switching, "switching_form": config.switching_form,
-        "hysteresis": config.hysteresis, "seed": args.seed,
+        "switching": args.switching, "seed": args.seed,
         "end_time": float(traj.times[-1]),   # after round(T / dt) steps
         "switch_count": traj.switch_count,
         "min_dwell_time": (float(np.diff(traj.switch_times).min())
@@ -328,6 +327,16 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _finite(text: str) -> float:
+    """A float option: a finite number, checked at parse time."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rdnet",
@@ -339,26 +348,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="check or search a stability certificate")
     p.add_argument("system")
-    p.add_argument("--beta", type=float, nargs="+")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--q", type=float, default=None)
+    p.add_argument("--beta", type=_finite, nargs="+")
+    p.add_argument("--gamma", type=_finite)
+    p.add_argument("--q", type=_finite, default=None)
     p.add_argument("--search", action="store_true")
     p.add_argument("--honor-theorem", action=argparse.BooleanOptionalAction,
                    default=True)
-    p.add_argument("--gamma-cap", type=float, default=10.0)
+    p.add_argument("--gamma-cap", type=_finite, default=10.0)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("stationary", help="compute stationary solutions")
     p.add_argument("system")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite, default=1e-8)
     p.add_argument("--inits", type=int, default=1)
     p.set_defaults(func=cmd_stationary)
 
     p = sub.add_parser("simulate", help="integrate the delayed system")
     p.add_argument("system")
-    p.add_argument("--T", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--T", type=_finite, default=10.0)
+    p.add_argument("--dt", type=_finite, default=None)
+    p.add_argument("--tau", type=_finite, default=None)
     p.add_argument("--switching", action="store_true")
     p.add_argument("--snapshots", type=int, default=0,
                    help="snapshot stride in steps (0 = none)")

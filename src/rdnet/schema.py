@@ -43,8 +43,11 @@ def _known_keys(doc, where: str, *keys) -> None:
 def load_system(path) -> tuple[SwitchedNetwork, Grid]:
     """Parse a system-definition file into a network and its grid."""
     path = Path(path)
+
+    def reject(name):
+        raise SystemFileError(f"{path}: {name} is not a JSON number")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(), parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

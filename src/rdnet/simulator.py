@@ -148,17 +148,11 @@ class SimConfig:
     dt: float
     horizon: float
     switching: bool = False
-    hysteresis: float = 0.0
-    switching_form: str = "integrated"
     snapshot_stride: int = 0
 
     def __post_init__(self):
         if self.dt <= 0 or self.horizon <= 0:
             raise ValueError("dt and horizon must be positive")
-        if self.hysteresis < 0:
-            raise ValueError("hysteresis slack must be nonnegative")
-        if self.switching_form not in ("integrated", "pointwise"):
-            raise ValueError("switching_form must be 'integrated' or 'pointwise'")
         if self.snapshot_stride < 0:
             raise ValueError("snapshot_stride must be nonnegative")
 
@@ -194,29 +188,23 @@ class DecayEstimate:
     r_squared: float
 
 
-def switching_decide(u: np.ndarray, grid: Grid | None, Q: Sequence[np.ndarray],
-                     current: int, hysteresis: float = 0.0,
-                     form: str = "integrated") -> int:
+def switching_decide(u: np.ndarray, Q: Sequence[np.ndarray], current: int) -> int:
     """Pick the active mode from the per-mode quadratic forms.
 
-    Integrated form scores each mode by the spatial integral of u^T Q u;
-    the current mode is kept while its score stays below -hysteresis,
-    otherwise the argmin wins (ties to the lowest index). The pointwise form
-    scores by the worst node instead of the integral. The other modes are
-    scored only once the current one fails, which changes no decision.
+    Each mode scores the node sum of u^T Q u over a state of shape
+    (n, *grid) or (n,), the one-node case. The current mode is kept while
+    its score is negative, otherwise the argmin wins (ties to the lowest
+    index). The node sum is the spatial integral up to the positive cell
+    volume, which changes neither test. The other modes are scored only once
+    the current one fails, which changes no decision.
     """
     if len(Q) == 1:
         return 0
+    flat = u.reshape(u.shape[0], -1)
     def score(Qs) -> float:
-        if grid is None:
-            return float(u @ Qs @ u)
-        flat = u.reshape(u.shape[0], -1)
-        node_scores = np.einsum("ik,ij,jk->k", flat, Qs, flat)
-        if form == "pointwise":
-            return float(node_scores.max(initial=0.0))
-        return float(node_scores.sum()) * grid.cell_volume
+        return float(np.einsum("ik,ij,jk->k", flat, Qs, flat).sum())
     kept = score(Q[current])
-    if kept < -hysteresis:
+    if kept < 0:
         return current
     return int(np.argmin([kept if k == current else score(Qs)
                           for k, Qs in enumerate(Q)]))
@@ -327,19 +315,15 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
             out[i] = helmholtz_solve(grid, c, c * x[i])
         return out
 
-    def switch(u, mode):
-        return switching_decide(u, grid, Q, mode, config.hysteresis,
-                                config.switching_form)
-
     norm2 = lambda u: l2_inner(grid, u, u)
 
     def guard(hist, u0):
         samples = np.linspace(-tau, 0, 5) if tau > 0 else (0.0,)
         return BLOWUP_FACTOR * max(max(norm2(hist.value(s)) for s in samples), 1e-300)
 
+    switch = (lambda u, mode: switching_decide(u, Q, mode)) if config.switching else None
     return _run(phi, (n,) + grid.shape, tau, network.delay or constant_delay(tau),
-                config, explicit, implicit, norm2, guard,
-                switch if config.switching else None, snapshot)
+                config, explicit, implicit, norm2, guard, switch, snapshot)
 
 
 def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConfig,

@@ -207,6 +207,28 @@ class TestSchema:
         assert len(err) == 1 and err[0].startswith(f"error: {f}: unknown keys ['{key}'] in ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("place, key, value, name", [
+        (["delay"], "tau_max", float("inf"), "Infinity"),
+        (["delay"], "tau_max", float("nan"), "NaN"),
+        ([], "gamma", float("nan"), "NaN"),
+        (["modes", 0, "J"], 0, -float("inf"), "-Infinity"),
+    ], ids=["tau_max-inf", "tau_max-nan", "gamma-nan", "J-minus-inf"])
+    def test_non_json_constant_exit_2(self, tmp_path, capsys, place, key, value, name):
+        net, grid = _write_benchmark(tmp_path / "ok.json", counts=(9, 9))
+        doc = dump_system(net, grid)
+        where = doc
+        for step in place:
+            where = where[step]
+        where[key] = value
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(doc))   # json.dumps spells them NaN, Infinity
+        assert name in f.read_text()
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "certify", str(f)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"error: {f}: {name} is not a JSON number"]
+        assert not out.exists()
+
     def test_trajectory_csv_columns(self, tmp_path):
         traj = Trajectory(np.array([0.0, 0.1, 0.2]), np.array([4.0, 1.0, 0.25]),
                           np.array([0, 1, 1]))
@@ -316,7 +338,7 @@ class TestBitwiseCommandOutputs:
         "r/reproduce_tables.json": "ccfa0a7f3a8bb5c01051982b15e466cbc2bdb93d",
         "honor/certify_report.json": "ca389695a60bca0d355152daed4386f33c466ea6",
         "free/certify_report.json": "f6b5a317b205cb7043fb3df70f4b2453e1c8fcac",
-        "s/simulate_report.json": "da079ba1a9b5f8de52c04f02b3b0189296262c53",
+        "s/simulate_report.json": "2c0c8d33a3b60e0fc260bb0c1a16bc5bf3e45409",
         "s/trajectory.csv": "758abfd4528a2c97772023f710ebab08c4b3d1a0",
     }
 
@@ -448,8 +470,7 @@ class TestCliExitCodes:
         report = json.loads((tmp_path / "simulate_report.json").read_text())
         dt = net.tau_max / 100.0   # the default step
         assert report["dt"] == dt
-        assert report["switching_form"] == "integrated"
-        assert report["hysteresis"] == 0.0
+        assert not {"switching_form", "hysteresis"} & report.keys()
         # round(T / dt) = 29 steps of 0.035 end past --T 1.0
         assert report["horizon"] == 1.0
         assert report["end_time"] == 29 * dt
@@ -553,6 +574,33 @@ class TestCliExitCodes:
         err = capsys.readouterr().err.strip().split("\n")
         assert err[-1] == ("rdnet: error: argument --seed: must be a "
                            f"non-negative integer, got '{seed}'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option, value", [
+        (["simulate", "--T", "inf"], "--T", "inf"),
+        (["simulate", "--T", "nan"], "--T", "nan"),
+        (["simulate", "--dt", "nan"], "--dt", "nan"),
+        (["simulate", "--tau", "nan"], "--tau", "nan"),
+        (["simulate", "--tau=-inf"], "--tau", "-inf"),   # "--tau -inf" reads as an option
+        (["stationary", "--tol", "nan"], "--tol", "nan"),
+        (["stationary", "--tol", "nan", "--inits", "3"], "--tol", "nan"),
+        (["certify", "--gamma", "nan"], "--gamma", "nan"),
+        (["certify", "--beta", "0.5", "inf", "0.1"], "--beta", "inf"),
+        (["certify", "--q=-inf"], "--q", "-inf"),
+        (["certify", "--search", "--gamma-cap", "inf"], "--gamma-cap", "inf"),
+    ], ids=["T-inf", "T-nan", "dt-nan", "tau-nan", "tau-minus-inf", "tol-nan",
+            "tol-nan-inits", "gamma-nan", "beta-inf", "q-minus-inf", "gamma-cap-inf"])
+    def test_non_finite_float_rejected_at_parse_time(self, tmp_path, capsys, argv,
+                                                     option, value):
+        f = tmp_path / "sys.json"
+        _write_benchmark(f, counts=(9, 9))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--out", str(out), argv[0], str(f)] + argv[1:])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err[-1] == (f"rdnet {argv[0]}: error: argument {option}: must be a "
+                           f"finite number, got '{value}'")
         assert not out.exists()
 
     def test_simulate_rejects_short_fit_window_before_simulating(

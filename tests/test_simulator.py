@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -300,69 +299,46 @@ class TestHistory:
 class TestSwitchingDecide:
     def test_picks_argmin_pointwise_state(self):
         Q = [np.eye(1), -np.eye(1)]
-        assert switching_decide(np.array([2.0]), None, Q, current=0) == 1
+        assert switching_decide(np.array([2.0]), Q, current=0) == 1
 
     def test_current_kept_while_its_region_holds(self):
         Q = [-0.5 * np.eye(1), -1.0 * np.eye(1)]
         u = np.array([1.0])
         # the current mode's form is negative, so the state is still inside
         # its region and no switch happens even though mode 1 scores lower
-        assert switching_decide(u, None, Q, current=0) == 0
-        assert switching_decide(u, None, Q, current=1) == 1
+        assert switching_decide(u, Q, current=0) == 0
+        assert switching_decide(u, Q, current=1) == 1
 
     def test_switches_to_argmin_when_region_left(self):
         Q = [0.5 * np.eye(1), -1.0 * np.eye(1)]
         u = np.array([1.0])
-        assert switching_decide(u, None, Q, current=0) == 1
-        # hysteresis slack widens the stay-put region
-        assert switching_decide(u, None, [np.eye(1) * -0.05, Q[1]], current=0,
-                                hysteresis=0.1) == 1
-        assert switching_decide(u, None, [np.eye(1) * -0.2, Q[1]], current=0,
-                                hysteresis=0.1) == 0
+        assert switching_decide(u, Q, current=0) == 1
 
     def test_single_mode_shortcut(self):
-        assert switching_decide(np.array([1.0]), None, [np.eye(1)], 0) == 0
-
-    def test_integrated_vs_pointwise_fields(self):
-        g = Grid(RectDomain((1.0,)), (21,))
-        phi, _ = eigenfunction(g, (1,))
-        u = phi[None]
-        Q = [np.array([[1.0]]), np.array([[-2.0]])]
-        assert switching_decide(u, g, Q, 0, form="integrated") == 1
-        assert switching_decide(u, g, Q, 0, form="pointwise") == 1
+        assert switching_decide(np.array([1.0]), [np.eye(1)], 0) == 0
 
 
-def _eager_decide(u, grid, Q, current, hysteresis, form):
-    """The reference switching law: score every mode, keep current while its
-    score is below -hysteresis, else the lowest-index argmin."""
+def _eager_decide(u, Q, current):
+    """The reference switching law: score every mode by the node sum of
+    u^T Q u, keep current while its score is negative, else the lowest-index
+    argmin."""
     if len(Q) == 1:
         return 0
-    scores = []
-    for Qs in Q:
-        if grid is None:
-            scores.append(float(u @ Qs @ u))
-            continue
-        flat = u.reshape(u.shape[0], -1)
-        node_scores = np.einsum("ik,ij,jk->k", flat, Qs, flat)
-        if form == "pointwise":
-            scores.append(float(node_scores.max(initial=0.0)))
-        else:
-            scores.append(float(node_scores.sum()) * grid.cell_volume)
-    if scores[current] < -hysteresis:
+    flat = u.reshape(u.shape[0], -1)
+    scores = [float(np.einsum("ik,ij,jk->k", flat, Qs, flat).sum()) for Qs in Q]
+    if scores[current] < 0:
         return current
     return int(np.argmin(scores))
 
 
 @st.composite
 def _switching_cases(draw):
-    """Small integer-valued states and forms, so that exact ties between
-    modes (and between a score and -hysteresis) come up often; some forms
-    are repeated outright."""
+    """Small integer-valued states of shape (n,) or (n, *grid shape) and
+    forms, so that exact ties between modes (and between a score and 0)
+    come up often; some forms are repeated outright."""
     n = draw(st.integers(1, 3))
-    counts = draw(st.sampled_from([None, (3,), (4,), (3, 4)]))
-    grid = None if counts is None else Grid(RectDomain((1.0, 2.0)[:len(counts)]), counts)
+    shape = (n,) + draw(st.sampled_from([(), (3,), (4,), (3, 4)]))
     ints = st.integers(-2, 2).map(float)
-    shape = (n,) if grid is None else (n,) + grid.shape
     u = np.array(draw(st.lists(ints, min_size=math.prod(shape),
                                max_size=math.prod(shape)))).reshape(shape)
     Q = []
@@ -373,10 +349,7 @@ def _switching_cases(draw):
         a = np.array(draw(st.lists(ints, min_size=n * n, max_size=n * n))).reshape(n, n)
         Q.append(a + a.T)
     current = draw(st.integers(0, len(Q) - 1))
-    hysteresis = draw(st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
-                                st.floats(0.0, 50.0)))
-    form = draw(st.sampled_from(["integrated", "pointwise"]))
-    return u, grid, Q, current, hysteresis, form
+    return u, Q, current
 
 
 class TestSwitchingDecideMatchesEagerRule:
@@ -754,18 +727,14 @@ class TestSwitchingHappens:
         for beta in ((1.0, 0.0), (0.0, 1.0)):
             assert not verify_certificate(net, beta, 1e-3).feasible
 
-    # at hysteresis 0 the pointwise law chatters: seeds 0-3 switch 1307,
-    # 1233, 991 and 1321 times in 1500 steps, against 22, 19, 44 and 19
-    # times under the integrated law
-    @pytest.mark.parametrize("form", ["integrated", "pointwise"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_switched_decay_meets_certified_rate(self, seed, form):
+    def test_switched_decay_meets_certified_rate(self, seed):
         net, cert, amp = _switching_pair(seed)
         grid = Grid(net.modes[0].domain, (41,))
         phi1, _ = eigenfunction(grid, (1,))
         phi2, _ = eigenfunction(grid, (2,))
         field = np.stack([a1 * phi1 + a2 * phi2 for a1, a2 in amp])
-        config = SimConfig(dt=0.01, horizon=15.0, switching=True, switching_form=form)
+        config = SimConfig(dt=0.01, horizon=15.0, switching=True)
         traj = simulate(net, grid, config, lambda s: field)
         est = estimate_decay_rate(traj)
         assert traj.switch_count > 0
@@ -788,15 +757,6 @@ class TestSwitchingHappens:
         assert report["decay"]["rate"] >= cert.gamma / 2
         assert report["decay"]["r_squared"] >= 0.99
 
-    def test_cli_pointwise_dwell_is_one_step(self, tmp_path, monkeypatch):
-        # the pointwise law chatters: it switches again one step (dt) after
-        # a switch, where the integrated law above dwells at least 0.61
-        monkeypatch.setattr(cli, "SimConfig",
-                            functools.partial(SimConfig, switching_form="pointwise"))
-        report, _ = self._cli_report(tmp_path, "--switching")
-        assert report["switch_count"] > 0
-        assert report["min_dwell_time"] == pytest.approx(0.01, abs=1e-9)
-
     def test_cli_min_dwell_time_null_without_two_switches(self, tmp_path):
         report, _ = self._cli_report(tmp_path)
         assert report["switch_count"] == 0 and report["min_dwell_time"] is None
@@ -808,23 +768,17 @@ class TestBitwiseSwitchedFields:
     pinned bit for bit, so a rewiring of simulate that moves one sample or
     one switch fails here."""
 
-    @pytest.mark.parametrize("form, switches, v_sha1, modes_sha1", [
-        ("integrated", 22, "2987bbb5b658712791a96b9731a52eb678b78acb",
-         "11d4060b6bfd60165ce6bd6c2e00bcf22ccd4fd4"),
-        ("pointwise", 1307, "fc49df6d45c10f6dd93422b994ece9b638823129",
-         "bd9544cd5f05008a8e94a00fe054090ea34b076b"),
-    ])
-    def test_switching_pair(self, form, switches, v_sha1, modes_sha1):
+    def test_switching_pair(self):
         net, _, amp = _switching_pair(0)
         grid = Grid(net.modes[0].domain, (41,))
         phi1, _ = eigenfunction(grid, (1,))
         phi2, _ = eigenfunction(grid, (2,))
         field = np.stack([a1 * phi1 + a2 * phi2 for a1, a2 in amp])
-        config = SimConfig(dt=0.01, horizon=15.0, switching=True, switching_form=form)
+        config = SimConfig(dt=0.01, horizon=15.0, switching=True)
         traj = simulate(net, grid, config, lambda s: field)
-        assert len(traj.V) == 1501 and traj.switch_count == switches
-        assert _sha1(traj.V) == v_sha1
-        assert _sha1(traj.modes) == modes_sha1
+        assert len(traj.V) == 1501 and traj.switch_count == 22
+        assert _sha1(traj.V) == "2987bbb5b658712791a96b9731a52eb678b78acb"
+        assert _sha1(traj.modes) == "11d4060b6bfd60165ce6bd6c2e00bcf22ccd4fd4"
 
     def test_case1_benchmark(self):
         net = presets.switched_benchmark(1)
