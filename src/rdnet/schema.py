@@ -46,8 +46,14 @@ def load_system(path) -> tuple[SwitchedNetwork, Grid]:
 
     def reject(name):
         raise SystemFileError(f"{path}: {name} is not a JSON number")
+
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise SystemFileError(f"{path}: {text} overflows a float")
+        return value
     try:
-        doc = json.loads(path.read_text(), parse_constant=reject)
+        doc = json.loads(path.read_text(), parse_constant=reject, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -57,7 +63,7 @@ def load_system(path) -> tuple[SwitchedNetwork, Grid]:
         raise SystemFileError(f"{path}: unsupported schema_version {version}")
     try:
         return _parse_system(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SystemFileError(f"{path}: {exc}") from exc
 
 
@@ -96,7 +102,9 @@ def _parse_system(doc: dict) -> tuple[SwitchedNetwork, Grid]:
         q=float(doc.get("q", 1.00001)),
         gamma=float(doc.get("gamma", 0.1)))
 
-    counts = tuple(int(c) for c in doc.get("grid", (101,) * modes[0].domain.dims))
+    counts = tuple(doc.get("grid", (101,) * modes[0].domain.dims))
+    if not all(type(c) is int for c in counts):
+        raise SystemFileError(f"grid counts must be integers, got {list(counts)}")
     grid = Grid(modes[0].domain, counts)
     return network, grid
 

@@ -37,25 +37,27 @@ class History:
 
     Times sit in a list that lookups bisect from the oldest live entry. A
     history holds Python floats, kept as they are (immutable), or float
-    arrays of one shape, kept in one ring of slots allocated at the first
-    push. A push fills the ring's next slot in FIFO order: it stores the
-    slot that `slot` handed out as is and copies any other array in. When
-    that slot is still live, the ring doubles and the live entries move to
-    its front in order. Entries no longer reachable by a lookup are
-    released on push, and the dead prefix of the lists is cut off once it
-    is over half of them. A lookup never returns a ring slot, so what it
-    returns survives later pushes.
+    arrays of one shape, kept in one ring of ceil(tau/dt) + 3 slots
+    allocated at the first push: a window of pushes dt apart, the slot the
+    next push fills and a spare against rounding at the window's edge. A
+    push fills the ring's next slot in FIFO order: it stores the slot that
+    `slot` handed out as is and copies any other array in. Pushes closer
+    than dt can leave every slot live; the next push then raises ValueError.
+    The dead prefix of the lists is cut off once it is over half of them. A
+    lookup never returns a ring slot, so what it returns survives later
+    pushes.
     """
 
-    def __init__(self, tau: float):
+    def __init__(self, tau: float, dt: float):
         if tau < 0:
             raise ValueError("delay bound must be nonnegative")
+        if not dt > 0:
+            raise ValueError("dt must be positive")
         self.tau = tau
+        self._capacity = math.ceil(tau / dt) + 3      # ring slots
         self._times: list[float] = []
-        self._states: list[np.ndarray | float | None] = []   # None once released
+        self._states: list[np.ndarray | float] = []
         self._start = 0                               # oldest live entry
-        self._capacity = 16                           # ring slots at the first push
-        self._ring: np.ndarray | None = None          # (slots, *state shape)
         self._slots: list[np.ndarray] = []            # one view per ring slot
         self._head = 0                                # slot the next push fills
 
@@ -63,11 +65,8 @@ class History:
     def from_sampler(cls, sampler: Callable[[float], np.ndarray | float], tau: float,
                      dt: float) -> "History":
         """Seed the window [-tau, 0] by sampling the initial function; a float
-        sample is kept as a float, any other as a float array. The ring holds
-        ceil(tau/dt) + 3 states: a window of steps dt, a free slot and a spare
-        against rounding in the window's edge."""
-        hist = cls(tau)
-        hist._capacity = math.ceil(tau / dt) + 3
+        sample is kept as a float, any other as a float array."""
+        hist = cls(tau, dt)
         steps = max(1, int(round(tau / dt))) if tau > 0 else 0
         for k in range(steps, -1, -1):
             s = -k * tau / steps if steps else 0.0
@@ -79,33 +78,23 @@ class History:
         """The ring slot the next push fills, free until then; None for a
         float or empty history. A stepping loop writes the new state into
         it, and the push then stores it without a copy."""
-        if self._ring is None:
+        if not self._slots:
             return None
-        if len(self._times) - self._start == len(self._slots):   # all live
-            self._grow()
+        if len(self._times) - self._start == len(self._slots):
+            raise ValueError(f"all {len(self._slots)} slots of the delay window "
+                             "are live: pushes closer than dt")
         return self._slots[self._head]
-
-    def _grow(self) -> None:
-        """Double the full ring; its live entries, oldest at the head slot,
-        move to the front in order."""
-        old, head = self._ring, self._head
-        cap = len(old)
-        ring = np.empty((2 * cap,) + old.shape[1:])
-        ring[:cap - head], ring[cap - head:cap] = old[head:], old[:head]
-        self._ring, self._head = ring, cap
-        self._slots = [ring[i, ...] for i in range(2 * cap)]
-        self._states[self._start:] = self._slots[:cap]
 
     def push(self, t: float, u: np.ndarray | float) -> None:
         times, states = self._times, self._states
         if times and t <= times[-1]:
             raise ValueError("history times must be strictly increasing")
-        if self._ring is None and not isinstance(u, float):
+        if not self._slots and not isinstance(u, float):
             if times:
                 raise ValueError("a float history cannot store an array")
-            self._ring = np.empty((self._capacity,) + np.shape(u))
-            self._slots = [self._ring[i, ...] for i in range(self._capacity)]
-        if self._ring is not None:
+            ring = np.empty((self._capacity,) + np.shape(u))
+            self._slots = [ring[i, ...] for i in range(self._capacity)]
+        if self._slots:
             slot = self.slot()
             if u is not slot:
                 if np.shape(u) != slot.shape:
@@ -118,7 +107,6 @@ class History:
         states.append(u)
         start, end = self._start, len(times) - 1
         while end - start >= 2 and times[start + 1] <= t - self.tau:
-            states[start] = None
             start += 1
         if 2 * start > len(times):
             del times[:start], states[:start]
@@ -136,7 +124,7 @@ class History:
                 f"requested t={t} before stored window start {times[start]}")
         if t >= times[-1] or start == len(times) - 1:
             latest = self._states[-1]
-            return latest if self._ring is None else latest.copy()
+            return latest.copy() if self._slots else latest
         j = max(start + 1, bisect_right(times, t, start))
         t0, t1 = times[j - 1], times[j]
         w = (t - t0) / (t1 - t0)

@@ -337,12 +337,21 @@ def find_stationary_multiplicity(problem: StationaryProblem, inits,
         raise ValueError("tol must be positive")
     grid = problem.grid
     _check_newton_size(grid, problem.n)
-    lap, eye = laplacian_matrix(grid), np.eye(grid.size)
-    linear = np.kron(problem.mode.D, lap) - np.kron(problem.mode.C, eye)
-    coupling = np.kron(problem.W, eye)
-    # scaling column k by the slope at unknown k is the product with diag(slope)
-    jacobian = lambda y: linear + coupling * _slope(
-        problem.activation, y.reshape(problem.n, -1)).ravel()
+    # one dense Jacobian kron(D, Lap_h) - kron(C, I) + kron(W, I) diag(slope)
+    # for the whole search: only the diagonals of its n x n blocks change with
+    # y, so only they are rewritten; C is diagonal, so the rest keeps the
+    # formula's bits (x - 0.0 is x)
+    n, size = problem.n, grid.size
+    J = np.kron(problem.mode.D, laplacian_matrix(grid))
+    J.flat[::n * size + 1] -= np.repeat(np.diag(problem.mode.C), size)
+    nodes = np.arange(n)[:, None] * size + np.arange(size)     # (n, size)
+    rows, cols = nodes[:, None, :], nodes[None, :, :]           # block (i, j)
+    linear = J[rows, cols]
+    W = problem.W[:, :, None]
+
+    def jacobian(y):
+        J[rows, cols] = linear + W * _slope(problem.activation, y.reshape(n, -1))
+        return J
     solutions: list[np.ndarray] = []
 
     def known(y):

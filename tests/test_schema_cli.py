@@ -229,6 +229,32 @@ class TestSchema:
         assert err == [f"error: {f}: {name} is not a JSON number"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["certify"], ["simulate", "--T", "1.0"]],
+                             ids=["certify", "simulate"])
+    @pytest.mark.parametrize("place, key, raw, message", [
+        ([], "gamma", "1e999", "1e999 overflows a float"),
+        (["modes", 0, "D", 0], 0, "1e999", "1e999 overflows a float"),
+        ([], "gamma", "9" * 401, "int too large to convert to float"),
+        (["delay"], "tau_max", "9" * 401, "int too large to convert to float"),
+        ([], "grid", "[9.7, 9]", "grid counts must be integers, got [9.7, 9]"),
+    ], ids=["gamma-1e999", "D-1e999", "gamma-401-digits", "tau_max-401-digits",
+            "grid-9.7"])
+    def test_overflowing_or_fractional_number_exit_2(self, tmp_path, capsys, command,
+                                                     place, key, raw, message):
+        net, grid = _write_benchmark(tmp_path / "ok.json", counts=(9, 9))
+        doc = dump_system(net, grid)
+        where = doc
+        for step in place:
+            where = where[step]
+        where[key] = "@"
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(doc).replace('"@"', raw))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), command[0], str(f), *command[1:]]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"error: {f}: {message}"]
+        assert not out.exists()
+
     def test_trajectory_csv_columns(self, tmp_path):
         traj = Trajectory(np.array([0.0, 0.1, 0.2]), np.array([4.0, 1.0, 0.25]),
                           np.array([0, 1, 1]))

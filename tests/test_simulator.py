@@ -102,7 +102,7 @@ class TestHistoryMatchesNumpyWindow:
     def test_random_pushes_and_queries(self, seed):
         rng = np.random.default_rng(seed)
         tau = float(rng.uniform(0.05, 0.5))
-        hist, ref = History(tau), _NumpyWindowHistory(tau)
+        hist, ref = History(tau, 1e-4), _NumpyWindowHistory(tau)
         t = -tau
         for _ in range(3000):
             u = rng.normal(size=2)
@@ -114,7 +114,7 @@ class TestHistoryMatchesNumpyWindow:
 
     def test_queries_on_stored_times(self):
         tau, dt = 0.2, 0.01
-        hist, ref = History(tau), _NumpyWindowHistory(tau)
+        hist, ref = History(tau, dt), _NumpyWindowHistory(tau)
         stored = []
         for k in range(500):
             t = k * dt
@@ -143,7 +143,7 @@ class TestHistoryMatchesNumpyWindow:
 
     def test_thousands_of_pushes_through_compaction(self):
         tau, dt = 0.05, 1e-3
-        hist, ref = History(tau), _NumpyWindowHistory(tau)
+        hist, ref = History(tau, dt), _NumpyWindowHistory(tau)
         for k in range(20000):
             t = k * dt
             u = np.array([float(k), -0.5 * k, k % 7])
@@ -154,21 +154,56 @@ class TestHistoryMatchesNumpyWindow:
                     _same_lookup(hist, ref, q)
         _same_lookup(hist, ref, 20000 * dt - 2 * tau)
 
-    def test_ring_grows_past_its_capacity(self):
-        # long steps wrap a window smaller than the initial 16 slots; short
-        # steps then make the ring double with its oldest live entry mid-ring
+    def test_full_window_raises_and_keeps_its_entries(self):
+        # steps dt apart wrap the ring; steps closer than dt then make every
+        # slot live, and neither a slot nor a push may overwrite one
         rng = np.random.default_rng(4)
-        tau = 1.0
-        hist, ref = History(tau), _NumpyWindowHistory(tau)
-        t = 0.0
-        for k in range(3000):
-            u = rng.normal(size=(2, 3))
-            hist.push(t, u)
-            ref.push(t, u)
-            for q in t - rng.uniform(-0.1, 1.2, 3) * tau:
-                _same_lookup(hist, ref, float(q))
-            t += 0.2 if k < 500 else 0.01 if k < 1500 else float(rng.uniform(1e-3, 0.1))
-        assert hist._ring.shape == (128, 2, 3)
+        tau, dt = 1.0, 0.1
+        hist, ref = History(tau, dt), _NumpyWindowHistory(tau)
+        t, stored = 0.0, []
+        with pytest.raises(ValueError, match="closer than dt"):
+            for k in range(100):
+                hist.slot()
+                u = rng.normal(size=(2, 3))
+                hist.push(t, u)
+                ref.push(t, u)
+                stored.append(t)
+                t += dt if k < 50 else 0.03
+        assert k > 50
+        with pytest.raises(ValueError, match="closer than dt"):
+            hist.push(t, rng.normal(size=(2, 3)))
+        live = stored[stored.index(float(ref._times[ref._start])):]
+        assert len(live) == math.ceil(tau / dt) + 3
+        for a, b in zip(live, live[1:]):
+            for q in (a, 0.75 * a + 0.25 * b, 0.5 * (a + b)):
+                _same_lookup(hist, ref, q)
+        for q in (live[0] - 5e-13, live[0] - 2e-12, live[-1], t, t + 1.0):
+            _same_lookup(hist, ref, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tau=st.one_of(st.just(0.0), st.floats(0.0, 5.0, exclude_min=True,
+                                                  allow_subnormal=False)),
+           ratio=st.integers(1, 300),
+           offset=st.one_of(st.integers(-4, 4), st.floats(0.0, 1.0)))
+    def test_stepping_loop_traffic_never_fills_the_window(self, tau, ratio, offset):
+        # the pushes of _run: seeded by from_sampler, then one per step at
+        # k * dt, each after a lookup a full delay back; the ratio tau / dt
+        # is an integer, one a few ulps off, or between two integers
+        if tau == 0.0:
+            dt = 1.0 / ratio
+        elif isinstance(offset, int):
+            dt = tau / ratio
+            for _ in range(abs(offset)):
+                dt = math.nextafter(dt, math.copysign(math.inf, offset))
+            dt = min(dt, tau)   # as _run requires
+        else:
+            dt = tau / (ratio + offset)
+        hist = History.from_sampler(lambda s: np.array([s, -s]), tau, dt)
+        for k in range(1, max(3 * math.ceil(tau / dt), 3) + 1):
+            hist.value((k - 1) * dt - tau)
+            out = hist.slot()
+            out[:] = k, -k
+            hist.push(k * dt, out)
 
     def test_simulate_with_time_varying_delay(self, monkeypatch):
         # dt does not divide tau, and the delay sweeps [tau/2, tau]
@@ -196,7 +231,7 @@ class TestHistoryMatchesNumpyWindow:
         # neither the caller's pushed buffer nor a returned state aliases
         # the ring
         tau, dt = 0.3, 0.05
-        hist, ref = History(tau), _NumpyWindowHistory(tau)
+        hist, ref = History(tau, dt), _NumpyWindowHistory(tau)
         buf = np.empty((2, 3))
         for k in range(200):
             t = k * dt
@@ -211,20 +246,20 @@ class TestHistoryMatchesNumpyWindow:
 
 class TestHistory:
     def test_linear_interpolation_exact(self):
-        hist = History(2.0)
+        hist = History(2.0, 1.0)
         for t in (0.0, 1.0, 2.0):
             hist.push(t, np.array([2.0 * t]))
         assert hist.value(0.5)[0] == pytest.approx(1.0)
         assert hist.value(1.75)[0] == pytest.approx(3.5)
 
     def test_clamps_future_queries_to_latest(self):
-        hist = History(1.0)
+        hist = History(1.0, 1.0)
         hist.push(0.0, np.array([1.0]))
         hist.push(1.0, np.array([3.0]))
         assert hist.value(5.0)[0] == 3.0
 
     def test_underrun_raises(self):
-        hist = History(1.0)
+        hist = History(1.0, 1.0)
         hist.push(0.0, np.array([1.0]))
         with pytest.raises(HistoryUnderrunError):
             hist.value(-0.5)
@@ -235,26 +270,26 @@ class TestHistory:
         assert hist.value(-5e-13)[0] == 3.0
 
     def test_rejects_nonincreasing_times(self):
-        hist = History(1.0)
+        hist = History(1.0, 1.0)
         hist.push(0.0, np.array([1.0]))
         with pytest.raises(ValueError):
             hist.push(0.0, np.array([2.0]))
 
     def test_rejects_other_state_kinds(self):
-        hist = History(1.0)
+        hist = History(1.0, 1.0)
         hist.push(0.0, np.zeros(2))
         with pytest.raises(ValueError, match="shape"):
             hist.push(1.0, np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
             hist.push(1.0, 0.5)
-        floats = History(1.0)
+        floats = History(1.0, 1.0)
         floats.push(0.0, 0.5)
         with pytest.raises(ValueError, match="array"):
             floats.push(1.0, np.zeros(2))
         assert hist.value(2.0).shape == (2,) and floats.value(2.0) == 0.5
 
     def test_trims_but_keeps_delay_window(self):
-        hist = History(0.5)
+        hist = History(0.5, 0.1)
         for k in range(100):
             hist.push(0.1 * k, np.array([float(k)]))
         # the full delay window must stay reachable
@@ -268,7 +303,7 @@ class TestHistory:
 
     def test_values_survive_later_pushes(self):
         # the caller reuses one state buffer, as a stepping loop may
-        hist, buf = History(0.5), np.empty(2)
+        hist, buf = History(0.5, 0.1), np.empty(2)
         for k in range(4):
             buf[:] = k, -k
             hist.push(0.1 * k, buf)
@@ -285,7 +320,7 @@ class TestHistory:
     def test_uneven_steps_refill_window_and_stay_exact(self):
         rng = np.random.default_rng(3)
         tau = 0.3
-        hist = History(tau)
+        hist = History(tau, 1e-3)
         t = 0.0
         for _ in range(5000):
             hist.push(t, np.array([3.0 * t - 1.0, -2.0 * t]))

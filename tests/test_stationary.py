@@ -306,6 +306,39 @@ class TestMultiplicity:
             assert len(sols) == 1
             assert np.max(np.abs(sols[0] - reference)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_search_jacobian_is_the_dense_formula(self, monkeypatch, n):
+        # the search rewrites only the diagonals of one matrix's blocks; every
+        # Jacobian Newton solves with equals kron(D, Lap_h) - kron(C, I)
+        # + kron(W, I) diag(slope), up to the sign of a zero
+        if n == 1:
+            problem = presets.multiplicity_problem(41)
+        else:
+            # an asymmetric A, so every block of kron(W, I) is its own
+            network = presets.switched_benchmark(1)
+            m = network.modes[0]
+            mode = Mode(m.D, m.C, [[0.5, 0.3], [-0.2, 0.4]], m.B, m.J, m.domain)
+            problem = StationaryProblem(mode, network.activation, Grid(mode.domain, (7, 9)))
+        grid, eye = problem.grid, np.eye(problem.grid.size)
+        linear = (np.kron(problem.mode.D, laplacian_matrix(grid))
+                  - np.kron(problem.mode.C, eye))
+        coupling = np.kron(problem.W, eye)
+        newton, same = stationary._newton, []
+
+        def checking_newton(grid, F, jacobian, y, tol, roots=()):
+            def checked(v):
+                J = jacobian(v)
+                slope = stationary._slope(problem.activation, v.reshape(n, -1)).ravel()
+                same.append(np.array_equal(J, linear + coupling * slope))
+                return J
+            return newton(grid, F, checked, y, tol, roots)
+
+        monkeypatch.setattr(stationary, "_newton", checking_newton)
+        phi1, _ = eigenfunction(grid, (1,) * grid.domain.dims)
+        start = 0.5 / float(np.max(np.abs(phi1))) * np.stack([phi1] * n)
+        find_stationary_multiplicity(problem, [start, -start, problem.zeros()])
+        assert len(same) > 3 and all(same)
+
     def test_known_root_start_adds_nothing(self, monkeypatch):
         problem = presets.multiplicity_problem(101)
         grid = problem.grid
