@@ -22,7 +22,7 @@ from . import presets
 from .certificates import (check_uniqueness_A3, search_certificate,
                            verify_certificate)
 from .geometry import Grid, eigenfunction, l2_norm
-from .model import seeded_uniforms
+from .model import check_A1_sampled, seeded_uniforms
 from .schema import (dump_system, load_system, write_field_csv, write_report,
                      write_trajectory_csv)
 from .simulator import (BlowUpError, SimConfig, estimate_decay_rate,
@@ -52,11 +52,16 @@ def _eigenfunction_starts(grid: Grid, n: int, seed: int, count: int) -> list[np.
 
 
 def cmd_certify(args) -> int:
+    if args.search and (args.beta is not None or args.gamma is not None):
+        raise ValueError("--search finds beta and gamma; --beta and --gamma "
+                         "are for checking one point")
+    if args.gamma_cap is not None and (not args.search or args.honor_theorem):
+        raise ValueError("--gamma-cap bounds only a --search with --no-honor-theorem")
     network, grid = load_system(args.system)
     if args.search:
+        cap = {} if args.gamma_cap is None else {"gamma_cap": args.gamma_cap}
         cert = search_certificate(network, q=args.q,
-                                  honor_theorem_constraint=args.honor_theorem,
-                                  gamma_cap=args.gamma_cap)
+                                  honor_theorem_constraint=args.honor_theorem, **cap)
     else:
         beta = args.beta or [1.0 / network.N] * network.N
         gamma = args.gamma if args.gamma is not None else network.gamma
@@ -191,9 +196,9 @@ def reproduce_tables() -> list[dict]:
     return rows
 
 
-def reproduce_statement1(nodes: int = 401) -> list[dict]:
+def reproduce_statement1() -> list[dict]:
     rows = []
-    problem = presets.boundary_layer_problem(nodes)
+    problem = presets.boundary_layer_problem()
     grid = problem.grid
     closed = statement1_closed_form(grid)
     rows.append(_row("closed_form_u(0)", 0.0, float(statement1_profile(0.0)), 0.0))
@@ -217,9 +222,9 @@ def reproduce_statement1(nodes: int = 401) -> list[dict]:
     return rows
 
 
-def reproduce_example35(nodes: int = 401) -> list[dict]:
+def reproduce_example35() -> list[dict]:
     rows = []
-    problem = presets.linear_variational_problem(nodes)
+    problem = presets.linear_variational_problem()
     grid = problem.grid
     analytic = presets.linear_variational_profile(grid.axes()[0])
     fp, _ = fixed_point_solve(problem)
@@ -237,10 +242,9 @@ def reproduce_example35(nodes: int = 401) -> list[dict]:
     return rows
 
 
-def reproduce_statement2(nodes: int = 201) -> list[dict]:
-    from .model import check_A1_sampled
+def reproduce_statement2() -> list[dict]:
     rows = []
-    problem = presets.multiplicity_problem(nodes)
+    problem = presets.multiplicity_problem()
     grid = problem.grid
     phi1, _ = eigenfunction(grid, (1,) * grid.domain.dims)
     sup_phi = float(np.max(np.abs(phi1)))
@@ -267,8 +271,7 @@ def reproduce_statement2(nodes: int = 201) -> list[dict]:
     return rows
 
 
-def reproduce_example41(case: int, grid_nodes: int = 61, horizon: float = 12.0
-                        ) -> tuple[list[dict], object]:
+def reproduce_example41(case: int, grid_nodes: int) -> tuple[list[dict], object]:
     rows = []
     point = presets.CASE_POINTS[case]
     network = presets.switched_benchmark(case)
@@ -282,7 +285,7 @@ def reproduce_example41(case: int, grid_nodes: int = 61, horizon: float = 12.0
                           all(r["holds"] for r in a3)))
     grid = Grid(network.modes[0].domain, (grid_nodes, grid_nodes))
     phi = presets.switched_benchmark_initial(grid)
-    config = SimConfig(dt=network.tau_max / 100.0, horizon=horizon, switching=True)
+    config = SimConfig(dt=network.tau_max / 100.0, horizon=12.0, switching=True)
     traj = simulate(network, grid, config, phi)
     est = estimate_decay_rate(traj)
     rows.append(_bound_row("fitted_decay_rate", point.rate, est.rate))
@@ -354,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search", action="store_true")
     p.add_argument("--honor-theorem", action=argparse.BooleanOptionalAction,
                    default=True)
-    p.add_argument("--gamma-cap", type=_finite, default=10.0)
+    p.add_argument("--gamma-cap", type=_finite, default=None,
+                   help="gamma bound of --search --no-honor-theorem (default 10)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("stationary", help="compute stationary solutions")

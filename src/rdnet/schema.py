@@ -1,6 +1,7 @@
 """System-definition documents and result/CSV emission.
 
-A system file is JSON with a mandatory schema_version, matrices row-major.
+A system file is JSON with a mandatory schema_version, matrices row-major;
+every value but activation.name is a JSON number, never a string or a boolean.
 Reports echo the fully resolved configuration so a run is auditable from its
 output alone; CSV floats are written with 17 significant digits so re-runs
 are bitwise comparable.
@@ -40,6 +41,20 @@ def _known_keys(doc, where: str, *keys) -> None:
         raise SystemFileError(f"unknown keys {unknown} in {where}, expected {list(keys)}")
 
 
+def _numbers_only(node, where: str) -> None:
+    """Raise unless every leaf under node is an int or a float (a bool is
+    neither); activation.name is the one string a system file holds."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if (where, key) != ("activation", "name"):
+                _numbers_only(value, f"{where}.{key}" if where else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _numbers_only(value, f"{where}[{i}]")
+    elif type(node) not in (int, float):
+        raise SystemFileError(f"{where} is {json.dumps(node)}, not a number")
+
+
 def load_system(path) -> tuple[SwitchedNetwork, Grid]:
     """Parse a system-definition file into a network and its grid."""
     path = Path(path)
@@ -58,16 +73,17 @@ def load_system(path) -> tuple[SwitchedNetwork, Grid]:
         raise SystemFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise SystemFileError(f"{path}: top level must be an object")
-    version = _require(doc, "schema_version", str(path))
-    if version != SCHEMA_VERSION:
-        raise SystemFileError(f"{path}: unsupported schema_version {version}")
     try:
+        _numbers_only(doc, "")
         return _parse_system(doc)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SystemFileError(f"{path}: {exc}") from exc
 
 
 def _parse_system(doc: dict) -> tuple[SwitchedNetwork, Grid]:
+    version = _require(doc, "schema_version", "document")
+    if version != SCHEMA_VERSION:
+        raise SystemFileError(f"unsupported schema_version {version}")
     _known_keys(doc, "document", "schema_version", "modes", "activation", "delay",
                 "Psi", "q", "gamma", "grid")
     act_doc = _require(doc, "activation", "document")

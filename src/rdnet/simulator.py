@@ -198,13 +198,6 @@ def switching_decide(u: np.ndarray, Q: Sequence[np.ndarray], current: int) -> in
                           for k, Qs in enumerate(Q)]))
 
 
-def _deviation_activation(activation, shape):
-    """f(u) = g(u) - g(0), so f(0) = 0 exactly; g(0) has the arguments'
-    shape, (n,) or (n, 1)."""
-    g0 = activation(np.zeros(shape))
-    return lambda flat: activation(flat) - g0
-
-
 def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
          explicit, implicit, norm2, guard, switch=None, snapshot=None) -> Trajectory:
     """The stepping loop shared by simulate and simulate_ode.
@@ -288,7 +281,8 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     shared_modes = [Mode(m.D, m.C, m.A, m.B, m.J, grid.domain) for m in network.modes]
     Q = [mode_margin_matrix(m, network.activation.G, network.gamma, network.q,
                             tau, network.Psi) for m in shared_modes]
-    f = _deviation_activation(network.activation, (n, 1))
+    g0 = network.activation(np.zeros((n, 1)))   # f(u) = g(u) - g(0): f(0) = 0 exactly
+    f = lambda flat: network.activation(flat) - g0
     coef = [1.0 / (config.dt * np.diag(m.D)) for m in shared_modes]
 
     def explicit(mode, t, u, u_delay):
@@ -315,51 +309,35 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
 
 
 def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConfig,
-                 phi: Callable[[float], np.ndarray], *, deviation: bool = False,
-                 delay: Callable[[float], float] | None = None) -> Trajectory:
+                 phi: Callable[[float], np.ndarray]) -> Trajectory:
     """Forward-Euler integration of du/dt = -C u + A g(u) + B g(u_tau) + J.
 
-    The lumped mode's n coupled ODEs run in the shared stepping loop;
-    phi(s) gives the initial state of shape (n,) for s in [-tau, 0].
-    deviation=True drops J and recenters g at 0 (the zero solution is then
-    exactly invariant). V records the squared Euclidean norm, so the
-    decay-rate estimator applies unchanged. The blow-up guard is 1e6 times
-    max(|u0|^2, 1); the delay defaults to the constant tau.
+    The lumped scalar mode runs in the shared stepping loop with the
+    constant delay tau; phi(s) gives the initial state of shape (1,) for s
+    in [-tau, 0]. V records u^2, so the decay-rate estimator applies
+    unchanged. The blow-up guard is 1e6 times max(u0^2, 1). A mode with
+    n != 1 raises ValueError before the history is seeded.
 
-    With n = 1 the state steps as a Python float, bit for bit as the (1,)
-    array would: the registry function is applied to floats, and numpy's
-    1x1 product c @ x is 0 + c*x, written c*x + 0.0 (it turns -0.0 into
-    +0.0; later terms cannot, as the sum then never holds -0.0). For n >= 2
-    numpy may fuse the products with FMA, so the arrays stay.
+    The state steps as a Python float, bit for bit as a (1,) array would:
+    the registry function is applied to floats, and numpy's 1x1 product
+    c @ x is 0 + c*x, written c*x + 0.0 (it turns -0.0 into +0.0; later
+    terms cannot, as the sum then never holds -0.0).
     """
-    n = mode.n
-    if n == 1:
-        c, a, b = float(-mode.C[0, 0]), float(mode.A[0, 0]), float(mode.B[0, 0])
-        j = 0.0 if deviation else float(mode.J[0])
-        g = activation.fn
-        g0 = float(g(0.0)) if deviation else 0.0      # x - 0.0 is x, -0.0 included
+    if mode.n != 1:
+        raise ValueError(f"simulate_ode integrates a scalar mode, got n = {mode.n}")
+    c, a, b = float(-mode.C[0, 0]), float(mode.A[0, 0]), float(mode.B[0, 0])
+    j, g = float(mode.J[0]), activation.fn
 
-        def f(x):
-            return float(g(x)) - g0
+    def explicit(_, t, u, u_delay):
+        return c * u + 0.0 + a * float(g(u)) + b * float(g(u_delay)) + j
 
-        def explicit(_, t, u, u_delay):
-            return c * u + 0.0 + a * f(u) + b * f(u_delay) + j
-
-        def sample(s):
-            v = np.asarray(phi(s), dtype=float)
-            if v.shape != (1,):
-                raise ValueError(f"initial state has shape {v.shape}, expected (1,)")
-            return float(v[0])
-        shape, norm2 = (), lambda u: u * u
-    else:
-        f = _deviation_activation(activation, n) if deviation else activation
-        neg_C, A, B = -mode.C, mode.A, mode.B
-        J = 0.0 if deviation else mode.J
-
-        def explicit(_, t, u, u_delay):
-            return neg_C @ u + A @ f(u) + B @ f(u_delay) + J
-        sample, shape, norm2 = phi, (n,), lambda u: float(u @ u)
-    return _run(sample, shape, tau, delay or constant_delay(tau), config, explicit,
+    def sample(s):
+        v = np.asarray(phi(s), dtype=float)
+        if v.shape != (1,):
+            raise ValueError(f"initial state has shape {v.shape}, expected (1,)")
+        return float(v[0])
+    norm2 = lambda u: u * u
+    return _run(sample, (), tau, constant_delay(tau), config, explicit,
                 implicit=lambda mode, x, out: x, norm2=norm2,
                 guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0))
 

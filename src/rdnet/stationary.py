@@ -201,7 +201,6 @@ def energy_gradient(problem: StationaryProblem, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MinimizeReport:
-    converged: bool
     iterations: int
     grad_norm: float
     energy: float
@@ -280,7 +279,7 @@ def variational_minimize(problem: StationaryProblem, tol: float = 1e-8
         g = energy_gradient(problem, u)
         gnorm = l2_norm(grid, g)
         if gnorm <= tol:
-            return u, MinimizeReport(True, it - 1, gnorm, e)
+            return u, MinimizeReport(it - 1, gnorm, e)
         p = helmholtz_solve(grid, c0, g)
         slope = l2_inner(grid, g, p)   # positive: SPD preconditioner
         step = min(step * 2.0, DESCENT_STEP0)
@@ -312,7 +311,7 @@ def variational_minimize(problem: StationaryProblem, tol: float = 1e-8
     u = _newton(grid, lambda v: energy_gradient(problem, v), jacobian, u, tol)
     gnorm = l2_norm(grid, energy_gradient(problem, u))
     if gnorm <= tol:
-        return u, MinimizeReport(True, it, gnorm, energy_eval(problem, u))
+        return u, MinimizeReport(it, gnorm, energy_eval(problem, u))
     raise DivergenceError(
         f"energy minimization did not converge in {DEFAULT_MAX_ITER} iterations "
         f"(gradient norm {gnorm:.3e})", u, gnorm)

@@ -255,6 +255,38 @@ class TestSchema:
         assert err == [f"error: {f}: {message}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["certify"], ["simulate", "--T", "1.0"]],
+                             ids=["certify", "simulate"])
+    @pytest.mark.parametrize("place, key, value, message", [
+        ([], "gamma", "nan", 'gamma is "nan", not a number'),
+        (["modes", 0, "A", 0], 0, "inf", 'modes[0].A[0][0] is "inf", not a number'),
+        (["activation", "params"], "a", "inf",
+         'activation.params.a is "inf", not a number'),
+        (["activation", "lipschitz"], 0, "nan",
+         'activation.lipschitz[0] is "nan", not a number'),
+        (["activation"], "lipschitz", True, "activation.lipschitz is true, not a number"),
+        ([], "q", "1.5", 'q is "1.5", not a number'),
+        ([], "schema_version", True, "schema_version is true, not a number"),
+    ], ids=["gamma-string-nan", "A-string-inf", "param-string-inf",
+            "lipschitz-string-nan", "lipschitz-true", "q-string", "version-true"])
+    def test_string_or_boolean_number_exit_2(self, tmp_path, capsys, command,
+                                             place, key, value, message):
+        # float() and numpy would read "nan", "inf" and "1.5" as numbers and
+        # true as 1, so the file is checked before anything converts it
+        net, grid = _write_benchmark(tmp_path / "ok.json", counts=(9, 9))
+        doc = dump_system(net, grid)
+        where = doc
+        for step in place:
+            where = where[step]
+        where[key] = value
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), command[0], str(f), *command[1:]]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"error: {f}: {message}"]
+        assert not out.exists()
+
     def test_trajectory_csv_columns(self, tmp_path):
         traj = Trajectory(np.array([0.0, 0.1, 0.2]), np.array([4.0, 1.0, 0.25]),
                           np.array([0, 1, 1]))
@@ -413,6 +445,38 @@ class TestCliExitCodes:
         cert = json.loads((tmp_path / "certify_report.json").read_text())["certificate"]
         assert cert["feasible"] is True
         assert cert["gamma"] >= 0.6111047 - 1e-6
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--search", "--beta", "0.2", "0.3", "0.5"], "--search finds beta and gamma"),
+        (["--search", "--gamma", "5"], "--search finds beta and gamma"),
+        (["--search", "--gamma-cap", "0.001"], "--gamma-cap bounds only"),
+        (["--search", "--honor-theorem", "--gamma-cap", "2"], "--gamma-cap bounds only"),
+        (["--gamma-cap", "2"], "--gamma-cap bounds only"),
+        (["--no-honor-theorem", "--gamma-cap", "2"], "--gamma-cap bounds only"),
+    ], ids=["search-beta", "search-gamma", "search-honor-cap",
+            "search-explicit-honor-cap", "cap-without-search", "cap-check"])
+    def test_certify_ignored_option_exit_2(self, tmp_path, capsys, monkeypatch, argv,
+                                           message):
+        # each option would change nothing in the run, so the run is refused
+        f = tmp_path / "sys.json"
+        _write_benchmark(f, counts=(9, 9))
+        loaded = []
+        monkeypatch.setattr(cli, "load_system", lambda *a: loaded.append(a))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "certify", str(f), *argv]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert captured.out == "" and loaded == [] and not out.exists()
+
+    def test_certify_gamma_cap_bounds_free_search(self, tmp_path):
+        f = tmp_path / "sys.json"
+        _write_benchmark(f, counts=(9, 9))
+        code = cli.main(["--out", str(tmp_path), "certify", str(f), "--search",
+                         "--no-honor-theorem", "--gamma-cap", "0.3"])
+        assert code == 0
+        cert = json.loads((tmp_path / "certify_report.json").read_text())["certificate"]
+        assert cert["feasible"] is True and cert["gamma"] <= 0.3
 
     def test_certify_parse_error_exit_2(self, tmp_path):
         f = tmp_path / "garbage.json"
@@ -746,5 +810,5 @@ class TestReproduceRows:
         assert len(traj.times) == 344 and traj.switch_count == 0
 
     def test_example35_rows(self):
-        rows = cli.reproduce_example35(nodes=201)
+        rows = cli.reproduce_example35()
         assert all(r["pass"] for r in rows)

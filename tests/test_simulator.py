@@ -424,8 +424,7 @@ class TestOdeIntegration:
         mode = Mode([[1.0]], [[2.0]], [[0.0]], [[0.0]], [0.0], RectDomain((1.0,)))
         act = Activation.uniform("identity", {}, 1.0, 1)
         config = SimConfig(dt=1e-4, horizon=5.0)
-        traj = simulate_ode(mode, act, 0.0, config, lambda s: np.array([1.0]),
-                            deviation=True)
+        traj = simulate_ode(mode, act, 0.0, config, lambda s: np.array([1.0]))
         est = estimate_decay_rate(traj)
         assert est.rate == pytest.approx(2.0, rel=1e-3)
         assert est.r_squared > 0.999
@@ -442,8 +441,17 @@ class TestOdeIntegration:
         act = Activation.uniform("identity", {}, 1.0, 1)
         config = SimConfig(dt=0.01, horizon=50.0)
         with pytest.raises(BlowUpError):
-            simulate_ode(mode, act, 0.0, config, lambda s: np.array([1.0]),
-                         deviation=True)
+            simulate_ode(mode, act, 0.0, config, lambda s: np.array([1.0]))
+
+    def test_vector_mode_rejected_before_stepping(self):
+        mode = Mode(np.eye(2), np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
+                    [0.0, 0.0], RectDomain((1.0,)))
+        act = Activation.uniform("identity", {}, 1.0, 2)
+
+        def phi(s):
+            raise AssertionError("the history was seeded")
+        with pytest.raises(ValueError, match="scalar mode, got n = 2"):
+            simulate_ode(mode, act, 0.5, SimConfig(dt=0.01, horizon=1.0), phi)
 
 
 def _sha1(a: np.ndarray) -> str:
@@ -470,36 +478,20 @@ class TestBitwiseTrajectories:
         assert len(traj.V) == 20001
         assert _sha1(traj.V) == "9423fd4144001fd87ca77ed428d39070753d1fd6"
 
-    def test_deviation_ode_with_varying_delay(self):
-        mode = Mode(np.diag([1.0, 0.5]), np.diag([1.5, 1.0]), [[0.2, -0.3], [0.4, 0.1]],
-                    [[0.1, 0.2], [-0.2, 0.3]], [0.3, -0.1], RectDomain((1.0,)))
-        act = Activation.uniform("scaled_sine", {"a": 0.1, "b": 0.5, "c": 0.3}, 0.8, 2)
-        traj = simulate_ode(mode, act, 0.5, SimConfig(dt=0.01, horizon=3.0),
-                            lambda s: np.array([1.0 + s, -0.5 + 0.3 * s]),
-                            deviation=True,
-                            delay=lambda t: 0.25 + 0.2 * math.sin(3.0 * t))
-        assert len(traj.V) == 301
-        assert _sha1(traj.V) == "e6642ec94348911c3114f4d66fce32ea00bf12c9"
+
+def _numpy_ode_rhs(mode, activation):
+    """The reference right-hand side: -C u + A g(u) + B g(u_tau) + J on (1,)
+    arrays with numpy products, as simulate_ode stepped before a scalar mode
+    stepped on floats."""
+    g, neg_C, A, B, J = activation, -mode.C, mode.A, mode.B, mode.J
+    return lambda t, u, u_delay: neg_C @ u + A @ g(u) + B @ g(u_delay) + J
 
 
-def _numpy_ode_rhs(mode, activation, deviation):
-    """The reference right-hand side: -C u + A f(u) + B f(u_tau) + J on (n,)
-    arrays with numpy products, as simulate_ode stepped every mode before
-    scalar modes stepped on floats."""
-    f = activation
-    if deviation:
-        g0 = activation(np.zeros(mode.n))
-        f = lambda v: activation(v) - g0
-    neg_C, A, B = -mode.C, mode.A, mode.B
-    J = 0.0 if deviation else mode.J
-    return lambda t, u, u_delay: neg_C @ u + A @ f(u) + B @ f(u_delay) + J
-
-
-def _reference_simulate_ode(mode, activation, tau, config, phi, deviation, delay):
-    """simulate_ode on (n,) array states: the reference rhs through _run."""
-    rhs = _numpy_ode_rhs(mode, activation, deviation)
+def _reference_simulate_ode(mode, activation, tau, config, phi):
+    """simulate_ode on (1,) array states: the reference rhs through _run."""
+    rhs = _numpy_ode_rhs(mode, activation)
     norm2 = lambda u: float(u @ u)
-    return _run(phi, (mode.n,), tau, delay or constant_delay(tau), config,
+    return _run(phi, (mode.n,), tau, constant_delay(tau), config,
                 explicit=lambda m, t, u, u_delay: rhs(t, u, u_delay),
                 implicit=lambda m, x, out: x, norm2=norm2,
                 guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0))
@@ -520,10 +512,10 @@ _POSITIVE = st.floats(0.1, 4.0)
 
 @st.composite
 def _scalar_ode_cases(draw):
-    """A scalar mode, one of the six registry activations, a delay kind and
-    linear initial data; ±0.0 comes up in data and coefficients (phi is
-    sampled at s = -0.0), and some cases raise: dt > tau, a delay outside
-    [0, tau] or a blow-up."""
+    """A scalar mode, one of the six registry activations, a constant delay
+    (or none) and linear initial data; ±0.0 comes up in data and
+    coefficients (phi is sampled at s = -0.0), and some cases raise: dt >
+    tau or a blow-up."""
     name = draw(st.sampled_from(["affine", "identity", "scaled_sine",
                                  "piecewise_cbrt", "saturation", "tabulated"]))
     if name in ("affine", "scaled_sine"):
@@ -542,20 +534,12 @@ def _scalar_ode_cases(draw):
     mode = Mode([[1.0]], [[draw(_POSITIVE)]], [[draw(_SIGNED)]], [[draw(_SIGNED)]],
                 [draw(_SIGNED)], RectDomain((1.0,)))
     dt = draw(st.sampled_from([0.01, 0.05, 0.1]))
-    kind = draw(st.sampled_from(["none", "constant", "varying", "outside"]))
-    tau = 0.0 if kind == "none" else draw(st.sampled_from([0.05, 0.3, 1.0]))
-    delay = None
-    if kind == "varying":
-        w = draw(st.floats(0.5, 5.0))
-        delay = lambda t: tau * (0.5 + 0.5 * math.sin(w * t))
-    elif kind == "outside":
-        t_bad, bad = draw(st.floats(0.0, 2.0)), draw(st.sampled_from([-0.01, 1.25]))
-        delay = lambda t: tau * (bad if t >= t_bad else 0.5)
+    tau = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
     config = SimConfig(dt=dt, horizon=dt * draw(st.integers(1, 150)))
     p0 = draw(st.one_of(st.sampled_from([0.0, -0.0]), _SIGNED))
     p1 = draw(_SIGNED)
     phi = lambda s: np.array([p0 + p1 * s])
-    return mode, activation, tau, config, phi, draw(st.booleans()), delay
+    return mode, activation, tau, config, phi
 
 
 class TestScalarOdeMatchesNumpyRhs:
@@ -566,9 +550,7 @@ class TestScalarOdeMatchesNumpyRhs:
     @given(_scalar_ode_cases())
     @settings(max_examples=400, deadline=None)
     def test_same_bits(self, case):
-        mode, activation, tau, config, phi, deviation, delay = case
-        got = _outcome(lambda: simulate_ode(
-            mode, activation, tau, config, phi, deviation=deviation, delay=delay))
+        got = _outcome(lambda: simulate_ode(*case))
         want = _outcome(lambda: _reference_simulate_ode(*case))
         assert got == want
 
@@ -882,14 +864,6 @@ class TestDelays:
         assert len(derived.V) == 61 and derived.V.tobytes() == given.V.tobytes()
 
     @pytest.mark.parametrize("bad", [-0.5, 2.0])
-    def test_delay_outside_bound_rejected_ode(self, bad):
-        mode = Mode([[1.0]], [[1.0]], [[0.0]], [[0.5]], [0.0], RectDomain((1.0,)))
-        with pytest.raises(ValueError, match=rf"t=0\.0 is {bad}"):
-            simulate_ode(mode, Activation.uniform("identity", {}, 1.0, 1), 1.0,
-                         SimConfig(dt=0.01, horizon=1.0), lambda s: np.ones(1),
-                         deviation=True, delay=lambda t: bad)
-
-    @pytest.mark.parametrize("bad", [-0.5, 2.0])
     def test_delay_outside_bound_rejected_pde(self, bad):
         mode = Mode([[0.1]], [[1.0]], [[0.0]], [[0.5]], [0.0], RectDomain((1.0,)))
         net = SwitchedNetwork((mode,), Activation.uniform("identity", {}, 1.0, 1),
@@ -903,17 +877,6 @@ class TestDelays:
     # the scheme reduces to a scalar recurrence; a constant delay would read
     # phi(t - tau) = 1 + t - tau instead.
     tau, dt, c, b = 0.5, 0.05, 1.0, 0.5
-
-    def test_time_varying_delay_ode(self):
-        mode = Mode([[1.0]], [[self.c]], [[0.0]], [[self.b]], [0.0], RectDomain((1.0,)))
-        traj = simulate_ode(mode, Activation.uniform("identity", {}, 1.0, 1), self.tau,
-                            SimConfig(dt=self.dt, horizon=self.tau),
-                            lambda s: np.array([1.0 + s]), deviation=True,
-                            delay=lambda t: min(t, self.tau))
-        a = 1.0
-        for _ in range(10):
-            a = a + self.dt * (-self.c * a + self.b)
-        assert traj.V[-1] == pytest.approx(a**2, rel=1e-12)
 
     def test_time_varying_delay_pde(self):
         d = 0.1
