@@ -85,8 +85,10 @@ class Grid:
 
         Column k of S samples sin(k pi x/l), whose 3-point stencil eigenvalue is
         (2/h sin(k pi h/2l))^2 (Buzbee, Golub & Nielson, SIAM J. Numer. Anal.
-        7(4), 1970); the sine argument is reduced mod 2 pi in integers first.
-        An axis with the first axis's count and length shares its tuple.
+        7(4), 1970); the sine argument is reduced mod 2 pi first, exactly, as
+        fmod of the integer products k*j (below 2**53) held as floats. S is
+        built in place in one array. An axis with the first axis's count and
+        length shares its tuple.
         """
         basis = []
         for c, h, l in zip(self.counts, self.spacing, self.domain.lengths):
@@ -94,9 +96,13 @@ class Grid:
                 basis.append(basis[0])
                 continue
             k = np.arange(1, c + 1)
-            arg = np.outer(k, k) % (2 * (c + 1)) * (math.pi / (c + 1))
+            s = np.outer(k.astype(float), k)
+            np.fmod(s, 2 * (c + 1), out=s)
+            s *= math.pi / (c + 1)
+            np.sin(s, out=s)
+            s *= math.sqrt(2.0 / (c + 1))
             lam = (2.0 / h * np.sin(k * math.pi * h / (2.0 * l))) ** 2
-            basis.append((math.sqrt(2.0 / (c + 1)) * np.sin(arg), lam))
+            basis.append((s, lam))
         return tuple(basis)
 
 

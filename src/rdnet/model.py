@@ -194,8 +194,9 @@ def _tabulated(p):
 # both elementwise on float arrays of any shape. A builder reads and checks
 # its params when it runs, so a bad set, an unknown key included, fails
 # before any evaluation. An activation and its antiderivative give the same
-# bits on a Python float as on a 1-element array (simulate_ode relies on it
-# for the activation).
+# bits on a Python float, on a 1-element array and elementwise in one call on
+# a longer array (simulate_ode relies on it for the activation: it steps u on
+# floats and evaluates each delay window's g(u(t - tau)) in one array call).
 ACTIVATIONS = {
     "affine": _affine,
     "identity": _identity,

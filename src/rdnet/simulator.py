@@ -1,11 +1,11 @@
 """Time integration of the delayed system with state-dependent switching.
 
 First-order IMEX stepping: diffusion backward-Euler (unconditionally stable
-against the D/h^2 stiffness), reaction and delay terms forward. The field
-and ODE integrators share one stepping loop whose implicit part is the
-Helmholtz solve or the identity. Delay lookup interpolates linearly in a
-window spanning the delay, matching the scheme order. A simulation run is
-single-threaded and deterministic.
+against the D/h^2 stiffness), reaction and delay terms forward. Fields step
+in one loop whose implicit part is the Helmholtz solve; the lumped scalar
+ODE has its own forward-Euler integrator by the method of steps. Delay
+lookup interpolates linearly in a window spanning the delay, matching the
+scheme order. A simulation run is single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -32,20 +32,26 @@ class HistoryUnderrunError(RuntimeError):
     """Delay lookup requested a time before the stored window."""
 
 
+def _seed_times(tau: float, dt: float) -> list[float]:
+    """Where a run samples its initial function: max(1, round(tau/dt)) + 1
+    evenly spaced times from -tau to 0, or 0 alone where tau = 0."""
+    m = max(1, int(round(tau / dt))) if tau > 0 else 0
+    return [-k * tau / m if m else 0.0 for k in range(m, -1, -1)]
+
+
 class History:
     """Delay window of (time, state) entries spanning at least the delay.
 
-    Times sit in a list that lookups bisect from the oldest live entry. A
-    history holds Python floats, kept as they are (immutable), or float
-    arrays of one shape, kept in one ring of ceil(tau/dt) + 3 slots
-    allocated at the first push: a window of pushes dt apart, the slot the
-    next push fills and a spare against rounding at the window's edge. A
-    push fills the ring's next slot in FIFO order: it stores the slot that
-    `slot` handed out as is and copies any other array in. Pushes closer
-    than dt can leave every slot live; the next push then raises ValueError.
-    The dead prefix of the lists is cut off once it is over half of them. A
-    lookup never returns a ring slot, so what it returns survives later
-    pushes.
+    Times sit in a list that lookups bisect from the oldest live entry.
+    States are float arrays of one shape, kept in one ring of ceil(tau/dt) + 3
+    slots allocated at the first push: a window of pushes dt apart, the slot
+    the next push fills and a spare against rounding at the window's edge;
+    a scalar push raises ValueError. A push fills the ring's next slot in
+    FIFO order: it stores the slot that `slot` handed out as is and copies
+    any other array in. Pushes closer than dt can leave every slot live; the
+    next push then raises ValueError. The dead prefix of the lists is cut
+    off once it is over half of them. A lookup never returns a ring slot, so
+    what it returns survives later pushes.
     """
 
     def __init__(self, tau: float, dt: float):
@@ -56,28 +62,25 @@ class History:
         self.tau = tau
         self._capacity = math.ceil(tau / dt) + 3      # ring slots
         self._times: list[float] = []
-        self._states: list[np.ndarray | float] = []
+        self._states: list[np.ndarray] = []
         self._start = 0                               # oldest live entry
         self._slots: list[np.ndarray] = []            # one view per ring slot
         self._head = 0                                # slot the next push fills
 
     @classmethod
-    def from_sampler(cls, sampler: Callable[[float], np.ndarray | float], tau: float,
+    def from_sampler(cls, sampler: Callable[[float], np.ndarray], tau: float,
                      dt: float) -> "History":
-        """Seed the window [-tau, 0] by sampling the initial function; a float
-        sample is kept as a float, any other as a float array."""
+        """Seed the window [-tau, 0] by sampling the initial function at
+        _seed_times(tau, dt)."""
         hist = cls(tau, dt)
-        steps = max(1, int(round(tau / dt))) if tau > 0 else 0
-        for k in range(steps, -1, -1):
-            s = -k * tau / steps if steps else 0.0
-            x = sampler(s)
-            hist.push(s, x if isinstance(x, float) else np.asarray(x, dtype=float))
+        for s in _seed_times(tau, dt):
+            hist.push(s, np.asarray(sampler(s), dtype=float))
         return hist
 
     def slot(self) -> np.ndarray | None:
-        """The ring slot the next push fills, free until then; None for a
-        float or empty history. A stepping loop writes the new state into
-        it, and the push then stores it without a copy."""
+        """The ring slot the next push fills, free until then; None before
+        the first push sets the ring's shape. A stepping loop writes the new
+        state into it, and the push then stores it without a copy."""
         if not self._slots:
             return None
         if len(self._times) - self._start == len(self._slots):
@@ -85,26 +88,24 @@ class History:
                              "are live: pushes closer than dt")
         return self._slots[self._head]
 
-    def push(self, t: float, u: np.ndarray | float) -> None:
+    def push(self, t: float, u: np.ndarray) -> None:
         times, states = self._times, self._states
         if times and t <= times[-1]:
             raise ValueError("history times must be strictly increasing")
-        if not self._slots and not isinstance(u, float):
-            if times:
-                raise ValueError("a float history cannot store an array")
+        if np.ndim(u) == 0:
+            raise ValueError("state has shape (): a history stores arrays, not scalars")
+        if not self._slots:
             ring = np.empty((self._capacity,) + np.shape(u))
             self._slots = [ring[i, ...] for i in range(self._capacity)]
-        if self._slots:
-            slot = self.slot()
-            if u is not slot:
-                if np.shape(u) != slot.shape:
-                    raise ValueError(f"state has shape {np.shape(u)}, "
-                                     f"the history holds {slot.shape}")
-                slot[...] = u
-            self._head = (self._head + 1) % len(self._slots)
-            u = slot
+        slot = self.slot()
+        if u is not slot:
+            if np.shape(u) != slot.shape:
+                raise ValueError(f"state has shape {np.shape(u)}, "
+                                 f"the history holds {slot.shape}")
+            slot[...] = u
+        self._head = (self._head + 1) % len(self._slots)
         times.append(float(t))
-        states.append(u)
+        states.append(slot)
         start, end = self._start, len(times) - 1
         while end - start >= 2 and times[start + 1] <= t - self.tau:
             start += 1
@@ -113,9 +114,8 @@ class History:
             start = 0
         self._start = start
 
-    def value(self, t: float) -> np.ndarray | float:
-        """Linear interpolation between stored snapshots; a stored array is
-        returned as a copy."""
+    def value(self, t: float) -> np.ndarray:
+        """Linear interpolation between stored snapshots, in a new array."""
         times, start = self._times, self._start
         if not times:
             raise HistoryUnderrunError("history is empty")
@@ -123,8 +123,7 @@ class History:
             raise HistoryUnderrunError(
                 f"requested t={t} before stored window start {times[start]}")
         if t >= times[-1] or start == len(times) - 1:
-            latest = self._states[-1]
-            return latest.copy() if self._slots else latest
+            return self._states[-1].copy()
         j = max(start + 1, bisect_right(times, t, start))
         t0, t1 = times[j - 1], times[j]
         w = (t - t0) / (t1 - t0)
@@ -200,19 +199,17 @@ def switching_decide(u: np.ndarray, Q: Sequence[np.ndarray], current: int) -> in
 
 def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
          explicit, implicit, norm2, guard, switch=None, snapshot=None) -> Trajectory:
-    """The stepping loop shared by simulate and simulate_ode.
+    """The field stepping loop of simulate.
 
     A step is u <- implicit(mode, u + dt * explicit(mode, t, u, u_delay), out),
     then the history push and the blow-up guard, whose bound is guard(hist,
-    u0). out is the history's ring slot that the push fills (None for a
-    float state); implicit may write the new state into it, which the push
-    then stores without a copy, or return another array, which the push
-    copies into the ring. switch(u, mode) returns the new mode. The state is
-    a float array of the given shape, or a Python float where shape is ();
-    the loop only rebinds u. At t = 0 and every snapshot_stride-th step the
-    loop calls snapshot(t, copy), the copy an array of at least one
-    dimension that the loop keeps no reference to; a stride without a
-    snapshot callable raises before the history is seeded.
+    u0). The state is a float array of the given shape. out is the history's
+    ring slot that the push fills; implicit may write the new state into
+    it, which the push then stores without a copy, or return another array,
+    which the push copies into the ring. switch(u, mode) returns the new
+    mode. At t = 0 and every snapshot_stride-th step the loop calls
+    snapshot(t, copy), a copy the loop keeps no reference to; a stride
+    without a snapshot callable raises before the history is seeded.
     """
     stride = config.snapshot_stride
     if stride and snapshot is None:
@@ -222,8 +219,8 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
         raise ValueError("dt must not exceed the delay bound")
     hist = History.from_sampler(phi, tau, dt)
     u = hist.value(0.0)
-    if np.shape(u) != shape:
-        raise ValueError(f"initial state has shape {np.shape(u)}, expected {shape}")
+    if u.shape != shape:
+        raise ValueError(f"initial state has shape {u.shape}, expected {shape}")
     bound = guard(hist, u)
 
     steps = config.steps
@@ -236,7 +233,7 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
     t = 0.0
     times[0], V[0] = t, norm2(u)
     if stride:
-        snapshot(t, np.array(u, ndmin=1))
+        snapshot(t, u.copy())
     for k in range(1, steps + 1):
         if switch is not None:
             mode = switch(u, mode)
@@ -255,7 +252,7 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
             raise BlowUpError(f"norm blew up at t={t:.4g} (V={v:.3e})")
         times[k], V[k], modes[k] = t, v, mode
         if stride and k % stride == 0:
-            snapshot(t, np.array(u, ndmin=1))
+            snapshot(t, u.copy())
     return Trajectory(times, V, modes)
 
 
@@ -312,34 +309,93 @@ def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConf
                  phi: Callable[[float], np.ndarray]) -> Trajectory:
     """Forward-Euler integration of du/dt = -C u + A g(u) + B g(u_tau) + J.
 
-    The lumped scalar mode runs in the shared stepping loop with the
-    constant delay tau; phi(s) gives the initial state of shape (1,) for s
-    in [-tau, 0]. V records u^2, so the decay-rate estimator applies
-    unchanged. The blow-up guard is 1e6 times max(u0^2, 1). A mode with
-    n != 1 raises ValueError before the history is seeded.
+    The lumped scalar mode runs under the constant delay tau; phi(s) gives
+    the initial state of shape (1,) for s in [-tau, 0], sampled at
+    _seed_times(tau, dt) as History.from_sampler samples it. V records u^2, so the decay-rate
+    estimator applies unchanged. The blow-up guard is 1e6 times
+    max(u0^2, 1). A mode with n != 1 raises ValueError before phi is
+    sampled.
 
-    The state steps as a Python float, bit for bit as a (1,) array would:
-    the registry function is applied to floats, and numpy's 1x1 product
-    c @ x is 0 + c*x, written c*x + 0.0 (it turns -0.0 into +0.0; later
-    terms cannot, as the sum then never holds -0.0).
+    Method of steps (Bellen & Zennaro, Numerical Methods for Delay
+    Differential Equations, OUP 2003): with dt <= tau, the lookup time
+    t - tau of each step in the next window of steps precedes the newest
+    stored time, so the window's lagged values are interpolated as
+    History.value interpolates them, and b g(u(t - tau)) is evaluated, in
+    one array operation each. Only the undelayed recurrence steps one at a
+    time, on Python floats; tau = 0 reads u itself. Every value equals, bit
+    for bit, that of the field loop run on (1,) arrays: the registry
+    function gives the same bits on a float as elementwise on an array, and
+    numpy's 1x1 product c @ x is 0 + c*x, written c*x + 0.0 (it turns -0.0
+    into +0.0; later terms cannot, as the sum then never holds -0.0).
     """
     if mode.n != 1:
         raise ValueError(f"simulate_ode integrates a scalar mode, got n = {mode.n}")
+    if config.snapshot_stride:
+        raise ValueError("snapshot_stride needs a snapshot callable")
+    dt = config.dt
+    if tau < 0:
+        raise ValueError("delay bound must be nonnegative")
+    if tau > 0 and dt > tau:
+        raise ValueError("dt must not exceed the delay bound")
     c, a, b = float(-mode.C[0, 0]), float(mode.A[0, 0]), float(mode.B[0, 0])
     j, g = float(mode.J[0]), activation.fn
-
-    def explicit(_, t, u, u_delay):
-        return c * u + 0.0 + a * float(g(u)) + b * float(g(u_delay)) + j
 
     def sample(s):
         v = np.asarray(phi(s), dtype=float)
         if v.shape != (1,):
             raise ValueError(f"initial state has shape {v.shape}, expected (1,)")
         return float(v[0])
-    norm2 = lambda u: u * u
-    return _run(sample, (), tau, constant_delay(tau), config, explicit,
-                implicit=lambda mode, x, out: x, norm2=norm2,
-                guard=lambda hist, u0: BLOWUP_FACTOR * max(norm2(u0), 1.0))
+    seeds = _seed_times(tau, dt)
+    ts, us = np.array(seeds), np.array([sample(s) for s in seeds])   # stored window
+    u = float(us[-1])
+
+    steps = config.steps
+    times = np.arange(steps + 1, dtype=float) * dt
+    V = np.empty(steps + 1)
+    V[0] = u * u
+    bound = BLOWUP_FACTOR * max(u * u, 1.0)
+    isfinite = math.isfinite
+    if not tau > 0:
+        for k in range(1, steps + 1):
+            gu = float(g(u))
+            u = u + dt * (c * u + 0.0 + a * gu + b * gu + j)
+            V[k] = v = u * u
+            if not isfinite(v) or v > bound:
+                raise BlowUpError(f"norm blew up at t={times[k]:.4g} (V={v:.3e})")
+        return Trajectory(times, V, np.zeros(steps + 1, dtype=int))
+
+    span = math.ceil(tau / dt) + 1     # at least one window of steps
+    k = 1
+    while k <= steps:
+        # the steps from k on whose lookup time t - tau precedes the newest
+        # stored time, ts[-1] = times[k - 1]
+        q = times[k - 1:min(k - 1 + span, steps)] - tau
+        n = max(1, np.searchsorted(q, ts[-1]))
+        q = q[:n]
+        if q[0] < ts[0] - 1e-12:
+            raise HistoryUnderrunError(f"requested t={float(q[0])} before stored "
+                                       f"window start {float(ts[0])}")
+        i = np.searchsorted(ts, q, "right").clip(1, len(ts) - 1)
+        t0 = ts[i - 1]
+        w = (q - t0) / (ts[i] - t0)
+        lag = (1.0 - w) * us[i - 1] + w * us[i]
+        lag[q >= ts[-1]] = us[-1]                   # History.value's newest-state clamp
+        stepped = []
+        for step, delayed in enumerate((b * g(lag)).tolist(), k):
+            u = u + dt * (c * u + 0.0 + a * float(g(u)) + delayed + j)
+            v = u * u
+            if not isfinite(v) or v > bound:
+                raise BlowUpError(f"norm blew up at t={times[step]:.4g} (V={v:.3e})")
+            stepped.append(u)
+        stepped = np.array(stepped)
+        V[k:k + n] = stepped * stepped
+        ts = np.concatenate((ts, times[k:k + n]))
+        us = np.concatenate((us, stepped))
+        k += n
+        # drop the entries before the one the next window's first lookup starts from
+        cut = max(0, np.searchsorted(ts, times[k - 1] - tau, "right") - 1)
+        ts, us = ts[cut:], us[cut:]
+    return Trajectory(times, V, np.zeros(steps + 1, dtype=int))
 
 
 def fit_window_start(samples: int) -> int:

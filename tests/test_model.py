@@ -107,17 +107,23 @@ class TestActivationRegistry:
 
     @pytest.mark.parametrize("name,params", _REGISTRY_CASES)
     def test_float_matches_one_element_array(self, name, params):
-        # simulate_ode steps scalar modes on floats through the activations;
-        # the antiderivatives, where there is one, keep the same promise
+        # simulate_ode steps scalar modes on floats through the activations
+        # and evaluates each delay window's g(u(t - tau)) in one call on an
+        # array; the antiderivatives, where there is one, keep the same promises
         rng = np.random.default_rng(11)
         xs = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 8.0, -27.0],
                              rng.normal(size=4000) * 10.0 ** rng.integers(-3, 4, 4000)])
         for fn in ACTIVATIONS[name](params):
             if fn is None:
                 continue
+            each = []
             for x in xs.tolist():
                 got = np.asarray(fn(x), dtype=float)
                 assert got.shape == () and got.tobytes() == fn(np.array([x])).tobytes(), x
+                each.append(got)
+            bulk = np.asarray(fn(xs), dtype=float)
+            differ = np.flatnonzero(bulk.view(np.int64) != np.array(each).view(np.int64))
+            assert bulk.shape == xs.shape and differ.size == 0, xs[differ[:5]]
 
     def test_rejects_nonpositive_lipschitz(self):
         with pytest.raises(ValueError):
