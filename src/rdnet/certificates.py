@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -114,17 +115,13 @@ def verify_certificate(network: SwitchedNetwork, beta, gamma: float,
 def _simplex_lattice(N: int, m: int) -> np.ndarray:
     """All nonnegative points with coordinates multiples of 1/m summing to 1.
 
-    Rows are in lexicographic order of the integer numerators.
+    Rows are in lexicographic order of the integer numerators: by stars and
+    bars, the lexicographic order of the N - 1 bar positions among m + N - 1.
     """
-    def rec(remaining: int, slots: int):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for k in range(remaining + 1):
-            for rest in rec(remaining - k, slots - 1):
-                yield (k,) + rest
-
-    return np.array(list(rec(m, N)), dtype=float) / m
+    count = math.comb(m + N - 1, N - 1)
+    bars = np.fromiter(chain.from_iterable(combinations(range(m + N - 1), N - 1)),
+                       dtype=np.intp, count=count * (N - 1)).reshape(count, N - 1)
+    return (np.diff(bars, axis=1, prepend=-1, append=m + N - 1) - 1) / m
 
 
 def search_certificate(network: SwitchedNetwork, beta_step: float | None = None,

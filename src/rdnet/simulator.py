@@ -2,10 +2,13 @@
 
 First-order IMEX stepping: diffusion backward-Euler (unconditionally stable
 against the D/h^2 stiffness), reaction and delay terms forward. Fields step
-in one loop whose implicit part is the Helmholtz solve; the lumped scalar
-ODE has its own forward-Euler integrator by the method of steps. Delay
-lookup interpolates linearly in a window spanning the delay, matching the
-scheme order. A simulation run is single-threaded and deterministic.
+in simulate's one loop: its Helmholtz solves write each new field into the
+delay history's next ring slot, snapshots receive copies of the field, and
+a blow-up guard stops a run whose norm leaves the scale of its initial
+data. The lumped scalar ODE has its own forward-Euler integrator by the
+method of steps. Delay lookup interpolates linearly in a window spanning the
+delay, matching the scheme order. A simulation run is single-threaded and
+deterministic.
 """
 
 from __future__ import annotations
@@ -138,8 +141,8 @@ class SimConfig:
     snapshot_stride: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ValueError("dt and horizon must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.horizon < math.inf):
+            raise ValueError("dt and horizon must be positive and finite")
         if self.snapshot_stride < 0:
             raise ValueError("snapshot_stride must be nonnegative")
 
@@ -197,65 +200,6 @@ def switching_decide(u: np.ndarray, Q: Sequence[np.ndarray], current: int) -> in
                           for k, Qs in enumerate(Q)]))
 
 
-def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
-         explicit, implicit, norm2, guard, switch=None, snapshot=None) -> Trajectory:
-    """The field stepping loop of simulate.
-
-    A step is u <- implicit(mode, u + dt * explicit(mode, t, u, u_delay), out),
-    then the history push and the blow-up guard, whose bound is guard(hist,
-    u0). The state is a float array of the given shape. out is the history's
-    ring slot that the push fills; implicit may write the new state into
-    it, which the push then stores without a copy, or return another array,
-    which the push copies into the ring. switch(u, mode) returns the new
-    mode. At t = 0 and every snapshot_stride-th step the loop calls
-    snapshot(t, copy), a copy the loop keeps no reference to; a stride
-    without a snapshot callable raises before the history is seeded.
-    """
-    stride = config.snapshot_stride
-    if stride and snapshot is None:
-        raise ValueError("snapshot_stride needs a snapshot callable")
-    dt = config.dt
-    if tau > 0 and dt > tau:
-        raise ValueError("dt must not exceed the delay bound")
-    hist = History.from_sampler(phi, tau, dt)
-    u = hist.value(0.0)
-    if u.shape != shape:
-        raise ValueError(f"initial state has shape {u.shape}, expected {shape}")
-    bound = guard(hist, u)
-
-    steps = config.steps
-    times = np.empty(steps + 1)
-    V = np.empty(steps + 1)
-    modes = np.zeros(steps + 1, dtype=int)
-    mode = 0
-    value, push, slot, isfinite = hist.value, hist.push, hist.slot, math.isfinite
-
-    t = 0.0
-    times[0], V[0] = t, norm2(u)
-    if stride:
-        snapshot(t, u.copy())
-    for k in range(1, steps + 1):
-        if switch is not None:
-            mode = switch(u, mode)
-        if tau > 0:
-            d = delay(t)
-            if not 0.0 <= d <= tau:
-                raise ValueError(f"delay at t={t} is {d}, outside [0, {tau}]")
-            u_delay = value(t - d)
-        else:
-            u_delay = u
-        u = implicit(mode, u + dt * explicit(mode, t, u, u_delay), slot())
-        t = k * dt
-        push(t, u)
-        v = norm2(u)
-        if not isfinite(v) or v > bound:
-            raise BlowUpError(f"norm blew up at t={t:.4g} (V={v:.3e})")
-        times[k], V[k], modes[k] = t, v, mode
-        if stride and k % stride == 0:
-            snapshot(t, u.copy())
-    return Trajectory(times, V, modes)
-
-
 def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
              phi: Callable[[float], np.ndarray],
              snapshot: Callable[[float, np.ndarray], None] | None = None) -> Trajectory:
@@ -267,42 +211,78 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     rebuilt on the shared domain, whose first eigenvalue each Mode derives.
     phi(s) supplies the initial field for s in [-tau, 0] with shape
     (n, *grid.shape). The delay is network.delay, or the constant tau_max
-    where the network gives none. The blow-up guard is 1e6 times the
-    largest squared norm of five samples of phi. Each step's backward-Euler
-    solve writes the new field straight into the delay history's next ring
-    slot, so the history neither allocates nor copies a field per step. With
-    config.snapshot_stride > 0, snapshot(t, field) receives a copy of the
-    field at t = 0 and every stride-th step as the run reaches it.
+    where the network gives none.
+
+    A step picks the mode (with config.switching), looks up the delayed
+    field, takes the explicit reaction step x = u + dt (-C u + A f(u) +
+    B f(u_delay)) and solves (c - Lap) u_i = c x_i with c = 1 / (dt D_i)
+    per component straight into the delay history's next ring slot, which
+    the push then stores without a copy; so the history neither allocates
+    nor copies a field per step. The blow-up guard raises BlowUpError once
+    the squared norm exceeds 1e6 times the largest squared norm of five
+    samples of phi. With config.snapshot_stride > 0, snapshot(t, field)
+    receives a copy of the field, which the loop keeps no reference to, at
+    t = 0 and every stride-th step as the run reaches it; a stride without
+    a snapshot callable raises before phi is sampled.
     """
+    stride, dt = config.snapshot_stride, config.dt
+    if stride and snapshot is None:
+        raise ValueError("snapshot_stride needs a snapshot callable")
     n, tau = network.n, network.tau_max
+    if tau > 0 and dt > tau:
+        raise ValueError("dt must not exceed the delay bound")
     shared_modes = [Mode(m.D, m.C, m.A, m.B, m.J, grid.domain) for m in network.modes]
     Q = [mode_margin_matrix(m, network.activation.G, network.gamma, network.q,
                             tau, network.Psi) for m in shared_modes]
     g0 = network.activation(np.zeros((n, 1)))   # f(u) = g(u) - g(0): f(0) = 0 exactly
     f = lambda flat: network.activation(flat) - g0
-    coef = [1.0 / (config.dt * np.diag(m.D)) for m in shared_modes]
+    coef = [1.0 / (dt * np.diag(m.D)) for m in shared_modes]
+    delay = network.delay or constant_delay(tau)
 
-    def explicit(mode, t, u, u_delay):
+    hist = History.from_sampler(phi, tau, dt)
+    u, shape = hist.value(0.0), (n,) + grid.shape
+    if u.shape != shape:
+        raise ValueError(f"initial state has shape {u.shape}, expected {shape}")
+    samples = np.linspace(-tau, 0, 5) if tau > 0 else (0.0,)
+    norms = [l2_inner(grid, w, w) for w in map(hist.value, samples)]
+    bound = BLOWUP_FACTOR * max(max(norms), 1e-300)
+
+    steps = config.steps
+    times = np.empty(steps + 1)
+    V = np.empty(steps + 1)
+    modes = np.zeros(steps + 1, dtype=int)
+    mode = 0
+
+    t = 0.0
+    times[0], V[0] = t, l2_inner(grid, u, u)
+    if stride:
+        snapshot(t, u.copy())
+    for k in range(1, steps + 1):
+        if config.switching:
+            mode = switching_decide(u, Q, mode)
+        if tau > 0:
+            d = delay(t)
+            if not 0.0 <= d <= tau:
+                raise ValueError(f"delay at t={t} is {d}, outside [0, {tau}]")
+            u_delay = hist.value(t - d)
+        else:
+            u_delay = u
         m = shared_modes[mode]
         flat, flat_delay = u.reshape(n, -1), u_delay.reshape(n, -1)
-        return (-m.C @ flat + m.A @ f(flat) + m.B @ f(flat_delay)).reshape(u.shape)
-
-    def implicit(mode, x, out):
-        # backward Euler on D Lap: (c - Lap) u_i = c x_i with c = 1 / (dt D_i),
-        # solved straight into the history slot the step's push stores
+        x = u + dt * (-m.C @ flat + m.A @ f(flat) + m.B @ f(flat_delay)).reshape(shape)
+        u = hist.slot()
         for i, c in enumerate(coef[mode]):
-            out[i] = helmholtz_solve(grid, c, c * x[i])
-        return out
-
-    norm2 = lambda u: l2_inner(grid, u, u)
-
-    def guard(hist, u0):
-        samples = np.linspace(-tau, 0, 5) if tau > 0 else (0.0,)
-        return BLOWUP_FACTOR * max(max(norm2(hist.value(s)) for s in samples), 1e-300)
-
-    switch = (lambda u, mode: switching_decide(u, Q, mode)) if config.switching else None
-    return _run(phi, (n,) + grid.shape, tau, network.delay or constant_delay(tau),
-                config, explicit, implicit, norm2, guard, switch, snapshot)
+            u[i] = helmholtz_solve(grid, c, c * x[i])
+        del x   # held into the next step, it would add a field to the peak
+        t = k * dt
+        hist.push(t, u)
+        v = l2_inner(grid, u, u)
+        if not math.isfinite(v) or v > bound:
+            raise BlowUpError(f"norm blew up at t={t:.4g} (V={v:.3e})")
+        times[k], V[k], modes[k] = t, v, mode
+        if stride and k % stride == 0:
+            snapshot(t, u.copy())
+    return Trajectory(times, V, modes)
 
 
 def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConfig,

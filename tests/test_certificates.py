@@ -156,6 +156,20 @@ def _with(net, modes=None, tau_max=None):
                            net.q, net.gamma)
 
 
+def _recursive_simplex_lattice(N, m):
+    """The reference lattice: numerator tuples summing to m, enumerated
+    recursively in lexicographic order, then scaled by 1/m."""
+    def rec(remaining, slots):
+        if slots == 1:
+            yield (remaining,)
+            return
+        for k in range(remaining + 1):
+            for rest in rec(remaining - k, slots - 1):
+                yield (k,) + rest
+
+    return np.array(list(rec(m, N)), dtype=float) / m
+
+
 class TestClosedFormSearch:
     @pytest.mark.parametrize("honor", [False, True])
     @pytest.mark.parametrize("case", [1, 2, 3])
@@ -227,6 +241,13 @@ class TestClosedFormSearch:
     def test_step_must_divide_one(self, step):
         with pytest.raises(ValueError, match="divide"):
             search_certificate(presets.switched_benchmark(1), beta_step=step)
+
+    @pytest.mark.parametrize("N, m", [(N, m) for N in range(1, 6) for m in (1, 2, 5, 10, 20)]
+                             + [(3, 100)])
+    def test_lattice_matches_recursive_enumeration(self, N, m):
+        want = _recursive_simplex_lattice(N, m)
+        got = _simplex_lattice(N, m)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("step", [0.01, 0.05, 0.1, 0.2, 0.25])
     def test_steps_in_use_accepted(self, step):

@@ -383,9 +383,10 @@ class TestBitwiseStationaryOutputs:
 class TestBitwiseCommandOutputs:
     """SHA-1 of every file that the five reproduce targets (example4_1 on
     31x31), certify --search with and without the theorem constraint, and
-    `rdnet --seed 3 simulate --T 4 --switching` write for case 1 on 31x31.
-    These bytes were the same on one and two BLAS threads. A change that
-    means to move an output changes its digest here and says why."""
+    `rdnet --seed 3 simulate --T 4 --switching --snapshots 50` write for
+    case 1 on 31x31. These bytes were the same on one and two BLAS threads.
+    A change that means to move an output changes its digest here and says
+    why."""
 
     PINS = {
         "r/reproduce_statement1.json": "b75fa1a1865cb853782fcab7589b5cb7a589784d",
@@ -398,6 +399,9 @@ class TestBitwiseCommandOutputs:
         "free/certify_report.json": "f6b5a317b205cb7043fb3df70f4b2453e1c8fcac",
         "s/simulate_report.json": "2c0c8d33a3b60e0fc260bb0c1a16bc5bf3e45409",
         "s/trajectory.csv": "758abfd4528a2c97772023f710ebab08c4b3d1a0",
+        "s/snapshot_0000.csv": "a21e1a796da892d4e835d33f86033b81be333466",
+        "s/snapshot_0001.csv": "72f827a7cce157d4c0cfc894cc639349fcf8889a",
+        "s/snapshot_0002.csv": "70e7e708b659a5403a50967900fbd77b3273c97f",
     }
 
     def test_commands(self, tmp_path):
@@ -410,7 +414,7 @@ class TestBitwiseCommandOutputs:
         runs += [["--out", out / "honor", "certify", f, "--search", "--honor-theorem"],
                  ["--out", out / "free", "certify", f, "--search", "--no-honor-theorem"],
                  ["--seed", "3", "--out", out / "s", "simulate", f, "--T", "4",
-                  "--switching"]]
+                  "--switching", "--snapshots", "50"]]
         assert [cli.main(list(map(str, argv))) for argv in runs] == [0] * len(runs)
         written = {p.relative_to(out).as_posix(): hashlib.sha1(p.read_bytes()).hexdigest()
                    for p in out.rglob("*") if p.is_file()}

@@ -16,7 +16,7 @@ from rdnet.geometry import Grid, RectDomain, eigenfunction
 from rdnet.model import Activation, Mode, SwitchedNetwork, constant_delay
 from rdnet.schema import dump_system
 from rdnet.simulator import (BLOWUP_FACTOR, BlowUpError, History,
-                             HistoryUnderrunError, SimConfig, Trajectory, _run,
+                             HistoryUnderrunError, SimConfig, Trajectory,
                              estimate_decay_rate, simulate, simulate_ode,
                              switching_decide)
 
@@ -186,7 +186,7 @@ class TestHistoryMatchesNumpyWindow:
            ratio=st.integers(1, 300),
            offset=st.one_of(st.integers(-4, 4), st.floats(0.0, 1.0)))
     def test_stepping_loop_traffic_never_fills_the_window(self, tau, ratio, offset):
-        # the pushes of _run: seeded by from_sampler, then one per step at
+        # the pushes of simulate: seeded by from_sampler, then one per step at
         # k * dt, each after a lookup a full delay back; the ratio tau / dt
         # is an integer, one a few ulps off, or between two integers
         if tau == 0.0:
@@ -195,7 +195,7 @@ class TestHistoryMatchesNumpyWindow:
             dt = tau / ratio
             for _ in range(abs(offset)):
                 dt = math.nextafter(dt, math.copysign(math.inf, offset))
-            dt = min(dt, tau)   # as _run requires
+            dt = min(dt, tau)   # as simulate requires
         else:
             dt = tau / (ratio + offset)
         hist = History.from_sampler(lambda s: np.array([s, -s]), tau, dt)
@@ -226,6 +226,10 @@ class TestHistoryMatchesNumpyWindow:
         assert ring.modes.tobytes() == ref.modes.tobytes()
         assert [(t, u.tobytes()) for t, u in ring_snaps] == \
             [(t, u.tobytes()) for t, u in ref_snaps]
+        assert _sha1(ring.V) == "5c6446526e783f84c17e4190cca753cbf0896a01"
+        assert _sha1(ring.modes) == "3376d9102f4057b30088ce2fb6c975f8387e82a1"
+        assert hashlib.sha1(b"".join(u.tobytes() for _, u in ring_snaps)).hexdigest() \
+            == "0bd6091da9e16e2145ac76694c377093c592bbc9"
 
     def test_stored_states_are_copies(self):
         # neither the caller's pushed buffer nor a returned state aliases
@@ -392,6 +396,14 @@ class TestSwitchingDecideMatchesEagerRule:
         assert switching_decide(*case) == _eager_decide(*case)
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("field", ["dt", "horizon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SimConfig(**{"dt": 0.1, "horizon": 1.0, field: value})
+
+
 class TestDecayEstimate:
     def test_exact_exponential_recovered(self):
         t = np.linspace(0, 10, 201)
@@ -486,6 +498,65 @@ def _numpy_ode_rhs(mode, activation):
     return lambda t, u, u_delay: neg_C @ u + A @ g(u) + B @ g(u_delay) + J
 
 
+def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
+         explicit, implicit, norm2, guard, switch=None, snapshot=None) -> Trajectory:
+    """The reference stepping loop of _reference_simulate_ode.
+
+    A step is u <- implicit(mode, u + dt * explicit(mode, t, u, u_delay), out),
+    then the history push and the blow-up guard, whose bound is guard(hist,
+    u0). The state is a float array of the given shape. out is the history's
+    ring slot that the push fills; implicit may write the new state into
+    it, which the push then stores without a copy, or return another array,
+    which the push copies into the ring. switch(u, mode) returns the new
+    mode. At t = 0 and every snapshot_stride-th step the loop calls
+    snapshot(t, copy), a copy the loop keeps no reference to; a stride
+    without a snapshot callable raises before the history is seeded.
+    """
+    stride = config.snapshot_stride
+    if stride and snapshot is None:
+        raise ValueError("snapshot_stride needs a snapshot callable")
+    dt = config.dt
+    if tau > 0 and dt > tau:
+        raise ValueError("dt must not exceed the delay bound")
+    hist = History.from_sampler(phi, tau, dt)
+    u = hist.value(0.0)
+    if u.shape != shape:
+        raise ValueError(f"initial state has shape {u.shape}, expected {shape}")
+    bound = guard(hist, u)
+
+    steps = config.steps
+    times = np.empty(steps + 1)
+    V = np.empty(steps + 1)
+    modes = np.zeros(steps + 1, dtype=int)
+    mode = 0
+    value, push, slot, isfinite = hist.value, hist.push, hist.slot, math.isfinite
+
+    t = 0.0
+    times[0], V[0] = t, norm2(u)
+    if stride:
+        snapshot(t, u.copy())
+    for k in range(1, steps + 1):
+        if switch is not None:
+            mode = switch(u, mode)
+        if tau > 0:
+            d = delay(t)
+            if not 0.0 <= d <= tau:
+                raise ValueError(f"delay at t={t} is {d}, outside [0, {tau}]")
+            u_delay = value(t - d)
+        else:
+            u_delay = u
+        u = implicit(mode, u + dt * explicit(mode, t, u, u_delay), slot())
+        t = k * dt
+        push(t, u)
+        v = norm2(u)
+        if not isfinite(v) or v > bound:
+            raise BlowUpError(f"norm blew up at t={t:.4g} (V={v:.3e})")
+        times[k], V[k], modes[k] = t, v, mode
+        if stride and k % stride == 0:
+            snapshot(t, u.copy())
+    return Trajectory(times, V, modes)
+
+
 def _reference_simulate_ode(mode, activation, tau, config, phi):
     """simulate_ode on (1,) array states: the reference rhs through _run."""
     rhs = _numpy_ode_rhs(mode, activation)
@@ -546,7 +617,7 @@ def _scalar_ode_cases(draw):
 class TestScalarOdeMatchesNumpyRhs:
     """A scalar mode steps by the method of steps on Python floats; its
     trajectory and errors must equal, bit for bit, those of the reference
-    right-hand side run on (1,) arrays through the field loop."""
+    right-hand side run on (1,) arrays through the reference loop _run."""
 
     @given(_scalar_ode_cases())
     @settings(max_examples=400, deadline=None)
@@ -806,6 +877,16 @@ class TestBitwiseSwitchedFields:
         assert len(traj.V) == 344 and traj.switch_count == 0
         assert _sha1(traj.V) == "192d5cfff87158540a3d6683989c60bc4c000766"
         assert _sha1(traj.modes) == "60613ea38e3a68fabe5a4a9ad96b33b6fd21fbb1"
+
+    def test_case1_without_delay(self):
+        # tau = 0: every step reads the current field as its delayed one
+        net = dataclasses.replace(presets.switched_benchmark(1), tau_max=0.0)
+        grid = Grid(net.modes[0].domain, (15, 15))
+        config = SimConfig(dt=0.05, horizon=3.0, switching=True)
+        traj = simulate(net, grid, config, presets.switched_benchmark_initial(grid))
+        assert len(traj.V) == 61 and traj.switch_count == 0
+        assert _sha1(traj.V) == "93400ca3fab095c15b80d9af3044d2f2dc137c7e"
+        assert _sha1(traj.modes) == "b3eca1862c3ea0da9b9a5ebba1f2f9d1789f0e9f"
 
 
 def _verdicts_with_grid_eigenvalue(net: SwitchedNetwork, grid: Grid):
