@@ -1,18 +1,17 @@
 """Numerical laboratory for switched, delayed reaction-diffusion networks.
 
-Subpackages: geometry (domains, grids, discrete Laplacian), model (network
-data and sampled assumption checks), certificates (stability feasibility and
-search), stationary (elliptic solvers and energy minimization), simulator
-(delayed time integration with switching), presets (built-in benchmark
-systems), schema (system files and result emission), cli.
+Subpackages: geometry (domains, grids, discrete Laplacian, Helmholtz solves),
+model (network data and sampled assumption checks), certificates (stability
+feasibility and search), stationary (elliptic solvers, energy minimization,
+Newton by preconditioned GMRES), simulator (delayed integration, switching),
+presets (benchmark systems), schema (system files and results), cli.
 """
 
 from .certificates import (Certificate, check_uniqueness_A3, margin_matrix,
                            mode_margin_matrix, search_certificate,
                            solve_rate_equation, verify_certificate)
 from .geometry import (Grid, RectDomain, apply_laplacian, eigenfunction,
-                       first_eigenvalue, helmholtz_solve, l2_inner, l2_norm,
-                       laplacian_matrix)
+                       first_eigenvalue, helmholtz_solve, l2_inner, l2_norm)
 from .model import (Activation, Mode, SwitchedNetwork, Verdict,
                     check_A1_sampled, constant_delay, piecewise_cbrt,
                     piecewise_cbrt_antiderivative, signed_cbrt,

@@ -90,32 +90,26 @@ def cmd_stationary(args) -> int:
             inits = [problem.zeros()] + _eigenfunction_starts(
                 grid, problem.n, args.seed, args.inits - 1)
             sols = find_stationary_multiplicity(problem, inits, tol=args.tol)
-            outdir = _outdir(args)   # once the solver has accepted --tol
-            for i, sol in enumerate(sols):
-                write_field_csv(outdir / f"stationary_{i}.csv", grid, sol)
-            report = {
-                "command": "stationary", "distinct_solutions": len(sols),
-                "residuals": [residual(problem, s) for s in sols],
-                "system": dump_system(network, grid),
-            }
-            write_report(outdir / "stationary_report.json", report)
-            print(f"distinct solutions: {len(sols)}")
+            report = {"command": "stationary", "distinct_solutions": len(sols),
+                      "residuals": [residual(problem, s) for s in sols]}
+            summary = f"distinct solutions: {len(sols)}"
         else:
             field, rep = fixed_point_solve(problem, tol=args.tol)
-            outdir = _outdir(args)
-            write_field_csv(outdir / "stationary_0.csv", grid, field)
-            report = {
-                "command": "stationary", "iterations": rep.iterations,
-                "residual": rep.residual, "update_norm": rep.update_norm,
-                "error_bound": rep.error_bound,
-                "system": dump_system(network, grid),
-            }
-            write_report(outdir / "stationary_report.json", report)
-            print(f"converged in {rep.iterations} iterations, "
-                  f"residual {rep.residual:.3e}")
+            sols = [field]
+            report = {"command": "stationary", "iterations": rep.iterations,
+                      "residual": rep.residual, "update_norm": rep.update_norm,
+                      "error_bound": rep.error_bound}
+            summary = (f"converged in {rep.iterations} iterations, "
+                       f"residual {rep.residual:.3e}")
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    outdir = _outdir(args)   # once the solver has accepted --tol
+    for i, sol in enumerate(sols):
+        write_field_csv(outdir / f"stationary_{i}.csv", grid, sol)
+    write_report(outdir / "stationary_report.json",
+                 {**report, "system": dump_system(network, grid)})
+    print(summary)
     return EXIT_OK
 
 

@@ -106,20 +106,6 @@ class Grid:
         return tuple(basis)
 
 
-def laplacian_matrix(grid: Grid) -> np.ndarray:
-    """Dense 3-point (1D) / 5-point (2D) discrete Laplacian on interior nodes, C order."""
-    blocks = []
-    for c, h in zip(grid.counts, grid.spacing):
-        block = np.zeros((c, c))   # filled in place: no dense temporaries
-        block.flat[::c + 1] = -2.0 * (1.0 / h**2)
-        block.flat[1::c + 1] = block.flat[c::c + 1] = 1.0 / h**2
-        blocks.append(block)
-    if len(blocks) == 1:
-        return blocks[0]
-    (c1, c2), (b1, b2) = grid.counts, blocks
-    return np.kron(b1, np.eye(c2)) + np.kron(np.eye(c1), b2)
-
-
 def apply_laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Delta_h u for a scalar field stored on the grid shape.
 

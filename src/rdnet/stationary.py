@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (Grid, RectDomain, apply_laplacian, helmholtz_solve,
-                       l2_inner, l2_norm, laplacian_matrix)
+                       l2_inner, l2_norm)
 from .model import Activation, Mode, stationarity_map
 
 DEFAULT_TOL = 1e-8
@@ -26,8 +26,9 @@ ARMIJO = 1e-4
 NEWTON_MAX_STEPS = 50
 # a run that goes this many steps without a new smallest step norm has stalled
 NEWTON_PATIENCE = 10
-# n * grid.size; the dense Jacobian holds its square in doubles, 32 MB here
-NEWTON_MAX_UNKNOWNS = 2000
+# GMRES stops at this relative residual; a preconditioned step takes 3 to 11
+GMRES_TOL = 1e-12
+GMRES_MAX_ITER = 100
 # deflation M(y) = prod_r (|y - r|^-p + shift) of the roots r already found
 DEFLATION_POWER = 2.0
 DEFLATION_SHIFT = 1.0
@@ -212,15 +213,49 @@ def _slope(fn, u: np.ndarray) -> np.ndarray:
     return (fn(u + delta) - fn(u - delta)) / (2.0 * delta)
 
 
-def _check_newton_size(grid: Grid, n: int) -> None:
-    if n * grid.size > NEWTON_MAX_UNKNOWNS:
-        raise ValueError(f"Newton's dense Jacobian is limited to {NEWTON_MAX_UNKNOWNS} "
-                         f"unknowns; this problem has {n * grid.size}")
+def _gmres(apply, b: np.ndarray) -> np.ndarray:
+    """x with |apply(x) - b| <= GMRES_TOL |b|, by GMRES from x = 0 (Saad &
+    Schultz, SIAM J. Sci. Stat. Comput. 7(3), 1986): Arnoldi with modified
+    Gram-Schmidt, Givens rotations, no restarts. Inner products are numpy
+    sums, not BLAS dots, so the bits do not depend on the BLAS thread count.
+    A non-finite residual returns a non-finite x; GMRES_MAX_ITER iterations
+    above tolerance raise DivergenceError."""
+    beta = np.sqrt((b * b).sum())
+    if beta == 0.0:
+        return np.zeros_like(b)
+    basis, rotations, R, g = [b / beta], [], [], [beta]
+    for k in range(GMRES_MAX_ITER):
+        w = apply(basis[k])
+        h = []   # column k of the Hessenberg matrix
+        for v in basis:
+            h.append((v * w).sum())
+            w = w - h[-1] * v
+        h.append(np.sqrt((w * w).sum()))
+        for j, (c, s) in enumerate(rotations):
+            h[j], h[j + 1] = c * h[j] + s * h[j + 1], c * h[j + 1] - s * h[j]
+        r = np.hypot(h[k], h[k + 1])
+        c, s = h[k] / r, h[k + 1] / r
+        rotations.append((c, s))
+        R.append(h[:k] + [r])   # column k of the triangular factor
+        g[k:] = [c * g[k], -s * g[k]]
+        if not abs(g[k + 1]) > GMRES_TOL * beta:   # converged, or non-finite
+            break
+        basis.append(w / h[k + 1])
+    for i in range(k, -1, -1):   # back-substitution, in place
+        g[i] = (g[i] - sum(R[j][i] * g[j] for j in range(i + 1, k + 1))) / R[i][i]
+    x = sum(gi * v for gi, v in zip(g[:k + 1], basis))
+    if abs(g[-1]) > GMRES_TOL * beta:
+        raise DivergenceError(f"GMRES did not converge in {GMRES_MAX_ITER} iterations "
+                              f"(relative residual {abs(g[-1]) / beta:.3e})", x, abs(g[-1]))
+    return x
 
 
 def _newton(grid: Grid, F, jacobian, y: np.ndarray, tol: float, roots=()) -> np.ndarray:
-    """Full-step Newton on F(y) = 0 with the dense Jacobian jacobian(y).
+    """Full-step Newton on F(y) = 0, each step solved matrix-free by GMRES.
 
+    jacobian(y) returns the actions (K(y), P^-1) of the Jacobian P + K(y): P
+    linear with a closed-form inverse, K(y) pointwise. The step is P^-1 z, z
+    solving (I + K(y) P^-1) z = -F(y) by _gmres, so no matrix is formed.
     Deflation (Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37(4), 2015)
     solves M(y) F(y) = 0 instead, M blowing up at the given roots in the L2
     quadrature norm; its step is the plain step dF / (1 - grad log M . dF).
@@ -232,7 +267,8 @@ def _newton(grid: Grid, F, jacobian, y: np.ndarray, tol: float, roots=()) -> np.
     best, best_it = math.inf, 0
     for it in range(1, NEWTON_MAX_STEPS + 1):
         with np.errstate(all="ignore"):
-            step = np.linalg.solve(jacobian(y), -F(y).ravel()).reshape(y.shape)
+            pointwise, p_inv = jacobian(y)
+            step = p_inv(_gmres(lambda v: v + pointwise(p_inv(v)), -F(y)))
             dlog_m = 0.0   # grad log M . step
             for r in roots:
                 e2 = l2_inner(grid, y - r, y - r)
@@ -271,7 +307,6 @@ def variational_minimize(problem: StationaryProblem, tol: float = 1e-8
         raise ValueError("tol must be positive")
     grid = problem.grid
     c0, _, weight = _energy_terms(problem)
-    _check_newton_size(grid, 1)
     u = grid.zeros()
     e = energy_eval(problem, u)
     step = DESCENT_STEP0
@@ -296,17 +331,10 @@ def variational_minimize(problem: StationaryProblem, tol: float = 1e-8
         else:
             break   # stalled
         u, e = trial, e_trial
-    f = lambda v: weight * problem.activation.fn(v)
-    # the Jacobian diag(c0 - weight f') - Lap_h, one dense matrix for the
-    # whole polish: off the diagonal it is 0.0 - Lap_h at every step, so only
-    # its diagonal is rewritten, with the same roundings as the full formula
-    J = laplacian_matrix(grid)
-    lap_diag = J.diagonal().copy()
-    np.subtract(0.0, J, out=J)
 
-    def jacobian(v):
-        J.flat[::grid.size + 1] = (c0 - _slope(f, v).ravel()) - lap_diag
-        return J
+    def jacobian(v):   # (c0 I - Lap_h) - diag(weight f')
+        k = -_slope(lambda x: weight * problem.activation.fn(x), v)
+        return lambda x: k * x, lambda x: helmholtz_solve(grid, c0, x)
 
     u = _newton(grid, lambda v: energy_gradient(problem, v), jacobian, u, tol)
     gnorm = l2_norm(grid, energy_gradient(problem, u))
@@ -327,30 +355,23 @@ def find_stationary_multiplicity(problem: StationaryProblem, inits,
     solutions breaks up into isolated discrete ones. The search moves to the
     next start when Newton fails, when it returns a solution within relative
     L2 distance CLUSTER_REL_DISTANCE of a known one, or when the start is
-    that close to one. Sorted by energy when available, else by norm. A
-    problem over NEWTON_MAX_UNKNOWNS unknowns raises ValueError up front.
+    that close to one. Sorted by energy when available, else by norm.
     """
     if not inits:
         raise ValueError("need at least one initial field")
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = problem.grid
-    _check_newton_size(grid, problem.n)
-    # one dense Jacobian kron(D, Lap_h) - kron(C, I) + kron(W, I) diag(slope)
-    # for the whole search: only the diagonals of its n x n blocks change with
-    # y, so only they are rewritten; C is diagonal, so the rest keeps the
-    # formula's bits (x - 0.0 is x)
-    n, size = problem.n, grid.size
-    J = np.kron(problem.mode.D, laplacian_matrix(grid))
-    J.flat[::n * size + 1] -= np.repeat(np.diag(problem.mode.C), size)
-    nodes = np.arange(n)[:, None] * size + np.arange(size)     # (n, size)
-    rows, cols = nodes[:, None, :], nodes[None, :, :]           # block (i, j)
-    linear = J[rows, cols]
-    W = problem.W[:, :, None]
+    # the Jacobian (D Lap_h - C) + kron(W, I) diag(slope), with the closed-form
+    # inverse (D_i Lap_h - C_i)^-1 = -(C_i/D_i - Lap_h)^-1 / D_i per component
+    n, d, c = problem.n, np.diag(problem.mode.D), np.diag(problem.mode.C)
+    W = problem.W.reshape((n, n) + (1,) * grid.domain.dims)
+    p_inv = lambda x: np.stack([helmholtz_solve(grid, c[i] / d[i], x[i]) / -d[i]
+                                for i in range(n)])
 
     def jacobian(y):
-        J[rows, cols] = linear + W * _slope(problem.activation, y.reshape(n, -1))
-        return J
+        slope = _slope(problem.activation, y.reshape(n, -1)).reshape(y.shape)
+        return lambda x: (W * (slope * x)[None]).sum(axis=1), p_inv
     solutions: list[np.ndarray] = []
 
     def known(y):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rdnet.geometry import (MAX_AXIS_NODES, Grid, RectDomain, apply_laplacian,
                             eigenfunction, first_eigenvalue, helmholtz_solve,
-                            l2_inner, l2_norm, laplacian_matrix)
+                            l2_inner, l2_norm)
 
 
 class TestRectDomain:
@@ -69,7 +69,7 @@ class TestLaplacian:
     def test_symmetry_within_1e12(self):
         for counts in [(25,), (11, 13)]:
             domain = RectDomain((1.0,) * len(counts))
-            L = laplacian_matrix(Grid(domain, counts))
+            L = _csc_laplacian(Grid(domain, counts)).toarray()
             assert np.max(np.abs(L - L.T)) <= 1e-12
 
     def test_eigenfunction_is_discrete_eigenvector(self):
@@ -119,7 +119,6 @@ class TestStencilMatchesSparseProduct:
     def test_bitwise_equal(self, lengths, counts):
         grid = Grid(RectDomain(lengths), counts)
         ref = _csc_laplacian(grid)
-        assert laplacian_matrix(grid).tobytes() == ref.toarray().tobytes()
         rng = np.random.default_rng(grid.size)
         for _ in range(3):
             u = rng.standard_normal(grid.shape) * 10.0 ** rng.uniform(-5, 5, grid.shape)
@@ -191,7 +190,7 @@ class TestSineBasisSolve:
     def test_residual_of_random_rhs(self, grid, c):
         rhs = np.random.default_rng(11).standard_normal(grid.shape)
         u = helmholtz_solve(grid, c, rhs)
-        op = c * np.eye(grid.size) - laplacian_matrix(grid)
+        op = c * np.eye(grid.size) - _csc_laplacian(grid).toarray()
         res = np.max(np.abs(op @ u.ravel() - rhs.ravel()))
         h = min(grid.spacing)
         assert res <= 1e-12 * (c + 8.0 / h**2) * np.max(np.abs(u))

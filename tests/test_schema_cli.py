@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdnet import cli, presets, stationary
+from rdnet import cli, presets
 from rdnet.geometry import Grid, RectDomain
 from rdnet.model import Activation, Mode, SwitchedNetwork, check_A1_sampled
 from rdnet.schema import (SCHEMA_VERSION, SystemFileError, dump_system,
@@ -40,10 +40,10 @@ def _run_cli(argv, prelude="", **env):
                           capture_output=True, text=True, env=env)
 
 
-# one BLAS thread: the blocked LU behind Newton's dense solves rounds
-# differently on one thread than on several
-_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                    "MKL_NUM_THREADS": "1"}
+def _blas_threads(count):
+    """The environment that sets every BLAS pool to count threads."""
+    return {name: str(count) for name in
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def _strict_json(text):
@@ -358,26 +358,42 @@ class TestBitwiseSimulateOutputs:
 
 
 class TestBitwiseStationaryOutputs:
-    """SHA-1 of every file that `rdnet stationary <system> --inits 3` writes
-    for the 101-node multiplicity system: deflated Newton, the energy sort
-    and the writers behind them are pinned byte for byte. The run is a
-    subprocess on one BLAS thread."""
+    """SHA-1 of every file that `rdnet stationary <system> --inits k` writes:
+    k = 3 on the 101-node multiplicity system and k = 4 on case 1 at 31x31.
+    Deflated Newton, its GMRES steps, the sort and the writers behind them are
+    pinned byte for byte. Each run is a subprocess, on one and on two BLAS
+    threads, and both give these bytes."""
 
     PINS = {
-        "stationary_0.csv": "fc848387218e265a9a7e3d44941431fe6a601a06",
-        "stationary_1.csv": "1bdfb0be50de48f42690cf67d4d7711d43476923",
+        "stationary_0.csv": "d10d0236f775742dc41a1348b2133d424c14ad6e",
+        "stationary_1.csv": "f8f11cbe6422935bf0e0bdeb75865ded5261c035",
         "stationary_2.csv": "d96ebc8c7ef0371693d6f08201b0f7bfb42ad987",
-        "stationary_report.json": "c5ff39b5bfd659a528cce36193d02f446d20802c",
+        "stationary_report.json": "1e99a21aa30bd085e8143dd6ab62938266014831",
+    }
+    CASE1_31_PINS = {
+        "stationary_0.csv": "83d4c9bd38b815cc7ca7f36f9fd9dcb0b26348bf",
+        "stationary_report.json": "5acf50bddd2f0a4b052a4defc11a68bb6c78e106",
     }
 
-    def test_multiplicity_101_inits_3(self, tmp_path):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_multiplicity_101_inits_3(self, tmp_path, threads):
         f = tmp_path / "sys.json"
         _write_multiplicity(f)
         out = tmp_path / "out"
         run = _run_cli(["--out", out, "stationary", f, "--inits", "3"],
-                       **_ONE_BLAS_THREAD)
+                       **_blas_threads(threads))
         assert run.returncode == 0, run.stderr
         assert _sha1s(out) == self.PINS
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_case1_31_inits_4(self, tmp_path, threads):
+        f = tmp_path / "sys.json"
+        _write_benchmark(f, counts=(31, 31))
+        out = tmp_path / "out"
+        run = _run_cli(["--out", out, "stationary", f, "--inits", "4"],
+                       **_blas_threads(threads))
+        assert run.returncode == 0, run.stderr
+        assert _sha1s(out) == self.CASE1_31_PINS
 
 
 class TestBitwiseCommandOutputs:
@@ -736,8 +752,7 @@ class TestCliExitCodes:
         assert _sha1s(tmp_path / "s", "*.csv") == TestBitwiseSimulateOutputs.PINS
         m = tmp_path / "multiplicity_101.json"
         _write_multiplicity(m)
-        sta = _run_cli(["--out", tmp_path / "m", "stationary", m, "--inits", "3"],
-                       block, **_ONE_BLAS_THREAD)
+        sta = _run_cli(["--out", tmp_path / "m", "stationary", m, "--inits", "3"], block)
         assert sta.returncode == 0, sta.stderr
         assert _sha1s(tmp_path / "m") == TestBitwiseStationaryOutputs.PINS
         st2 = _run_cli(["--out", tmp_path / "r", "reproduce", "statement2"], block)
@@ -776,20 +791,19 @@ class TestCliExitCodes:
                              capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip().split("\n")[-1] == "[0, 0, 0, 0, 0] False"
 
-    def test_stationary_inits_over_newton_cap_exit_2(self, tmp_path, capsys, monkeypatch):
-        # 61^2 nodes x 2 components: 7,442 unknowns, over NEWTON_MAX_UNKNOWNS;
-        # the dense Jacobian would take 443 MB, so its assembly must not start
-        def no_assembly(grid):
-            raise AssertionError("dense Jacobian assembled over the cap")
-
-        monkeypatch.setattr(stationary, "laplacian_matrix", no_assembly)
+    def test_stationary_inits_on_61_squared_solves(self, tmp_path):
+        # 61^2 nodes x 2 components: 7,442 unknowns, which exited 2 while
+        # Newton's Jacobian was dense
         f = tmp_path / "sys.json"
         _write_benchmark(f, counts=(61, 61))
         out = tmp_path / "o"
-        code = cli.main(["--out", str(out), "stationary", str(f), "--inits", "3"])
-        assert code == 2
-        assert "unknowns" in capsys.readouterr().err
-        assert not out.exists()
+        code = cli.main(["--out", str(out), "stationary", str(f), "--inits", "3",
+                         "--tol", "1e-8"])
+        assert code == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == ["stationary_0.csv"]
+        report = json.loads((out / "stationary_report.json").read_text())
+        assert report["distinct_solutions"] == 1
+        assert report["residuals"][0] <= 1e-8
 
 
 class TestReproduceRows:
