@@ -53,6 +53,14 @@ def _mode_term(mode: Mode) -> np.ndarray:
             + mode.A @ mode.A.T + mode.B @ mode.B.T)
 
 
+def _delay_factor(gamma: float, tau: float) -> float:
+    """e^{gamma tau}, or ValueError where it overflows a float."""
+    try:
+        return math.exp(gamma * tau)
+    except OverflowError:
+        raise ValueError(f"e^(gamma tau) overflows: gamma*tau = {gamma * tau:.6g}") from None
+
+
 def mode_margin_matrix(mode: Mode, G: np.ndarray, gamma: float, q: float,
                        tau: float, Psi: np.ndarray) -> np.ndarray:
     """Per-mode switching-region matrix Q_sigma.
@@ -63,14 +71,14 @@ def mode_margin_matrix(mode: Mode, G: np.ndarray, gamma: float, q: float,
     if gamma < 0 or q < 1 or tau < 0:
         raise ValueError("need gamma >= 0, q >= 1, tau >= 0")
     G2 = G @ G
-    return _symmetrize(_mode_term(mode) + G2 + math.exp(gamma * tau) * q * G2 + Psi)
+    return _symmetrize(_mode_term(mode) + G2 + _delay_factor(gamma, tau) * q * G2 + Psi)
 
 
 def _margin_stack(network: SwitchedNetwork, betas: np.ndarray, gamma: float,
                   q: float) -> np.ndarray:
     """Combined matrix for each row of betas (shape (L, N)), shape (L, n, n)."""
     G2 = network.activation.G @ network.activation.G
-    M = G2 + math.exp(gamma * network.tau_max) * q * G2 + network.Psi
+    M = G2 + _delay_factor(gamma, network.tau_max) * q * G2 + network.Psi
     for s, mode in enumerate(network.modes):
         M = M + betas[:, s, None, None] * _mode_term(mode)
     return _symmetrize(M)

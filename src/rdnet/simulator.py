@@ -37,9 +37,9 @@ class HistoryUnderrunError(RuntimeError):
 
 def _seed_times(tau: float, dt: float) -> list[float]:
     """Where a run samples its initial function: max(1, round(tau/dt)) + 1
-    evenly spaced times from -tau to 0, or 0 alone where tau = 0."""
+    evenly spaced times from -tau (exactly) to 0, or 0 alone where tau = 0."""
     m = max(1, int(round(tau / dt))) if tau > 0 else 0
-    return [-k * tau / m if m else 0.0 for k in range(m, -1, -1)]
+    return [-tau] + [-k * tau / m for k in range(m - 1, -1, -1)] if m else [0.0]
 
 
 class History:
@@ -207,11 +207,12 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
 
     Every mode uses the one recentring f(u) = g(u) - g(0), so u = 0 is an
     equilibrium of each mode; the inputs J and per-mode equilibria are not
-    tracked. All modes share the given grid; the switching matrices are
-    rebuilt on the shared domain, whose first eigenvalue each Mode derives.
-    phi(s) supplies the initial field for s in [-tau, 0] with shape
-    (n, *grid.shape). The delay is network.delay, or the constant tau_max
-    where the network gives none.
+    tracked. All modes share the given grid; with config.switching the
+    switching matrices are rebuilt on the shared domain, whose first
+    eigenvalue each Mode derives. phi(s) supplies the initial field for s in
+    [-tau, 0] with shape (n, *grid.shape). The delay is network.delay, or
+    the constant tau_max where the network gives none; it is evaluated at
+    every step time and range-checked before phi is sampled.
 
     A step picks the mode (with config.switching), looks up the delayed
     field, takes the explicit reaction step x = u + dt (-C u + A f(u) +
@@ -232,12 +233,19 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     if tau > 0 and dt > tau:
         raise ValueError("dt must not exceed the delay bound")
     shared_modes = [Mode(m.D, m.C, m.A, m.B, m.J, grid.domain) for m in network.modes]
-    Q = [mode_margin_matrix(m, network.activation.G, network.gamma, network.q,
-                            tau, network.Psi) for m in shared_modes]
+    if config.switching:
+        Q = [mode_margin_matrix(m, network.activation.G, network.gamma, network.q,
+                                tau, network.Psi) for m in shared_modes]
     g0 = network.activation(np.zeros((n, 1)))   # f(u) = g(u) - g(0): f(0) = 0 exactly
     f = lambda flat: network.activation(flat) - g0
     coef = [1.0 / (dt * np.diag(m.D)) for m in shared_modes]
-    delay = network.delay or constant_delay(tau)
+    steps, delay = config.steps, network.delay or constant_delay(tau)
+    lookups = []                                # step k reads u(lookups[k - 1])
+    for t in (k * dt for k in range(steps if tau > 0 else 0)):
+        d = delay(t)
+        if not 0.0 <= d <= tau:
+            raise ValueError(f"delay at t={t} is {d}, outside [0, {tau}]")
+        lookups.append(t - d)
 
     hist = History.from_sampler(phi, tau, dt)
     u, shape = hist.value(0.0), (n,) + grid.shape
@@ -247,7 +255,6 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     norms = [l2_inner(grid, w, w) for w in map(hist.value, samples)]
     bound = BLOWUP_FACTOR * max(max(norms), 1e-300)
 
-    steps = config.steps
     times = np.empty(steps + 1)
     V = np.empty(steps + 1)
     modes = np.zeros(steps + 1, dtype=int)
@@ -260,13 +267,7 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     for k in range(1, steps + 1):
         if config.switching:
             mode = switching_decide(u, Q, mode)
-        if tau > 0:
-            d = delay(t)
-            if not 0.0 <= d <= tau:
-                raise ValueError(f"delay at t={t} is {d}, outside [0, {tau}]")
-            u_delay = hist.value(t - d)
-        else:
-            u_delay = u
+        u_delay = hist.value(lookups[k - 1]) if tau > 0 else u
         m = shared_modes[mode]
         flat, flat_delay = u.reshape(n, -1), u_delay.reshape(n, -1)
         x = u + dt * (-m.C @ flat + m.A @ f(flat) + m.B @ f(flat_delay)).reshape(shape)
@@ -297,13 +298,14 @@ def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConf
     sampled.
 
     Method of steps (Bellen & Zennaro, Numerical Methods for Delay
-    Differential Equations, OUP 2003): with dt <= tau, the lookup time
-    t - tau of each step in the next window of steps precedes the newest
-    stored time, so the window's lagged values are interpolated as
-    History.value interpolates them, and b g(u(t - tau)) is evaluated, in
-    one array operation each. Only the undelayed recurrence steps one at a
-    time, on Python floats; tau = 0 reads u itself. Every value equals, bit
-    for bit, that of the field loop run on (1,) arrays: the registry
+    Differential Equations, OUP 2003) on one time axis, the seed times then
+    k dt, on which each step's lookup time t - tau, stored pair and weight
+    are found before the first step. A window takes the steps whose pair is
+    already stored (at least one), interpolates their lagged values as
+    History.value does, newest-state clamp included (reached only at tau =
+    0), and evaluates b g(u(t - tau)), in one array operation each; only the
+    recurrence steps one at a time, on Python floats. Every value equals,
+    bit for bit, that of the field loop run on (1,) arrays: the registry
     function gives the same bits on a float as elementwise on an array, and
     numpy's 1x1 product c @ x is 0 + c*x, written c*x + 0.0 (it turns -0.0
     into +0.0; later terms cannot, as the sum then never holds -0.0).
@@ -325,41 +327,25 @@ def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConf
         if v.shape != (1,):
             raise ValueError(f"initial state has shape {v.shape}, expected (1,)")
         return float(v[0])
-    seeds = _seed_times(tau, dt)
-    ts, us = np.array(seeds), np.array([sample(s) for s in seeds])   # stored window
-    u = float(us[-1])
-
-    steps = config.steps
-    times = np.arange(steps + 1, dtype=float) * dt
-    V = np.empty(steps + 1)
-    V[0] = u * u
+    seeds, steps = _seed_times(tau, dt), config.steps
+    m = len(seeds) - 1                         # the axis index of t = 0
+    ts = np.empty(m + steps + 1)               # the run's time axis
+    ts[:m], ts[m:] = seeds[:-1], np.arange(steps + 1, dtype=float) * dt
+    times, us = ts[m:], np.zeros(len(ts))
+    us[:m + 1] = [sample(s) for s in seeds]
+    q = times[:-1] - tau   # step k reads u(q[k - 1]); -tau = ts[0] <= q < ts[-1]
+    i = np.searchsorted(ts, q, "right")
+    w = (q - ts[i - 1]) / (ts[i] - ts[i - 1])
+    u = float(us[m])
     bound = BLOWUP_FACTOR * max(u * u, 1.0)
     isfinite = math.isfinite
-    if not tau > 0:
-        for k in range(1, steps + 1):
-            gu = float(g(u))
-            u = u + dt * (c * u + 0.0 + a * gu + b * gu + j)
-            V[k] = v = u * u
-            if not isfinite(v) or v > bound:
-                raise BlowUpError(f"norm blew up at t={times[k]:.4g} (V={v:.3e})")
-        return Trajectory(times, V, np.zeros(steps + 1, dtype=int))
-
-    span = math.ceil(tau / dt) + 1     # at least one window of steps
     k = 1
-    while k <= steps:
-        # the steps from k on whose lookup time t - tau precedes the newest
-        # stored time, ts[-1] = times[k - 1]
-        q = times[k - 1:min(k - 1 + span, steps)] - tau
-        n = max(1, np.searchsorted(q, ts[-1]))
-        q = q[:n]
-        if q[0] < ts[0] - 1e-12:
-            raise HistoryUnderrunError(f"requested t={float(q[0])} before stored "
-                                       f"window start {float(ts[0])}")
-        i = np.searchsorted(ts, q, "right").clip(1, len(ts) - 1)
-        t0 = ts[i - 1]
-        w = (q - t0) / (ts[i] - t0)
-        lag = (1.0 - w) * us[i - 1] + w * us[i]
-        lag[q >= ts[-1]] = us[-1]                   # History.value's newest-state clamp
+    while k <= steps:   # a window: the steps whose pair i is stored, at least one
+        newest = m + k - 1                     # ts[newest] = times[k - 1]
+        n = max(1, np.searchsorted(i[k - 1:], newest, "right"))
+        win = slice(k - 1, k - 1 + n)
+        lag = (1.0 - w[win]) * us[i[win] - 1] + w[win] * us[i[win]]
+        lag[q[win] >= ts[newest]] = us[newest]   # History.value's clamp
         stepped = []
         for step, delayed in enumerate((b * g(lag)).tolist(), k):
             u = u + dt * (c * u + 0.0 + a * float(g(u)) + delayed + j)
@@ -367,15 +353,9 @@ def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConf
             if not isfinite(v) or v > bound:
                 raise BlowUpError(f"norm blew up at t={times[step]:.4g} (V={v:.3e})")
             stepped.append(u)
-        stepped = np.array(stepped)
-        V[k:k + n] = stepped * stepped
-        ts = np.concatenate((ts, times[k:k + n]))
-        us = np.concatenate((us, stepped))
+        us[newest + 1:newest + 1 + n] = stepped
         k += n
-        # drop the entries before the one the next window's first lookup starts from
-        cut = max(0, np.searchsorted(ts, times[k - 1] - tau, "right") - 1)
-        ts, us = ts[cut:], us[cut:]
-    return Trajectory(times, V, np.zeros(steps + 1, dtype=int))
+    return Trajectory(times, us[m:] * us[m:], np.zeros(steps + 1, dtype=int))
 
 
 def fit_window_start(samples: int) -> int:

@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 import numpy as np
 
-from .geometry import (Grid, RectDomain, apply_laplacian, helmholtz_solve,
-                       l2_inner, l2_norm)
+from .geometry import (Grid, RectDomain, apply_laplacian, eigenfunction,
+                       helmholtz_solve, l2_inner, l2_norm)
 from .model import Activation, Mode, stationarity_map
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 CLUSTER_REL_DISTANCE = 0.1
+# solutions whose energies agree to this relative gap tie in the sort order
+ENERGY_TIE_REL = 1e-8
 DESCENT_STEP0 = 1.0       # largest Armijo step of variational_minimize
 ARMIJO = 1e-4
 NEWTON_MAX_STEPS = 50
@@ -355,7 +358,8 @@ def find_stationary_multiplicity(problem: StationaryProblem, inits,
     solutions breaks up into isolated discrete ones. The search moves to the
     next start when Newton fails, when it returns a solution within relative
     L2 distance CLUSTER_REL_DISTANCE of a known one, or when the start is
-    that close to one. Sorted by energy when available, else by norm.
+    that close to one. Sorted by energy when available, ties within
+    ENERGY_TIE_REL by the projection on phi1, positive first, else by norm.
     """
     if not inits:
         raise ValueError("need at least one initial field")
@@ -391,8 +395,15 @@ def find_stationary_multiplicity(problem: StationaryProblem, inits,
                 break
             solutions.append(sol)
     if problem.n == 1 and problem.activation.antiderivative is not None:
-        key = lambda s: (energy_eval(problem, s[0]), l2_norm(grid, s))
+        phi1, _ = eigenfunction(grid, (1,) * grid.domain.dims)
+        key = {id(s): (energy_eval(problem, s[0]), -l2_inner(grid, s[0], phi1),
+                       l2_norm(grid, s)) for s in solutions}
+
+        def order(a, b):   # so rounding alone cannot swap mirror-image roots
+            (ea, *ra), (eb, *rb) = key[id(a)], key[id(b)]
+            tie = abs(ea - eb) <= ENERGY_TIE_REL * max(abs(ea), abs(eb))
+            return (ra > rb) - (ra < rb) if tie else (ea > eb) - (ea < eb)
+        solutions.sort(key=cmp_to_key(order))
     else:
-        key = lambda s: (l2_norm(grid, s),)
-    solutions.sort(key=key)
+        solutions.sort(key=lambda s: l2_norm(grid, s))
     return solutions

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,6 +39,18 @@ class TestModeMarginMatrix:
         with pytest.raises(ValueError):
             mode_margin_matrix(net.modes[0], net.activation.G, -0.1, 1.00001,
                                3.5, net.Psi)
+
+
+    def test_overflowing_delay_factor_names_gamma_tau(self):
+        # case 1's gamma 0.38 at tau 2000: e^(gamma tau) = e^760 is no float
+        net = dataclasses.replace(presets.switched_benchmark(1), tau_max=2000.0)
+        with pytest.raises(ValueError, match=r"gamma\*tau = 760"):
+            mode_margin_matrix(net.modes[0], net.activation.G, 0.38, 1.00001,
+                               2000.0, net.Psi)
+        with pytest.raises(ValueError, match=r"gamma\*tau = 760"):
+            verify_certificate(net, [1 / 3] * 3, 0.38)
+        # the search starts from gamma -> 0+ and stays where e^(gamma tau) is finite
+        assert search_certificate(net).gamma > 0
 
 
 class TestVerifyCertificate:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -592,6 +593,31 @@ class TestCliExitCodes:
         report = json.loads((tmp_path / "simulate_report.json").read_text())
         assert report["system"]["delay"] == {"tau_max": 1.0}
         assert report["dt"] == 0.01   # the default step, tau_max / 100
+
+    # case 1's gamma 0.38 at tau_max 2000: gamma*tau = 760 and e^(gamma tau)
+    # overflows a float
+    @pytest.mark.parametrize("argv", [["certify"],
+                                      ["simulate", "--tau", "2000", "--T", "400",
+                                       "--switching"]])
+    def test_overflowing_delay_factor_exit_2(self, tmp_path, capsys, argv):
+        f = tmp_path / "sys.json"
+        net, grid = _write_benchmark(f, counts=(9, 9))
+        f.write_text(json.dumps(dump_system(dataclasses.replace(net, tau_max=2000.0), grid)))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), argv[0], str(f), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "gamma*tau = 760" in err
+        assert not out.exists()
+
+    def test_simulate_without_switching_needs_no_delay_factor(self, tmp_path):
+        f = tmp_path / "sys.json"
+        _write_benchmark(f, counts=(9, 9))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "simulate", str(f), "--tau", "2000",
+                         "--T", "400"]) == 0
+        report = _strict_json((out / "simulate_report.json").read_text())
+        assert report["end_time"] == 400.0 and report["switch_count"] == 0
 
     def test_simulate_infinite_rate_is_null(self, tmp_path):
         # strong decay drives V to 0.0 within the fit window, whose rate is

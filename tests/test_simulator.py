@@ -955,6 +955,49 @@ class TestDelays:
         with pytest.raises(ValueError, match=rf"t=0\.0 is {bad}"):
             simulate(net, grid, SimConfig(dt=0.01, horizon=1.0), lambda s: phi[None])
 
+    def test_late_delay_outside_bound_rejected_before_phi_is_sampled(self):
+        # every step's delay is checked up front, so the run stops before it
+        # samples phi, takes a step or a snapshot, and names the first bad t
+        mode = Mode([[0.1]], [[1.0]], [[0.0]], [[0.5]], [0.0], RectDomain((1.0,)))
+        net = SwitchedNetwork((mode,), Activation.uniform("identity", {}, 1.0, 1),
+                              tau_max=1.0, Psi=np.eye(1),
+                              delay=lambda t: 2.0 if t > 0.5 else 0.5)
+
+        def never(*args):
+            raise AssertionError("the run started")
+        with pytest.raises(ValueError, match=r"t=0\.51 is 2\.0, outside \[0, 1\.0\]"):
+            simulate(net, Grid(mode.domain, (15,)),
+                     SimConfig(dt=0.01, horizon=1.0, snapshot_stride=1), never, never)
+
+    # m = round(tau / dt) = 345 here, and -(m * tau) / m sits about 1e-9 above
+    # -tau, past the lookup slack of 1e-12
+    BIG_TAU, BIG_DT, BIG_T = 6757159.8434330365, 19585.97056067547, 783438.8224270188
+
+    def test_first_seed_time_is_minus_tau(self):
+        tau, dt = self.BIG_TAU, self.BIG_DT
+        m = round(tau / dt)
+        assert -(m * tau) / m > -tau + 1e-12
+        assert simulator._seed_times(tau, dt)[0] == -tau
+        hist = History.from_sampler(lambda s: np.array([s]), tau, dt)
+        assert hist.value(-tau)[0] == -tau
+
+    def test_simulate_at_large_delay(self):
+        net = dataclasses.replace(presets.switched_benchmark(1), tau_max=self.BIG_TAU,
+                                  gamma=1e-7)
+        grid = Grid(net.modes[0].domain, (9, 9))
+        field = presets.switched_benchmark_initial(grid)(0.0)
+        config = SimConfig(dt=self.BIG_DT, horizon=self.BIG_T, switching=True)
+        traj = simulate(net, grid, config, lambda s: field)
+        assert len(traj.V) == 41 and np.all(np.isfinite(traj.V))
+
+    def test_simulate_ode_at_large_delay(self):
+        mode = Mode([[1.0]], [[1e-6]], [[0.0]], [[1e-7]], [0.0], RectDomain((1.0,)))
+        act = Activation.uniform("identity", {}, 1.0, 1)
+        traj = simulate_ode(mode, act, self.BIG_TAU,
+                            SimConfig(dt=self.BIG_DT, horizon=self.BIG_T),
+                            lambda s: np.array([1.0]))
+        assert len(traj.V) == 41 and 0.0 < traj.V[-1] < 1.0
+
     # delay(t) = min(t, tau) makes every lookup before tau read phi(0) = 1, so
     # the scheme reduces to a scalar recurrence; a constant delay would read
     # phi(t - tau) = 1 + t - tau instead.

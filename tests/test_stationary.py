@@ -5,7 +5,7 @@ import pytest
 
 from rdnet import presets, stationary
 from rdnet.geometry import (Grid, RectDomain, apply_laplacian, eigenfunction,
-                            l2_norm)
+                            l2_inner, l2_norm)
 from rdnet.model import Activation, Mode, stationarity_map
 from rdnet.stationary import (StationaryProblem, energy_eval, energy_gradient,
                               find_stationary_multiplicity, fixed_point_solve,
@@ -279,6 +279,29 @@ class TestMultiplicity:
         norms = sorted(l2_norm(grid, s) for s in sols)
         assert norms[0] < 1e-6
         assert norms[-1] == pytest.approx(norms[-2], rel=1e-6)
+
+    @pytest.mark.parametrize("rel", [1e-12, -1e-12])
+    def test_mirror_roots_keep_their_order_when_energies_tie(self, monkeypatch, rel):
+        # the +-0.721 roots' energies agree to about 1e-11 relative; set the
+        # negative root's to the positive root's times 1 + rel, on either side
+        problem = presets.multiplicity_problem(101)
+        grid = problem.grid
+        phi1, _ = eigenfunction(grid, (1,))
+        sup = float(np.max(np.abs(phi1)))
+        inits = [0.5 / sup * phi1[None], -0.5 / sup * phi1[None], problem.zeros()]
+        plus, = [s for s in find_stationary_multiplicity(problem, inits, tol=1e-6)
+                 if l2_inner(grid, s[0], phi1) > 0.1]
+        e_plus = energy_eval(problem, plus[0])
+        assert e_plus < 0
+
+        def nudged(p, u):
+            negative = l2_inner(grid, u, phi1) < -0.1
+            return e_plus * (1.0 + rel) if negative else energy_eval(p, u)
+        monkeypatch.setattr(stationary, "energy_eval", nudged)
+        sols = find_stationary_multiplicity(problem, inits, tol=1e-6)
+        projections = [l2_inner(grid, s[0], phi1) for s in sols]
+        assert len(sols) == 3 and sols[0].tobytes() == plus.tobytes()
+        assert projections[1] < -0.1 and abs(projections[2]) < 1e-6
 
     def test_scaled_eigenfunctions_near_stationary(self):
         problem = presets.multiplicity_problem(201)
