@@ -54,26 +54,36 @@ def _mode_term(mode: Mode) -> np.ndarray:
 
 
 def _delay_factor(gamma: float, tau: float) -> float:
-    """e^{gamma tau}, or ValueError where it overflows a float."""
+    """e^{gamma tau}, or inf where it overflows a float."""
     try:
         return math.exp(gamma * tau)
     except OverflowError:
-        raise ValueError(f"e^(gamma tau) overflows: gamma*tau = {gamma * tau:.6g}") from None
+        return math.inf
 
 
+def _finite(M: np.ndarray, gamma: float, tau: float) -> np.ndarray:
+    """M, or ValueError naming gamma*tau where assembling it overflowed."""
+    if not np.isfinite(M).all():
+        raise ValueError(f"the margin matrix overflows a float: gamma*tau = {gamma * tau:.6g}")
+    return M
+
+
+@np.errstate(over="ignore", invalid="ignore")   # _finite reports an overflow
 def mode_margin_matrix(mode: Mode, G: np.ndarray, gamma: float, q: float,
                        tau: float, Psi: np.ndarray) -> np.ndarray:
     """Per-mode switching-region matrix Q_sigma.
 
     Q = -2 lambda1 D - 2C + A A^T + B B^T + G^2 + e^{gamma tau} q G^2 + Psi,
-    exactly symmetric.
+    exactly symmetric; ValueError where it overflows a float.
     """
     if gamma < 0 or q < 1 or tau < 0:
         raise ValueError("need gamma >= 0, q >= 1, tau >= 0")
     G2 = G @ G
-    return _symmetrize(_mode_term(mode) + G2 + _delay_factor(gamma, tau) * q * G2 + Psi)
+    Q = _mode_term(mode) + G2 + _delay_factor(gamma, tau) * q * G2 + Psi
+    return _finite(_symmetrize(Q), gamma, tau)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # _finite reports an overflow
 def _margin_stack(network: SwitchedNetwork, betas: np.ndarray, gamma: float,
                   q: float) -> np.ndarray:
     """Combined matrix for each row of betas (shape (L, N)), shape (L, n, n)."""
@@ -81,7 +91,7 @@ def _margin_stack(network: SwitchedNetwork, betas: np.ndarray, gamma: float,
     M = G2 + _delay_factor(gamma, network.tau_max) * q * G2 + network.Psi
     for s, mode in enumerate(network.modes):
         M = M + betas[:, s, None, None] * _mode_term(mode)
-    return _symmetrize(M)
+    return _finite(_symmetrize(M), gamma, network.tau_max)
 
 
 def margin_matrix(network: SwitchedNetwork, beta, gamma: float, q: float) -> np.ndarray:

@@ -85,22 +85,22 @@ class Grid:
 
         Column k of S samples sin(k pi x/l), whose 3-point stencil eigenvalue is
         (2/h sin(k pi h/2l))^2 (Buzbee, Golub & Nielson, SIAM J. Numer. Anal.
-        7(4), 1970); the sine argument is reduced mod 2 pi first, exactly, as
-        fmod of the integer products k*j (below 2**53) held as floats. S is
-        built in place in one array. An axis with the first axis's count and
-        length shares its tuple.
+        7(4), 1970); entry (j, k) is sin(r pi/(c+1)) sqrt(2/(c+1)) with the
+        sine argument reduced mod 2 pi exactly, r = j*k mod 2(c+1) in int32,
+        so S reads its c^2 entries from a table of 2(c+1) values. An axis
+        with the first axis's count and length shares its tuple.
         """
         basis = []
         for c, h, l in zip(self.counts, self.spacing, self.domain.lengths):
             if basis and (c, l) == (self.counts[0], self.domain.lengths[0]):
                 basis.append(basis[0])
                 continue
-            k = np.arange(1, c + 1)
-            s = np.outer(k.astype(float), k)
-            np.fmod(s, 2 * (c + 1), out=s)
-            s *= math.pi / (c + 1)
-            np.sin(s, out=s)
-            s *= math.sqrt(2.0 / (c + 1))
+            table = np.arange(2 * (c + 1), dtype=float) * (math.pi / (c + 1))
+            table = np.sin(table) * math.sqrt(2.0 / (c + 1))
+            k = np.arange(1, c + 1, dtype=np.int32)   # c <= MAX_AXIS_NODES: k*j fits
+            r = np.outer(k, k)
+            r %= 2 * (c + 1)
+            s = table[r]
             lam = (2.0 / h * np.sin(k * math.pi * h / (2.0 * l))) ** 2
             basis.append((s, lam))
         return tuple(basis)

@@ -14,7 +14,6 @@ deterministic.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,29 +31,39 @@ class BlowUpError(RuntimeError):
 
 
 class HistoryUnderrunError(RuntimeError):
-    """Delay lookup requested a time before the stored window."""
+    """Delay lookup requested an entry before the stored window."""
 
 
-def _seed_times(tau: float, dt: float) -> list[float]:
-    """Where a run samples its initial function: max(1, round(tau/dt)) + 1
-    evenly spaced times from -tau (exactly) to 0, or 0 alone where tau = 0."""
+def _time_axis(tau: float, dt: float, steps: int) -> tuple[np.ndarray, int]:
+    """A run's time axis and the index m of t = 0 on it: the m + 1 =
+    max(1, round(tau/dt)) + 1 evenly spaced times from -tau (exactly) to 0
+    where phi is sampled, or 0 alone where tau = 0, then k dt, k = 1..steps."""
     m = max(1, int(round(tau / dt))) if tau > 0 else 0
-    return [-tau] + [-k * tau / m for k in range(m - 1, -1, -1)] if m else [0.0]
+    ts = np.empty(m + steps + 1)
+    ts[:m] = [-tau] + [-k * tau / m for k in range(m - 1, 0, -1)] if m else []
+    ts[m:] = np.arange(steps + 1, dtype=float) * dt
+    return ts, m
+
+
+def _lookups(ts: np.ndarray, q) -> tuple[np.ndarray, np.ndarray]:
+    """Where the times q >= ts[0] sit on the axis ts: the entry i with
+    ts[i - 1] <= q < ts[i] and the weight w = (q - ts[i - 1]) / (ts[i] -
+    ts[i - 1]) of entry i. A q at or past ts[-1] gets i = len(ts), where a
+    reader takes the newest state it holds, as for any i past that state."""
+    i = np.searchsorted(ts, q, "right")
+    w, span = q - ts[i - 1], ts.take(i, mode="clip") - ts[i - 1]
+    return i, np.divide(w, span, out=w, where=span > 0)
 
 
 class History:
-    """Delay window of (time, state) entries spanning at least the delay.
+    """Delay window over a run's time axis: entry p sits in ring slot p mod
+    ceil(tau/dt) + 3, room for a window of steps dt apart, the slot the next
+    push fills and a spare against rounding at the window's edge.
 
-    Times sit in a list that lookups bisect from the oldest live entry.
-    States are float arrays of one shape, kept in one ring of ceil(tau/dt) + 3
-    slots allocated at the first push: a window of pushes dt apart, the slot
-    the next push fills and a spare against rounding at the window's edge;
-    a scalar push raises ValueError. A push fills the ring's next slot in
-    FIFO order: it stores the slot that `slot` handed out as is and copies
-    any other array in. Pushes closer than dt can leave every slot live; the
-    next push then raises ValueError. The dead prefix of the lists is cut
-    off once it is over half of them. A lookup never returns a ring slot, so
-    what it returns survives later pushes.
+    The slots are views of one float array allocated at the first push, which
+    sets the states' shape; a scalar push raises ValueError. A push stores the
+    slot that `slot` handed out as is and copies any other array in. A lookup
+    never returns a slot, so what it returns survives later pushes.
     """
 
     def __init__(self, tau: float, dt: float):
@@ -62,75 +71,39 @@ class History:
             raise ValueError("delay bound must be nonnegative")
         if not dt > 0:
             raise ValueError("dt must be positive")
-        self.tau = tau
-        self._capacity = math.ceil(tau / dt) + 3      # ring slots
-        self._times: list[float] = []
-        self._states: list[np.ndarray] = []
-        self._start = 0                               # oldest live entry
-        self._slots: list[np.ndarray] = []            # one view per ring slot
-        self._head = 0                                # slot the next push fills
-
-    @classmethod
-    def from_sampler(cls, sampler: Callable[[float], np.ndarray], tau: float,
-                     dt: float) -> "History":
-        """Seed the window [-tau, 0] by sampling the initial function at
-        _seed_times(tau, dt)."""
-        hist = cls(tau, dt)
-        for s in _seed_times(tau, dt):
-            hist.push(s, np.asarray(sampler(s), dtype=float))
-        return hist
+        self._capacity = math.ceil(tau / dt) + 3
+        self._ring: list[np.ndarray] = []
+        self._count = 0                               # entries pushed
 
     def slot(self) -> np.ndarray | None:
         """The ring slot the next push fills, free until then; None before
         the first push sets the ring's shape. A stepping loop writes the new
         state into it, and the push then stores it without a copy."""
-        if not self._slots:
-            return None
-        if len(self._times) - self._start == len(self._slots):
-            raise ValueError(f"all {len(self._slots)} slots of the delay window "
-                             "are live: pushes closer than dt")
-        return self._slots[self._head]
+        return self._ring[self._count % self._capacity] if self._ring else None
 
-    def push(self, t: float, u: np.ndarray) -> None:
-        times, states = self._times, self._states
-        if times and t <= times[-1]:
-            raise ValueError("history times must be strictly increasing")
+    def push(self, u: np.ndarray) -> None:
+        """Store u as the axis's next entry, evicting the oldest of a full ring."""
         if np.ndim(u) == 0:
             raise ValueError("state has shape (): a history stores arrays, not scalars")
-        if not self._slots:
-            ring = np.empty((self._capacity,) + np.shape(u))
-            self._slots = [ring[i, ...] for i in range(self._capacity)]
+        if not self._ring:
+            self._ring = list(np.empty((self._capacity,) + np.shape(u)))
         slot = self.slot()
         if u is not slot:
             if np.shape(u) != slot.shape:
                 raise ValueError(f"state has shape {np.shape(u)}, "
                                  f"the history holds {slot.shape}")
             slot[...] = u
-        self._head = (self._head + 1) % len(self._slots)
-        times.append(float(t))
-        states.append(slot)
-        start, end = self._start, len(times) - 1
-        while end - start >= 2 and times[start + 1] <= t - self.tau:
-            start += 1
-        if 2 * start > len(times):
-            del times[:start], states[:start]
-            start = 0
-        self._start = start
+        self._count += 1
 
-    def value(self, t: float) -> np.ndarray:
-        """Linear interpolation between stored snapshots, in a new array."""
-        times, start = self._times, self._start
-        if not times:
-            raise HistoryUnderrunError("history is empty")
-        if t < times[start] - 1e-12:
-            raise HistoryUnderrunError(
-                f"requested t={t} before stored window start {times[start]}")
-        if t >= times[-1] or start == len(times) - 1:
-            return self._states[-1].copy()
-        j = max(start + 1, bisect_right(times, t, start))
-        t0, t1 = times[j - 1], times[j]
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * self._states[j - 1] + w * self._states[j]
+    def value(self, i: int, w: float) -> np.ndarray:
+        """(1 - w) u[i - 1] + w u[i] of the axis entries, as _lookups pairs
+        them, in a new array; the newest state for any i past it."""
+        ring, count, cap = self._ring, self._count, self._capacity
+        if i <= max(0, count - cap) or not count:
+            raise HistoryUnderrunError(f"axis entry {i - 1} is not in the delay window")
+        if i >= count:
+            return ring[(count - 1) % cap].copy()
+        return (1.0 - w) * ring[(i - 1) % cap] + w * ring[i % cap]
 
 
 @dataclass
@@ -211,11 +184,11 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     switching matrices are rebuilt on the shared domain, whose first
     eigenvalue each Mode derives. phi(s) supplies the initial field for s in
     [-tau, 0] with shape (n, *grid.shape). The delay is network.delay, or
-    the constant tau_max where the network gives none; it is evaluated at
-    every step time and range-checked before phi is sampled.
-
-    A step picks the mode (with config.switching), looks up the delayed
-    field, takes the explicit reaction step x = u + dt (-C u + A f(u) +
+    the constant tau_max where the network gives none; before phi is
+    sampled, it is range-checked at every step time and each lookup paired
+    on the run's time axis by _lookups, which the ring History indexes.
+    A step picks the mode (with config.switching), reads the delayed field
+    at its pair, takes the explicit reaction step x = u + dt (-C u + A f(u) +
     B f(u_delay)) and solves (c - Lap) u_i = c x_i with c = 1 / (dt D_i)
     per component straight into the delay history's next ring slot, which
     the push then stores without a copy; so the history neither allocates
@@ -240,19 +213,23 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     f = lambda flat: network.activation(flat) - g0
     coef = [1.0 / (dt * np.diag(m.D)) for m in shared_modes]
     steps, delay = config.steps, network.delay or constant_delay(tau)
-    lookups = []                                # step k reads u(lookups[k - 1])
-    for t in (k * dt for k in range(steps if tau > 0 else 0)):
+    ts, zero = _time_axis(tau, dt, steps)
+    reads = [0.0] + (np.linspace(-tau, 0, 5).tolist() if tau > 0 else [0.0])
+    sampled = len(reads)                  # u(0), the blow-up samples, then
+    for t in ts[zero:-1].tolist() if tau > 0 else ():   # u(t - d) per step
         d = delay(t)
         if not 0.0 <= d <= tau:
             raise ValueError(f"delay at t={t} is {d}, outside [0, {tau}]")
-        lookups.append(t - d)
+        reads.append(t - d)
+    pairs = list(zip(*(a.tolist() for a in _lookups(ts, reads))))
 
-    hist = History.from_sampler(phi, tau, dt)
-    u, shape = hist.value(0.0), (n,) + grid.shape
+    hist = History(tau, dt)
+    for s in ts[:zero + 1].tolist():
+        hist.push(np.asarray(phi(s), dtype=float))
+    u, shape = hist.value(*pairs[0]), (n,) + grid.shape
     if u.shape != shape:
         raise ValueError(f"initial state has shape {u.shape}, expected {shape}")
-    samples = np.linspace(-tau, 0, 5) if tau > 0 else (0.0,)
-    norms = [l2_inner(grid, w, w) for w in map(hist.value, samples)]
+    norms = [l2_inner(grid, w, w) for w in (hist.value(*p) for p in pairs[1:sampled])]
     bound = BLOWUP_FACTOR * max(max(norms), 1e-300)
 
     times = np.empty(steps + 1)
@@ -267,7 +244,7 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     for k in range(1, steps + 1):
         if config.switching:
             mode = switching_decide(u, Q, mode)
-        u_delay = hist.value(lookups[k - 1]) if tau > 0 else u
+        u_delay = hist.value(*pairs[sampled + k - 1]) if tau > 0 else u
         m = shared_modes[mode]
         flat, flat_delay = u.reshape(n, -1), u_delay.reshape(n, -1)
         x = u + dt * (-m.C @ flat + m.A @ f(flat) + m.B @ f(flat_delay)).reshape(shape)
@@ -276,7 +253,7 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
             u[i] = helmholtz_solve(grid, c, c * x[i])
         del x   # held into the next step, it would add a field to the peak
         t = k * dt
-        hist.push(t, u)
+        hist.push(u)
         v = l2_inner(grid, u, u)
         if not math.isfinite(v) or v > bound:
             raise BlowUpError(f"norm blew up at t={t:.4g} (V={v:.3e})")
@@ -291,19 +268,19 @@ def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConf
     """Forward-Euler integration of du/dt = -C u + A g(u) + B g(u_tau) + J.
 
     The lumped scalar mode runs under the constant delay tau; phi(s) gives
-    the initial state of shape (1,) for s in [-tau, 0], sampled at
-    _seed_times(tau, dt) as History.from_sampler samples it. V records u^2, so the decay-rate
-    estimator applies unchanged. The blow-up guard is 1e6 times
+    the initial state of shape (1,) for s in [-tau, 0], sampled at the seed
+    times of the time axis, as simulate samples it. V records u^2, so the
+    decay-rate estimator applies unchanged. The blow-up guard is 1e6 times
     max(u0^2, 1). A mode with n != 1 raises ValueError before phi is
     sampled.
 
     Method of steps (Bellen & Zennaro, Numerical Methods for Delay
-    Differential Equations, OUP 2003) on one time axis, the seed times then
-    k dt, on which each step's lookup time t - tau, stored pair and weight
-    are found before the first step. A window takes the steps whose pair is
-    already stored (at least one), interpolates their lagged values as
-    History.value does, newest-state clamp included (reached only at tau =
-    0), and evaluates b g(u(t - tau)), in one array operation each; only the
+    Differential Equations, OUP 2003) on simulate's time axis, with every
+    step's pair and weight for t - tau found by _lookups before the first
+    step. A window takes the steps whose pair is already stored (at least
+    one), interpolates their lagged values by History.value's rule, a pair
+    past the newest entry reading that entry (reached only at tau = 0),
+    and evaluates b g(u(t - tau)), in one array operation each; only the
     recurrence steps one at a time, on Python floats. Every value equals,
     bit for bit, that of the field loop run on (1,) arrays: the registry
     function gives the same bits on a float as elementwise on an array, and
@@ -314,7 +291,7 @@ def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConf
         raise ValueError(f"simulate_ode integrates a scalar mode, got n = {mode.n}")
     if config.snapshot_stride:
         raise ValueError("snapshot_stride needs a snapshot callable")
-    dt = config.dt
+    dt, steps = config.dt, config.steps
     if tau < 0:
         raise ValueError("delay bound must be nonnegative")
     if tau > 0 and dt > tau:
@@ -327,15 +304,10 @@ def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConf
         if v.shape != (1,):
             raise ValueError(f"initial state has shape {v.shape}, expected (1,)")
         return float(v[0])
-    seeds, steps = _seed_times(tau, dt), config.steps
-    m = len(seeds) - 1                         # the axis index of t = 0
-    ts = np.empty(m + steps + 1)               # the run's time axis
-    ts[:m], ts[m:] = seeds[:-1], np.arange(steps + 1, dtype=float) * dt
+    ts, m = _time_axis(tau, dt, steps)
     times, us = ts[m:], np.zeros(len(ts))
-    us[:m + 1] = [sample(s) for s in seeds]
-    q = times[:-1] - tau   # step k reads u(q[k - 1]); -tau = ts[0] <= q < ts[-1]
-    i = np.searchsorted(ts, q, "right")
-    w = (q - ts[i - 1]) / (ts[i] - ts[i - 1])
+    us[:m + 1] = [sample(s) for s in ts[:m + 1].tolist()]
+    i, w = _lookups(ts, times[:-1] - tau)   # step k reads pair k - 1
     u = float(us[m])
     bound = BLOWUP_FACTOR * max(u * u, 1.0)
     isfinite = math.isfinite
@@ -345,7 +317,7 @@ def simulate_ode(mode: Mode, activation: Activation, tau: float, config: SimConf
         n = max(1, np.searchsorted(i[k - 1:], newest, "right"))
         win = slice(k - 1, k - 1 + n)
         lag = (1.0 - w[win]) * us[i[win] - 1] + w[win] * us[i[win]]
-        lag[q[win] >= ts[newest]] = us[newest]   # History.value's clamp
+        lag[i[win] > newest] = us[newest]   # a pair past the newest entry reads it
         stepped = []
         for step, delayed in enumerate((b * g(lag)).tolist(), k):
             u = u + dt * (c * u + 0.0 + a * float(g(u)) + delayed + j)

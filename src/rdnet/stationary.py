@@ -223,20 +223,22 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     sums, not BLAS dots, so the bits do not depend on the BLAS thread count.
     A non-finite residual returns a non-finite x; GMRES_MAX_ITER iterations
     above tolerance raise DivergenceError."""
-    beta = np.sqrt((b * b).sum())
+    tmp = np.empty_like(b)
+    dot = lambda x, y: float(np.add.reduce(np.multiply(x, y, out=tmp), axis=None))
+    beta = math.sqrt(dot(b, b))
     if beta == 0.0:
         return np.zeros_like(b)
     basis, rotations, R, g = [b / beta], [], [], [beta]
     for k in range(GMRES_MAX_ITER):
-        w = apply(basis[k])
-        h = []   # column k of the Hessenberg matrix
+        w = np.array(apply(basis[k]))   # its own copy, which MGS updates in place
+        h = []   # column k of the Hessenberg matrix, in Python floats
         for v in basis:
-            h.append((v * w).sum())
-            w = w - h[-1] * v
-        h.append(np.sqrt((w * w).sum()))
+            h.append(dot(v, w))
+            w -= np.multiply(h[-1], v, out=tmp)
+        h.append(math.sqrt(dot(w, w)))
         for j, (c, s) in enumerate(rotations):
             h[j], h[j + 1] = c * h[j] + s * h[j + 1], c * h[j + 1] - s * h[j]
-        r = np.hypot(h[k], h[k + 1])
+        r = float(np.hypot(h[k], h[k + 1])) or math.nan   # 0/0 as numpy gives it
         c, s = h[k] / r, h[k + 1] / r
         rotations.append((c, s))
         R.append(h[:k] + [r])   # column k of the triangular factor
@@ -244,8 +246,11 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
         if not abs(g[k + 1]) > GMRES_TOL * beta:   # converged, or non-finite
             break
         basis.append(w / h[k + 1])
-    for i in range(k, -1, -1):   # back-substitution, in place
-        g[i] = (g[i] - sum(R[j][i] * g[j] for j in range(i + 1, k + 1))) / R[i][i]
+    for i in range(k, -1, -1):   # back-substitution, in place; no sum(), whose
+        acc = 0.0                # float sums are compensated from Python 3.12
+        for j in range(i + 1, k + 1):
+            acc += R[j][i] * g[j]
+        g[i] = (g[i] - acc) / R[i][i]
     x = sum(gi * v for gi, v in zip(g[:k + 1], basis))
     if abs(g[-1]) > GMRES_TOL * beta:
         raise DivergenceError(f"GMRES did not converge in {GMRES_MAX_ITER} iterations "
@@ -370,8 +375,11 @@ def find_stationary_multiplicity(problem: StationaryProblem, inits,
     # inverse (D_i Lap_h - C_i)^-1 = -(C_i/D_i - Lap_h)^-1 / D_i per component
     n, d, c = problem.n, np.diag(problem.mode.D), np.diag(problem.mode.C)
     W = problem.W.reshape((n, n) + (1,) * grid.domain.dims)
-    p_inv = lambda x: np.stack([helmholtz_solve(grid, c[i] / d[i], x[i]) / -d[i]
-                                for i in range(n)])
+    def p_inv(x):
+        out = np.empty_like(x)
+        for i in range(n):
+            out[i] = helmholtz_solve(grid, c[i] / d[i], x[i]) / -d[i]
+        return out
 
     def jacobian(y):
         slope = _slope(problem.activation, y.reshape(n, -1)).reshape(y.shape)

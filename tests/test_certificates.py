@@ -52,6 +52,20 @@ class TestModeMarginMatrix:
         # the search starts from gamma -> 0+ and stays where e^(gamma tau) is finite
         assert search_certificate(net).gamma > 0
 
+    def test_overflowing_delay_term_names_gamma_tau(self):
+        # e^(gamma tau) = e^709.5 is a float, but e^(gamma tau) q G^2 with
+        # Lipschitz constants 2 is not
+        net = presets.switched_benchmark(1)
+        net = dataclasses.replace(
+            net, tau_max=709.5 / 0.38,
+            activation=dataclasses.replace(net.activation, lipschitz=(2.0, 2.0)))
+        assert math.isfinite(math.exp(0.38 * net.tau_max))
+        with pytest.raises(ValueError, match=r"gamma\*tau = 709\.5"):
+            mode_margin_matrix(net.modes[0], net.activation.G, 0.38, 1.00001,
+                               net.tau_max, net.Psi)
+        with pytest.raises(ValueError, match=r"gamma\*tau = 709\.5"):
+            verify_certificate(net, [1 / 3] * 3, 0.38)
+
 
 class TestVerifyCertificate:
     @pytest.mark.parametrize("case", [1, 2, 3])

@@ -215,6 +215,19 @@ class TestSineBasisSolve:
         want = Grid(RectDomain(lengths[1:]), counts[1:]).sine_basis[0]
         assert s2.tobytes() == want[0].tobytes() and lam2.tobytes() == want[1].tobytes()
 
+    @pytest.mark.parametrize("c", [3, 4, 101, 151, 201, 401, 2000])
+    def test_basis_matches_fmod_construction(self, c):
+        # the reference reduces the sine argument by fmod of the float
+        # products k*j, as the basis was built before its sine table
+        k = np.arange(1, c + 1)
+        want = np.outer(k.astype(float), k)
+        np.fmod(want, 2 * (c + 1), out=want)
+        want *= math.pi / (c + 1)
+        np.sin(want, out=want)
+        want *= math.sqrt(2.0 / (c + 1))
+        ((s, _),) = Grid(RectDomain((1.7,)), (c,)).sine_basis
+        assert s.dtype == want.dtype and s.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("grid", CLOSED_FORM_GRIDS, ids=["1d", "2d"])
     def test_basis_symmetric_and_self_inverse(self, grid):
         for s, _ in grid.sine_basis:

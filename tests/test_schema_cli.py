@@ -610,6 +610,23 @@ class TestCliExitCodes:
         assert "gamma*tau = 760" in err
         assert not out.exists()
 
+    # e^(gamma tau) = e^709.5 is a float, but e^(gamma tau) q G^2 with
+    # Lipschitz constants 2 is not
+    @pytest.mark.parametrize("argv", [["certify"],
+                                      ["simulate", "--T", "30", "--dt", "1", "--switching"]])
+    def test_overflowing_delay_term_exit_2(self, tmp_path, capsys, argv):
+        f = tmp_path / "sys.json"
+        net, grid = _write_benchmark(f, counts=(9, 9))
+        doc = dump_system(dataclasses.replace(net, tau_max=709.5 / 0.38), grid)
+        doc["activation"]["lipschitz"] = [2, 2]
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), argv[0], str(f), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "gamma*tau = 709.5" in err
+        assert not out.exists()
+
     def test_simulate_without_switching_needs_no_delay_factor(self, tmp_path):
         f = tmp_path / "sys.json"
         _write_benchmark(f, counts=(9, 9))

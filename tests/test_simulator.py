@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -68,15 +69,16 @@ class _NumpyWindowHistory:
 
 
 class _NumpyWindowSimHistory(_NumpyWindowHistory):
-    """The reference window behind simulate: seeded as History.from_sampler
-    seeds, and handing the loop a fresh array where History hands a ring slot."""
+    """The reference window behind the reference loop _run: seeded at the
+    seed times, the first exactly -tau, and handing the loop a fresh array
+    where History hands a ring slot."""
 
     @classmethod
     def from_sampler(cls, sampler, tau, dt):
         hist = cls(tau)
         steps = max(1, int(round(tau / dt))) if tau > 0 else 0
         for k in range(steps, -1, -1):
-            s = -k * tau / steps if steps else 0.0
+            s = (-tau if k == steps else -k * tau / steps) if steps else 0.0
             hist.push(s, np.asarray(sampler(s), dtype=float))
         return hist
 
@@ -84,111 +86,95 @@ class _NumpyWindowSimHistory(_NumpyWindowHistory):
         return np.empty_like(self._states[-1])
 
 
-def _same_lookup(hist, ref, t):
-    """Both windows return bitwise equal states at t, or both underrun."""
-    try:
-        want = ref.value(t)
-    except HistoryUnderrunError as exc:
-        with pytest.raises(HistoryUnderrunError) as got:
-            hist.value(t)
-        assert str(got.value) == str(exc)
-        return
-    got = hist.value(t)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes(), t
+def _pair(ts, q):
+    """_lookups' (i, w) for the one time q on the axis ts, as Python numbers."""
+    (i,), (w,) = (a.tolist() for a in simulator._lookups(ts, [q]))
+    return i, w
+
+
+def _same_lookup(hist, ref, ts, q):
+    """The ring at q's pair on the axis ts and the reference window at q
+    return bitwise equal states."""
+    got, want = hist.value(*_pair(ts, q)), ref.value(q)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), q
+
+
+def _curve(t):
+    return np.array([1.0 + t, math.sin(7.0 * t)])
+
+
+def _drive(tau, dt, steps, delay=None, queries=lambda t: (), state=_curve):
+    """simulate's traffic on a ring and on the reference window: the seed
+    times, then per step k the lookup of u(t - delay(t)) at t = t_(k-1)
+    (the constant tau without a delay) and a push at t_k, into the slot the
+    ring hands out. Each lookup and each extra time of queries(t) must give
+    both the same bits. Returns the ring, the reference and the axis."""
+    ts, zero = simulator._time_axis(tau, dt, steps)
+    hist, ref = History(tau, dt), _NumpyWindowHistory(tau)
+    for s in ts[:zero + 1].tolist():
+        hist.push(state(s))
+        ref.push(s, state(s))
+    reads = [t - (delay(t) if delay else tau) for t in ts[zero:-1].tolist()]
+    pairs = zip(*(a.tolist() for a in simulator._lookups(ts, reads)))
+    for t, q, (i, w), t_next in zip(ts[zero:-1].tolist(), reads, pairs,
+                                    ts[zero + 1:].tolist()):
+        got, want = hist.value(i, w), ref.value(q)
+        assert got.tobytes() == want.tobytes(), (t, q)
+        for extra in queries(t):
+            _same_lookup(hist, ref, ts, extra)
+        out = hist.slot()
+        out[...] = state(t_next)
+        hist.push(out)
+        ref.push(t_next, out)
+    return hist, ref, ts
 
 
 class TestHistoryMatchesNumpyWindow:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_pushes_and_queries(self, seed):
+        # random states, delays anywhere in [0, tau] and lookups at and past
+        # the newest entry
         rng = np.random.default_rng(seed)
         tau = float(rng.uniform(0.05, 0.5))
-        hist, ref = History(tau, 1e-4), _NumpyWindowHistory(tau)
-        t = -tau
-        for _ in range(3000):
-            u = rng.normal(size=2)
-            hist.push(t, u)
-            ref.push(t, u)
-            for q in t - rng.uniform(-0.1, 1.2, 4) * tau:
-                _same_lookup(hist, ref, float(q))
-            t += float(rng.uniform(1e-4, 0.05))
+        dt = tau / float(rng.uniform(1.0, 40.0))
+        states = {}
+        _drive(tau, dt, 1500, delay=lambda t: tau * float(rng.random()),
+               queries=lambda t: (t - tau * rng.uniform(-0.5, 1.0, 3)).tolist(),
+               state=lambda t: states.setdefault(t, rng.normal(size=2)))
 
     def test_queries_on_stored_times(self):
         tau, dt = 0.2, 0.01
-        hist, ref = History(tau, dt), _NumpyWindowHistory(tau)
-        stored = []
-        for k in range(500):
-            t = k * dt
-            stored.append(t)
-            hist.push(t, np.array([math.sin(t), math.cos(3.0 * t)]))
-            ref.push(t, np.array([math.sin(t), math.cos(3.0 * t)]))
-            for q in stored[-25:]:
-                _same_lookup(hist, ref, q)
+        ts, zero = simulator._time_axis(tau, dt, 500)
+        _drive(tau, dt, 500, queries=lambda t: [s for s in ts[:zero + 500].tolist()
+                                                 if t - tau <= s <= t])
 
-    def test_queries_just_before_window_start(self):
+    def test_queries_at_the_window_start(self):
+        # the oldest entry a lookup may need is the last at or before t - tau
         tau, dt = 0.1, 1e-3
-        hist = History.from_sampler(lambda s: np.array([1.0 + s]), tau, dt)
-        ref = _NumpyWindowHistory(tau)
-        steps = int(round(tau / dt))
-        for k in range(steps, -1, -1):
-            s = -k * tau / steps
-            ref.push(s, np.array([1.0 + s]))
-        for k in range(1, 2000):
-            t = k * dt
-            hist.push(t, np.array([1.0 + t]))
-            ref.push(t, np.array([1.0 + t]))
-            start = float(ref._times[ref._start])
-            for q in (start, start - 5e-13, start - 1e-12, start - 2e-12,
-                      t - tau, t - tau - 1e-13):
-                _same_lookup(hist, ref, q)
+        ts, _ = simulator._time_axis(tau, dt, 2000)
+        start = lambda t: float(ts[np.searchsorted(ts, t - tau, "right") - 1])
+        _drive(tau, dt, 2000, queries=lambda t: (start(t), t - tau, start(t) + 1e-13))
 
-    def test_thousands_of_pushes_through_compaction(self):
+    def test_thousands_of_pushes_wrap_the_ring(self):
         tau, dt = 0.05, 1e-3
-        hist, ref = History(tau, dt), _NumpyWindowHistory(tau)
-        for k in range(20000):
-            t = k * dt
-            u = np.array([float(k), -0.5 * k, k % 7])
-            hist.push(t, u)
-            ref.push(t, u)
-            if k % 97 == 0 or k > 19900:
-                for q in (t - tau, t - 0.37 * tau, t - dt / 3, t, t + 1.0):
-                    _same_lookup(hist, ref, q)
-        _same_lookup(hist, ref, 20000 * dt - 2 * tau)
-
-    def test_full_window_raises_and_keeps_its_entries(self):
-        # steps dt apart wrap the ring; steps closer than dt then make every
-        # slot live, and neither a slot nor a push may overwrite one
-        rng = np.random.default_rng(4)
-        tau, dt = 1.0, 0.1
-        hist, ref = History(tau, dt), _NumpyWindowHistory(tau)
-        t, stored = 0.0, []
-        with pytest.raises(ValueError, match="closer than dt"):
-            for k in range(100):
-                hist.slot()
-                u = rng.normal(size=(2, 3))
-                hist.push(t, u)
-                ref.push(t, u)
-                stored.append(t)
-                t += dt if k < 50 else 0.03
-        assert k > 50
-        with pytest.raises(ValueError, match="closer than dt"):
-            hist.push(t, rng.normal(size=(2, 3)))
-        live = stored[stored.index(float(ref._times[ref._start])):]
-        assert len(live) == math.ceil(tau / dt) + 3
-        for a, b in zip(live, live[1:]):
-            for q in (a, 0.75 * a + 0.25 * b, 0.5 * (a + b)):
-                _same_lookup(hist, ref, q)
-        for q in (live[0] - 5e-13, live[0] - 2e-12, live[-1], t, t + 1.0):
-            _same_lookup(hist, ref, q)
+        hist, ref, ts = _drive(
+            tau, dt, 20000, state=lambda t: np.array([t, -0.5 * t, math.floor(t) % 7]),
+            queries=lambda t: (t - tau, t - 0.37 * tau, t - dt / 3, t, t + 1.0)
+            if round(t / dt) % 97 == 0 or t > 19.9 else ())
+        _same_lookup(hist, ref, ts, 20000 * dt - tau)
 
     @settings(max_examples=200, deadline=None)
     @given(tau=st.one_of(st.just(0.0), st.floats(0.0, 5.0, exclude_min=True,
                                                   allow_subnormal=False)),
            ratio=st.integers(1, 300),
-           offset=st.one_of(st.integers(-4, 4), st.floats(0.0, 1.0)))
-    def test_stepping_loop_traffic_never_fills_the_window(self, tau, ratio, offset):
-        # the pushes of simulate: seeded by from_sampler, then one per step at
-        # k * dt, each after a lookup a full delay back; the ratio tau / dt
-        # is an integer, one a few ulps off, or between two integers
+           offset=st.one_of(st.integers(-4, 4), st.floats(0.0, 1.0)),
+           fractions=st.one_of(st.just([1.0]), st.lists(st.floats(0.0, 1.0),
+                                                         min_size=1, max_size=8)))
+    def test_stepping_loop_traffic_never_asks_for_an_evicted_entry(
+            self, tau, ratio, offset, fractions):
+        # simulate's traffic under a constant delay or one that varies in
+        # [0, tau]; the ratio tau / dt is an integer, one a few ulps off, or
+        # between two integers
         if tau == 0.0:
             dt = 1.0 / ratio
         elif isinstance(offset, int):
@@ -198,139 +184,136 @@ class TestHistoryMatchesNumpyWindow:
             dt = min(dt, tau)   # as simulate requires
         else:
             dt = tau / (ratio + offset)
-        hist = History.from_sampler(lambda s: np.array([s, -s]), tau, dt)
-        for k in range(1, max(3 * math.ceil(tau / dt), 3) + 1):
-            hist.value((k - 1) * dt - tau)
-            out = hist.slot()
-            out[:] = k, -k
-            hist.push(k * dt, out)
-
-    def test_simulate_with_time_varying_delay(self, monkeypatch):
-        # dt does not divide tau, and the delay sweeps [tau/2, tau]
-        net = presets.switched_benchmark(1)
-        net = dataclasses.replace(
-            net, delay=lambda t: net.tau_max * (0.5 + 0.5 * math.sin(t) ** 2))
-        grid = Grid(net.modes[0].domain, (15, 15))
-        config = SimConfig(dt=0.3, horizon=12.0, switching=True, snapshot_stride=1)
-        phi = presets.switched_benchmark_initial(grid)
-        field = phi(0.0)
-        runs = []
-        for window in (History, _NumpyWindowSimHistory):
-            monkeypatch.setattr(simulator, "History", window)
-            snaps = []
-            traj = simulate(net, grid, config, lambda s: (1.0 + s / 7.0) * field,
-                            lambda t, u: snaps.append((t, u)))
-            runs.append((traj, snaps))
-        (ring, ring_snaps), (ref, ref_snaps) = runs
-        assert len(ring.V) == 41 and ring.V.tobytes() == ref.V.tobytes()
-        assert ring.modes.tobytes() == ref.modes.tobytes()
-        assert [(t, u.tobytes()) for t, u in ring_snaps] == \
-            [(t, u.tobytes()) for t, u in ref_snaps]
-        assert _sha1(ring.V) == "5c6446526e783f84c17e4190cca753cbf0896a01"
-        assert _sha1(ring.modes) == "3376d9102f4057b30088ce2fb6c975f8387e82a1"
-        assert hashlib.sha1(b"".join(u.tobytes() for _, u in ring_snaps)).hexdigest() \
-            == "0bd6091da9e16e2145ac76694c377093c592bbc9"
+        steps = max(3 * math.ceil(tau / dt), 3)
+        d = [tau * fractions[k % len(fractions)] for k in range(steps)]
+        _drive(tau, dt, steps, delay=lambda t: d[round(t / dt)])
 
     def test_stored_states_are_copies(self):
         # neither the caller's pushed buffer nor a returned state aliases
         # the ring
         tau, dt = 0.3, 0.05
+        ts, zero = simulator._time_axis(tau, dt, 200)
         hist, ref = History(tau, dt), _NumpyWindowHistory(tau)
         buf = np.empty((2, 3))
-        for k in range(200):
-            t = k * dt
+        for t in ts.tolist():
             buf[:] = np.arange(6.0).reshape(2, 3) * math.sin(t)
-            hist.push(t, buf)
+            hist.push(buf)
             ref.push(t, buf)
             buf[:] = np.nan
-            hist.value(t)[:] = np.nan
             for q in (t - tau, t - 0.4 * tau, t - dt / 3, t, t + 1.0):
-                _same_lookup(hist, ref, q)
+                if q >= -tau:
+                    hist.value(*_pair(ts, q))[:] = np.nan
+                    _same_lookup(hist, ref, ts, q)
+
+    def test_simulate_with_time_varying_delay(self):
+        # dt does not divide tau, and the delay sweeps [tau/2, tau]; the pins
+        # were taken from the reference window's run
+        net = presets.switched_benchmark(1)
+        net = dataclasses.replace(
+            net, delay=lambda t: net.tau_max * (0.5 + 0.5 * math.sin(t) ** 2))
+        grid = Grid(net.modes[0].domain, (15, 15))
+        config = SimConfig(dt=0.3, horizon=12.0, switching=True, snapshot_stride=1)
+        field = presets.switched_benchmark_initial(grid)(0.0)
+        snaps = []
+        traj = simulate(net, grid, config, lambda s: (1.0 + s / 7.0) * field,
+                        lambda t, u: snaps.append((t, u)))
+        assert len(traj.V) == 41 and len(snaps) == 41
+        assert _sha1(traj.V) == "5c6446526e783f84c17e4190cca753cbf0896a01"
+        assert _sha1(traj.modes) == "3376d9102f4057b30088ce2fb6c975f8387e82a1"
+        assert hashlib.sha1(b"".join(u.tobytes() for _, u in snaps)).hexdigest() \
+            == "0bd6091da9e16e2145ac76694c377093c592bbc9"
 
 
 class TestHistory:
     def test_linear_interpolation_exact(self):
         hist = History(2.0, 1.0)
         for t in (0.0, 1.0, 2.0):
-            hist.push(t, np.array([2.0 * t]))
-        assert hist.value(0.5)[0] == pytest.approx(1.0)
-        assert hist.value(1.75)[0] == pytest.approx(3.5)
+            hist.push(np.array([2.0 * t]))
+        assert hist.value(1, 0.5)[0] == 1.0
+        assert hist.value(2, 0.75)[0] == 3.5
 
     def test_clamps_future_queries_to_latest(self):
         hist = History(1.0, 1.0)
-        hist.push(0.0, np.array([1.0]))
-        hist.push(1.0, np.array([3.0]))
-        assert hist.value(5.0)[0] == 3.0
+        hist.push(np.array([1.0]))
+        hist.push(np.array([3.0]))
+        assert hist.value(2, 0.0)[0] == 3.0
+        assert hist.value(5, 0.7)[0] == 3.0
 
     def test_underrun_raises(self):
-        hist = History(1.0, 1.0)
-        hist.push(0.0, np.array([1.0]))
+        hist = History(0.3, 0.1)   # a ring of 6 slots
         with pytest.raises(HistoryUnderrunError):
-            hist.value(-0.5)
+            hist.value(1, 0.0)     # empty
+        for k in range(10):
+            hist.push(np.array([float(k)]))
+        for i in (0, 1, 4):        # before the axis, or evicted
+            with pytest.raises(HistoryUnderrunError, match="axis entry -?[0-3] is not in"):
+                hist.value(i, 0.5)
+        assert hist.value(5, 0.5)[0] == 4.5
 
-    def test_single_entry_within_tolerance_returns_it(self):
-        # a zero-delay window holds one entry until the first step
-        hist = History.from_sampler(lambda s: np.array([3.0]), tau=0.0, dt=0.1)
-        assert hist.value(-5e-13)[0] == 3.0
+    def test_zero_delay_window_returns_its_entry(self):
+        ts, zero = simulator._time_axis(0.0, 0.1, 0)
+        assert ts.tolist() == [0.0] and zero == 0
+        hist = History(0.0, 0.1)
+        hist.push(np.array([3.0]))
+        assert hist.value(*_pair(ts, 0.0))[0] == 3.0
 
-    def test_rejects_nonincreasing_times(self):
-        hist = History(1.0, 1.0)
-        hist.push(0.0, np.array([1.0]))
-        with pytest.raises(ValueError):
-            hist.push(0.0, np.array([2.0]))
+    def test_zero_delay_zero_steps_simulate_warns_nothing(self):
+        # one axis entry: its only lookups sit at its end, where no weight
+        # may divide 0 by 0
+        net = _diffusion_only_network()
+        grid = Grid(net.modes[0].domain, (15,))
+        phi, _ = eigenfunction(grid, (1,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = simulate(net, grid, SimConfig(dt=1.0, horizon=0.4),
+                            lambda s: phi[None])
+        assert traj.times.tolist() == [0.0] and traj.V[0] == pytest.approx(1.0)
 
     def test_rejects_other_state_kinds(self):
         hist = History(1.0, 1.0)
-        hist.push(0.0, np.zeros(2))
+        hist.push(np.zeros(2))
         with pytest.raises(ValueError, match="shape"):
-            hist.push(1.0, np.zeros(3))
+            hist.push(np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
-            hist.push(1.0, 0.5)
+            hist.push(0.5)
         with pytest.raises(ValueError, match="stores arrays, not scalars"):
-            History(1.0, 1.0).push(0.0, 0.5)
-        assert hist.value(2.0).shape == (2,)
+            History(1.0, 1.0).push(0.5)
+        assert hist.value(2, 0.0).shape == (2,)
 
-    def test_trims_but_keeps_delay_window(self):
-        hist = History(0.5, 0.1)
+    def test_keeps_delay_window(self):
+        hist = History(0.5, 0.1)   # a window of 5 steps in 8 slots
         for k in range(100):
-            hist.push(0.1 * k, np.array([float(k)]))
-        # the full delay window must stay reachable
-        assert hist.value(9.9 - 0.5)[0] == pytest.approx(94.0)
+            hist.push(np.array([float(k)]))
+        assert hist.value(95, 0.0)[0] == 94.0
+        assert hist.value(93, 0.5)[0] == 92.5
+        with pytest.raises(HistoryUnderrunError):
+            hist.value(92, 0.5)
 
-    def test_from_sampler_covers_window(self):
-        hist = History.from_sampler(lambda s: np.array([s]), tau=1.0, dt=0.1)
-        assert hist.value(-1.0)[0] == pytest.approx(-1.0)
-        assert hist.value(0.0)[0] == pytest.approx(0.0)
-
+    def test_seeds_cover_window(self):
+        tau, dt = 1.0, 0.1
+        ts, zero = simulator._time_axis(tau, dt, 0)
+        hist = History(tau, dt)
+        for s in ts.tolist():
+            hist.push(np.array([s]))
+        i, w = simulator._lookups(ts, [-1.0, -0.35, 0.0])
+        assert [hist.value(*p)[0] for p in zip(i.tolist(), w.tolist())] == \
+            pytest.approx([-1.0, -0.35, 0.0])
 
     def test_values_survive_later_pushes(self):
         # the caller reuses one state buffer, as a stepping loop may
         hist, buf = History(0.5, 0.1), np.empty(2)
         for k in range(4):
             buf[:] = k, -k
-            hist.push(0.1 * k, buf)
-        at_node = hist.value(0.1)
-        at_latest = hist.value(0.3)
-        after_latest = hist.value(7.0)
+            hist.push(buf)
+        at_node = hist.value(2, 0.0)
+        at_latest = hist.value(4, 0.0)
+        after_latest = hist.value(9, 0.5)
         saved = [a.copy() for a in (at_node, at_latest, after_latest)]
         for k in range(4, 200):
             buf[:] = k, -k
-            hist.push(0.1 * k, buf)
+            hist.push(buf)
         for got, want in zip((at_node, at_latest, after_latest), saved):
             np.testing.assert_array_equal(got, want)
-
-    def test_uneven_steps_refill_window_and_stay_exact(self):
-        rng = np.random.default_rng(3)
-        tau = 0.3
-        hist = History(tau, 1e-3)
-        t = 0.0
-        for _ in range(5000):
-            hist.push(t, np.array([3.0 * t - 1.0, -2.0 * t]))
-            for q in t - tau * rng.random(3):
-                if q >= 0.0:
-                    np.testing.assert_allclose(hist.value(q), [3.0 * q - 1.0, -2.0 * q],
-                                               rtol=1e-12, atol=1e-12)
-            t += rng.uniform(1e-3, 2e-2)
 
 
 class TestSwitchingDecide:
@@ -518,7 +501,7 @@ def _run(phi, shape: tuple[int, ...], tau: float, delay, config: SimConfig,
     dt = config.dt
     if tau > 0 and dt > tau:
         raise ValueError("dt must not exceed the delay bound")
-    hist = History.from_sampler(phi, tau, dt)
+    hist = _NumpyWindowSimHistory.from_sampler(phi, tau, dt)
     u = hist.value(0.0)
     if u.shape != shape:
         raise ValueError(f"initial state has shape {u.shape}, expected {shape}")
@@ -977,9 +960,12 @@ class TestDelays:
         tau, dt = self.BIG_TAU, self.BIG_DT
         m = round(tau / dt)
         assert -(m * tau) / m > -tau + 1e-12
-        assert simulator._seed_times(tau, dt)[0] == -tau
-        hist = History.from_sampler(lambda s: np.array([s]), tau, dt)
-        assert hist.value(-tau)[0] == -tau
+        ts, zero = simulator._time_axis(tau, dt, 0)
+        assert ts[0] == -tau and ts[zero] == 0.0
+        hist = History(tau, dt)
+        for s in ts.tolist():
+            hist.push(np.array([s]))
+        assert hist.value(*_pair(ts, -tau))[0] == -tau
 
     def test_simulate_at_large_delay(self):
         net = dataclasses.replace(presets.switched_benchmark(1), tau_max=self.BIG_TAU,
