@@ -7,9 +7,9 @@ Newton by preconditioned GMRES), simulator (delayed integration, switching),
 presets (benchmark systems), schema (system files and results), cli.
 """
 
-from .certificates import (Certificate, check_uniqueness_A3, margin_matrix,
-                           mode_margin_matrix, search_certificate,
-                           solve_rate_equation, verify_certificate)
+from .certificates import (Certificate, check_uniqueness_A3, margin_matrices,
+                           search_certificate, solve_rate_equation,
+                           verify_certificate)
 from .geometry import (Grid, RectDomain, apply_laplacian, eigenfunction,
                        first_eigenvalue, helmholtz_solve, l2_inner, l2_norm)
 from .model import (Activation, Mode, SwitchedNetwork, Verdict,

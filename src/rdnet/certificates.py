@@ -19,7 +19,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .model import Mode, SwitchedNetwork
+from .model import SwitchedNetwork
 
 NEG_DEF_SLACK = 1e-10
 # the gamma -> 0+ probe: a simplex weight admits a certificate at all iff
@@ -47,61 +47,30 @@ def _symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def _mode_term(mode: Mode) -> np.ndarray:
-    """-2 lambda1 D - 2C + A A^T + B B^T, the part of Q_sigma owned by the mode."""
-    return (-2.0 * mode.lambda1 * mode.D - 2.0 * mode.C
-            + mode.A @ mode.A.T + mode.B @ mode.B.T)
+@np.errstate(over="ignore", invalid="ignore")   # reported below as a ValueError
+def margin_matrices(network: SwitchedNetwork, betas: np.ndarray, gamma: float,
+                    q: float) -> np.ndarray:
+    """Combined matrix M(beta) for each row of betas (shape (L, N)), shape (L, n, n).
 
-
-def _delay_factor(gamma: float, tau: float) -> float:
-    """e^{gamma tau}, or inf where it overflows a float."""
+    M(beta) = G^2 + e^{gamma tau} q G^2 + Psi + sum_s beta_s (-2 lambda1 D_s
+    - 2C_s + A_s A_s^T + B_s B_s^T), exactly symmetric, with tau = tau_max.
+    At the simplex vertex e_s it is mode s's switching matrix Q_s. A
+    ValueError names gamma*tau where the matrix overflows a float.
+    """
+    G2 = network.activation.G @ network.activation.G
+    tau = network.tau_max
     try:
-        return math.exp(gamma * tau)
+        delay_factor = math.exp(gamma * tau)
     except OverflowError:
-        return math.inf
-
-
-def _finite(M: np.ndarray, gamma: float, tau: float) -> np.ndarray:
-    """M, or ValueError naming gamma*tau where assembling it overflowed."""
+        delay_factor = math.inf
+    M = G2 + delay_factor * q * G2 + network.Psi
+    for s, mode in enumerate(network.modes):
+        M = M + betas[:, s, None, None] * (-2.0 * mode.lambda1 * mode.D - 2.0 * mode.C
+                                           + mode.A @ mode.A.T + mode.B @ mode.B.T)
+    M = _symmetrize(M)
     if not np.isfinite(M).all():
         raise ValueError(f"the margin matrix overflows a float: gamma*tau = {gamma * tau:.6g}")
     return M
-
-
-@np.errstate(over="ignore", invalid="ignore")   # _finite reports an overflow
-def mode_margin_matrix(mode: Mode, G: np.ndarray, gamma: float, q: float,
-                       tau: float, Psi: np.ndarray) -> np.ndarray:
-    """Per-mode switching-region matrix Q_sigma.
-
-    Q = -2 lambda1 D - 2C + A A^T + B B^T + G^2 + e^{gamma tau} q G^2 + Psi,
-    exactly symmetric; ValueError where it overflows a float.
-    """
-    if gamma < 0 or q < 1 or tau < 0:
-        raise ValueError("need gamma >= 0, q >= 1, tau >= 0")
-    G2 = G @ G
-    Q = _mode_term(mode) + G2 + _delay_factor(gamma, tau) * q * G2 + Psi
-    return _finite(_symmetrize(Q), gamma, tau)
-
-
-@np.errstate(over="ignore", invalid="ignore")   # _finite reports an overflow
-def _margin_stack(network: SwitchedNetwork, betas: np.ndarray, gamma: float,
-                  q: float) -> np.ndarray:
-    """Combined matrix for each row of betas (shape (L, N)), shape (L, n, n)."""
-    G2 = network.activation.G @ network.activation.G
-    M = G2 + _delay_factor(gamma, network.tau_max) * q * G2 + network.Psi
-    for s, mode in enumerate(network.modes):
-        M = M + betas[:, s, None, None] * _mode_term(mode)
-    return _finite(_symmetrize(M), gamma, network.tau_max)
-
-
-def margin_matrix(network: SwitchedNetwork, beta, gamma: float, q: float) -> np.ndarray:
-    """Simplex combination of the mode matrices sharing one activation term."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (network.N,):
-        raise ValueError("beta length must equal the number of modes")
-    if np.any(beta < -1e-12) or abs(beta.sum() - 1.0) > 1e-12:
-        raise ValueError("beta must lie on the probability simplex")
-    return _margin_stack(network, beta[None], gamma, q)[0]
 
 
 def verify_certificate(network: SwitchedNetwork, beta, gamma: float,
@@ -118,12 +87,17 @@ def verify_certificate(network: SwitchedNetwork, beta, gamma: float,
     q = network.q if q is None else q
     if q <= 1:
         raise ValueError("q must exceed 1")
-    M = margin_matrix(network, beta, gamma, q)
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (network.N,):
+        raise ValueError("beta length must equal the number of modes")
+    if np.any(beta < -1e-12) or abs(beta.sum() - 1.0) > 1e-12:
+        raise ValueError("beta must lie on the probability simplex")
+    M = margin_matrices(network, beta[None], gamma, q)[0]
     margin = float(np.linalg.eigvalsh(M).max())
     feasible = margin < -NEG_DEF_SLACK
     constraint_ok = gamma < float(np.linalg.eigvalsh(network.Psi).min())
     return Certificate(
-        beta=tuple(float(b) for b in np.asarray(beta, dtype=float)),
+        beta=tuple(beta.tolist()),
         gamma=float(gamma), q=float(q), margin=margin, feasible=feasible,
         theorem_constraint_ok=constraint_ok,
         rate=gamma / 2.0 if feasible else None,
@@ -176,7 +150,7 @@ def search_certificate(network: SwitchedNetwork, beta_step: float | None = None,
     probe = min(GAMMA_PROBE, gamma_hi_cap / 2)
 
     betas = _simplex_lattice(network.N, m)
-    M = _margin_stack(network, betas, probe, q)
+    M = margin_matrices(network, betas, probe, q)
     margins = np.linalg.eigvalsh(M).max(axis=-1)
     feasible = np.flatnonzero(margins < -NEG_DEF_SLACK)
     if feasible.size == 0:
@@ -192,7 +166,7 @@ def search_certificate(network: SwitchedNetwork, beta_step: float | None = None,
         gammas = np.clip(np.log(np.maximum(t_star, 1.0)) / tau, probe, gamma_hi_cap)
     gamma = float(gammas.max())
     tied = feasible[gammas == gamma]
-    tied_margins = np.linalg.eigvalsh(_margin_stack(network, betas[tied], gamma, q))
+    tied_margins = np.linalg.eigvalsh(margin_matrices(network, betas[tied], gamma, q))
     beta = betas[tied[np.argmin(tied_margins.max(axis=-1))]]
 
     cert = verify_certificate(network, beta, gamma, q)
@@ -204,30 +178,25 @@ def search_certificate(network: SwitchedNetwork, beta_step: float | None = None,
     return cert
 
 
-def check_uniqueness_A3(modes, epsilon: float, G: np.ndarray, p="auto") -> list[dict]:
+def check_uniqueness_A3(modes, epsilon: float, G: np.ndarray, p: float) -> list[dict]:
     """Per-mode uniqueness condition: -C + (p/2)(1/eps I + eps G^2) < lambda1 D.
 
-    G is the Lipschitz matrix (Activation.G). p is one float for every mode,
-    or "auto" for each mode's largest singular value of A + B, the smallest
-    constant compatible with p^2 I >= (A+B)^T (A+B). Returns one verdict
-    dict per mode.
+    G is the Lipschitz matrix (Activation.G) and p one float for every mode,
+    with p^2 I >= (A+B)^T (A+B). Returns one verdict dict per mode.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     G2 = G @ G
     n = G.shape[0]
+    p = float(p)
     results = []
     for idx, mode in enumerate(modes):
-        if p == "auto":
-            p_sigma = float(np.linalg.svd(mode.A + mode.B, compute_uv=False).max())
-        else:
-            p_sigma = float(p)
-        lhs = -mode.C + 0.5 * p_sigma * (np.eye(n) / epsilon + epsilon * G2)
+        lhs = -mode.C + 0.5 * p * (np.eye(n) / epsilon + epsilon * G2)
         gap = _symmetrize(lhs - mode.lambda1 * mode.D)
         max_eig = float(np.linalg.eigvalsh(gap).max())
         results.append({
             "mode": idx,
-            "p": p_sigma,
+            "p": p,
             "max_eig": max_eig,
             "holds": max_eig < -NEG_DEF_SLACK,
         })

@@ -52,6 +52,8 @@ class Grid:
             raise ValueError("counts must match domain dimension")
         if any(c < 3 or c > MAX_AXIS_NODES for c in self.counts):
             raise ValueError(f"need 3 to {MAX_AXIS_NODES} interior nodes per axis")
+        if not all(0 < h * h < math.inf and 1.0 / (h * h) < math.inf for h in self.spacing):
+            raise ValueError("grid spacing out of range: h^2 and h^-2 must be finite and positive")
 
     @property
     def spacing(self) -> tuple[float, ...]:

@@ -14,12 +14,12 @@ deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .certificates import mode_margin_matrix
+from .certificates import margin_matrices
 from .geometry import Grid, helmholtz_solve, l2_inner
 from .model import Activation, Mode, SwitchedNetwork, constant_delay
 
@@ -57,8 +57,10 @@ def _lookups(ts: np.ndarray, q) -> tuple[np.ndarray, np.ndarray]:
 
 class History:
     """Delay window over a run's time axis: entry p sits in ring slot p mod
-    ceil(tau/dt) + 3, room for a window of steps dt apart, the slot the next
-    push fills and a spare against rounding at the window's edge.
+    ceil(tau/dt) + 2, room for the ceil(tau/dt) + 1 entries of a window
+    spanning tau in steps dt apart and a spare against rounding at the
+    window's edge. The slot the next push fills still holds the oldest entry
+    until a stepping loop writes into it.
 
     The slots are views of one float array allocated at the first push, which
     sets the states' shape; a scalar push raises ValueError. A push stores the
@@ -71,7 +73,7 @@ class History:
             raise ValueError("delay bound must be nonnegative")
         if not dt > 0:
             raise ValueError("dt must be positive")
-        self._capacity = math.ceil(tau / dt) + 3
+        self._capacity = math.ceil(tau / dt) + 2
         self._ring: list[np.ndarray] = []
         self._count = 0                               # entries pushed
 
@@ -180,19 +182,21 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
 
     Every mode uses the one recentring f(u) = g(u) - g(0), so u = 0 is an
     equilibrium of each mode; the inputs J and per-mode equilibria are not
-    tracked. All modes share the given grid; with config.switching the
-    switching matrices are rebuilt on the shared domain, whose first
-    eigenvalue each Mode derives. phi(s) supplies the initial field for s in
-    [-tau, 0] with shape (n, *grid.shape). The delay is network.delay, or
-    the constant tau_max where the network gives none; before phi is
-    sampled, it is range-checked at every step time and each lookup paired
-    on the run's time axis by _lookups, which the ring History indexes.
-    A step picks the mode (with config.switching), reads the delayed field
-    at its pair, takes the explicit reaction step x = u + dt (-C u + A f(u) +
-    B f(u_delay)) and solves (c - Lap) u_i = c x_i with c = 1 / (dt D_i)
-    per component straight into the delay history's next ring slot, which
-    the push then stores without a copy; so the history neither allocates
-    nor copies a field per step. The blow-up guard raises BlowUpError once
+    tracked. All modes share the given grid; with config.switching mode s's
+    switching matrix Q_s is margin_matrices at the simplex vertex e_s, of the
+    network on the shared domain, whose first eigenvalue each Mode derives.
+    Every c = 1 / (dt D_i) must be a finite float, or ValueError before phi
+    is sampled. phi(s) supplies the initial field for s in [-tau, 0] with
+    shape (n, *grid.shape). The delay is network.delay, or the constant
+    tau_max where the network gives none; before phi is sampled, it is
+    range-checked at every step time and each lookup paired on the run's
+    time axis by _lookups, which the ring History indexes. A step picks the
+    mode (with config.switching), reads the delayed field at its pair,
+    takes the explicit reaction step x = u + dt (-C u + A f(u) +
+    B f(u_delay)) and solves (c - Lap) u_i = c x_i per component straight
+    into the delay history's next ring slot, which the push then stores
+    without a copy; so the history neither allocates nor copies a field
+    per step. The blow-up guard raises BlowUpError once
     the squared norm exceeds 1e6 times the largest squared norm of five
     samples of phi. With config.snapshot_stride > 0, snapshot(t, field)
     receives a copy of the field, which the loop keeps no reference to, at
@@ -206,12 +210,16 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     if tau > 0 and dt > tau:
         raise ValueError("dt must not exceed the delay bound")
     shared_modes = [Mode(m.D, m.C, m.A, m.B, m.J, grid.domain) for m in network.modes]
+    with np.errstate(over="ignore", divide="ignore"):   # checked just below
+        coef = [1.0 / (dt * np.diag(m.D)) for m in shared_modes]
+    if not all(np.isfinite(c).all() for c in coef):
+        raise ValueError(f"a diffusion coefficient is too small for dt = {dt:.6g}: "
+                         "1/(dt D_i) overflows a float")
     if config.switching:
-        Q = [mode_margin_matrix(m, network.activation.G, network.gamma, network.q,
-                                tau, network.Psi) for m in shared_modes]
+        shared = replace(network, modes=tuple(shared_modes))
+        Q = margin_matrices(shared, np.eye(network.N), network.gamma, network.q)
     g0 = network.activation(np.zeros((n, 1)))   # f(u) = g(u) - g(0): f(0) = 0 exactly
     f = lambda flat: network.activation(flat) - g0
-    coef = [1.0 / (dt * np.diag(m.D)) for m in shared_modes]
     steps, delay = config.steps, network.delay or constant_delay(tau)
     ts, zero = _time_axis(tau, dt, steps)
     reads = [0.0] + (np.linspace(-tau, 0, 5).tolist() if tau > 0 else [0.0])

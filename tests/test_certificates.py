@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from rdnet import presets
 from rdnet.certificates import (GAMMA_PROBE, _simplex_lattice,
-                                check_uniqueness_A3, margin_matrix,
-                                mode_margin_matrix, search_certificate,
-                                solve_rate_equation, verify_certificate)
+                                check_uniqueness_A3, margin_matrices,
+                                search_certificate, solve_rate_equation,
+                                verify_certificate)
 from rdnet.geometry import RectDomain
 from rdnet.model import Activation, Mode, SwitchedNetwork
 
@@ -19,34 +19,34 @@ from rdnet.model import Activation, Mode, SwitchedNetwork
 CASE_MARGINS = {1: -1.07476163705326, 2: -2.6684826231351866, 3: -0.6105468087346873}
 
 
-class TestModeMarginMatrix:
+def _vertices(net, gamma, q=1.00001):
+    """The switching matrices Q_s: the combined matrix at each simplex vertex."""
+    return margin_matrices(net, np.eye(net.N), gamma, q)
+
+
+class TestMarginMatrices:
     def test_case1_mode1_entries(self):
-        net = presets.switched_benchmark(1)
-        Q = mode_margin_matrix(net.modes[0], net.activation.G, 0.38, 1.00001,
-                               3.5, net.Psi)
+        Q = _vertices(presets.switched_benchmark(1), 0.38)[0]   # tau 3.5
         assert Q[0, 0] == pytest.approx(-1.22476565881738, abs=1e-10)
         assert Q[1, 1] == pytest.approx(-1.4206097468391674, abs=1e-10)
         assert Q[0, 1] == pytest.approx(-1.8e-7, abs=1e-12)
 
     def test_exactly_symmetric(self):
-        net = presets.switched_benchmark(2)
-        Q = mode_margin_matrix(net.modes[1], net.activation.G, 0.44, 1.00001,
-                               3.5, net.Psi)
+        Q = _vertices(presets.switched_benchmark(2), 0.44)[1]   # tau 3.5
         assert np.array_equal(Q, Q.T)
 
-    def test_rejects_bad_parameters(self):
+    def test_negative_gamma_rejected_before_assembly(self):
         net = presets.switched_benchmark(1)
-        with pytest.raises(ValueError):
-            mode_margin_matrix(net.modes[0], net.activation.G, -0.1, 1.00001,
-                               3.5, net.Psi)
-
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            dataclasses.replace(net, gamma=-0.1)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            verify_certificate(net, [1 / 3] * 3, -0.1)
 
     def test_overflowing_delay_factor_names_gamma_tau(self):
         # case 1's gamma 0.38 at tau 2000: e^(gamma tau) = e^760 is no float
         net = dataclasses.replace(presets.switched_benchmark(1), tau_max=2000.0)
         with pytest.raises(ValueError, match=r"gamma\*tau = 760"):
-            mode_margin_matrix(net.modes[0], net.activation.G, 0.38, 1.00001,
-                               2000.0, net.Psi)
+            _vertices(net, 0.38)
         with pytest.raises(ValueError, match=r"gamma\*tau = 760"):
             verify_certificate(net, [1 / 3] * 3, 0.38)
         # the search starts from gamma -> 0+ and stays where e^(gamma tau) is finite
@@ -61,10 +61,37 @@ class TestModeMarginMatrix:
             activation=dataclasses.replace(net.activation, lipschitz=(2.0, 2.0)))
         assert math.isfinite(math.exp(0.38 * net.tau_max))
         with pytest.raises(ValueError, match=r"gamma\*tau = 709\.5"):
-            mode_margin_matrix(net.modes[0], net.activation.G, 0.38, 1.00001,
-                               net.tau_max, net.Psi)
+            _vertices(net, 0.38)
         with pytest.raises(ValueError, match=r"gamma\*tau = 709\.5"):
             verify_certificate(net, [1 / 3] * 3, 0.38)
+
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
+           st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_combination_is_linear_in_the_vertices(self, N, n, seed, raw):
+        # M(beta) = sum_s beta_s M(e_s), up to rounding: each side rounds at
+        # most N + 4 sums of size at most |M(0)| + max_s |M(e_s)|, and the
+        # rounded weights sum to 1 within N eps
+        rng = np.random.default_rng(seed)
+        modes = tuple(Mode(np.diag(rng.uniform(0.01, 2.0, n)),
+                           np.diag(rng.uniform(0.1, 3.0, n)),
+                           rng.uniform(-2.0, 2.0, (n, n)), rng.uniform(-2.0, 2.0, (n, n)),
+                           np.zeros(n), RectDomain((float(rng.uniform(0.5, 5.0)),)))
+                      for _ in range(N))
+        act = Activation.uniform("affine", {"a": 0.5, "b": 0.0},
+                                 float(rng.uniform(0.1, 2.0)), n)
+        net = SwitchedNetwork(modes, act, tau_max=float(rng.uniform(0.0, 5.0)),
+                              Psi=np.diag(rng.uniform(0.01, 1.0, n)))
+        gamma, q = float(rng.uniform(1e-6, 1.0)), float(rng.uniform(1.00001, 2.0))
+        weights = np.array(raw[:N]) + 1e-3
+        betas = np.vstack([weights / weights.sum(), np.eye(N)])
+        vertices = margin_matrices(net, np.eye(N), gamma, q)
+        combined = margin_matrices(net, betas, gamma, q)
+        scale = (np.abs(margin_matrices(net, np.zeros((1, N)), gamma, q)).max()
+                 + np.abs(vertices).max())
+        tol = 2 * (N + 4) * np.finfo(float).eps * scale
+        assert np.abs(combined - np.einsum("ls,sij->lij", betas, vertices)).max() <= tol
+        assert np.array_equal(combined, np.swapaxes(combined, 1, 2))
 
 
 class TestVerifyCertificate:
@@ -138,7 +165,7 @@ class TestSearchCertificate:
         net = presets.switched_benchmark(3)
         cert = search_certificate(net, beta_step=0.25,
                                   honor_theorem_constraint=False)
-        M = margin_matrix(net, cert.beta, cert.gamma, cert.q)
+        M = margin_matrices(net, np.array([cert.beta]), cert.gamma, cert.q)
         assert np.linalg.eigvalsh(M).max() < 0
 
     # q must be rejected before the lattice's closed form, which divides by q
@@ -301,14 +328,6 @@ class TestUniqueness:
         results = check_uniqueness_A3([problem.mode], epsilon=1.0, p=0.02,
                                       G=problem.activation.G)
         assert results[0]["holds"]
-
-    def test_auto_p_is_largest_singular_value(self):
-        net = presets.switched_benchmark(1)
-        results = check_uniqueness_A3(net.modes, epsilon=2.0, p="auto",
-                                      G=net.activation.G)
-        expected = float(np.linalg.svd(net.modes[0].A + net.modes[0].B,
-                                       compute_uv=False).max())
-        assert results[0]["p"] == pytest.approx(expected)
 
 
 class TestRateEquation:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -625,6 +626,31 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "gamma*tau = 709.5" in err
+        assert not out.exists()
+
+    # a domain of 1e300 has grid spacings whose h^2 overflows a float, and a
+    # diffusion entry of 1e-320 makes 1/(dt D_i) overflow at the default dt
+    @pytest.mark.parametrize("entry, value, argv", [
+        ("domain", [1e300, 1e300], ["stationary", "--inits", "2"]),
+        ("domain", [1e300, 1e300], ["stationary"]),
+        ("domain", [1e300, 1e300], ["simulate", "--switching"]),
+        ("D", [[1e-320, 0.0], [0.0, 0.055]], ["simulate", "--switching"]),
+    ], ids=["huge-domain-inits", "huge-domain-stationary", "huge-domain-simulate",
+            "tiny-D-simulate"])
+    def test_out_of_range_system_fails_up_front(self, tmp_path, capsys, entry, value, argv):
+        f = tmp_path / "sys.json"
+        _write_benchmark(f, counts=(31, 31))
+        doc = json.loads(f.read_text())
+        doc["modes"][0][entry] = value
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["--out", str(out), argv[0], str(f), *argv[1:]])
+        assert code == 2 and caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_simulate_without_switching_needs_no_delay_factor(self, tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdnet import cli, presets, simulator
-from rdnet.certificates import mode_margin_matrix, search_certificate, verify_certificate
+from rdnet.certificates import margin_matrices, search_certificate, verify_certificate
 from rdnet.geometry import Grid, RectDomain, eigenfunction
 from rdnet.model import Activation, Mode, SwitchedNetwork, constant_delay
 from rdnet.schema import dump_system
@@ -240,15 +240,15 @@ class TestHistory:
         assert hist.value(5, 0.7)[0] == 3.0
 
     def test_underrun_raises(self):
-        hist = History(0.3, 0.1)   # a ring of 6 slots
+        hist = History(0.3, 0.1)   # a ring of 5 slots
         with pytest.raises(HistoryUnderrunError):
             hist.value(1, 0.0)     # empty
         for k in range(10):
             hist.push(np.array([float(k)]))
-        for i in (0, 1, 4):        # before the axis, or evicted
-            with pytest.raises(HistoryUnderrunError, match="axis entry -?[0-3] is not in"):
+        for i in (0, 1, 5):        # before the axis, or evicted
+            with pytest.raises(HistoryUnderrunError, match="axis entry -?[0-4] is not in"):
                 hist.value(i, 0.5)
-        assert hist.value(5, 0.5)[0] == 4.5
+        assert hist.value(6, 0.5)[0] == 5.5
 
     def test_zero_delay_window_returns_its_entry(self):
         ts, zero = simulator._time_axis(0.0, 0.1, 0)
@@ -281,13 +281,13 @@ class TestHistory:
         assert hist.value(2, 0.0).shape == (2,)
 
     def test_keeps_delay_window(self):
-        hist = History(0.5, 0.1)   # a window of 5 steps in 8 slots
+        hist = History(0.5, 0.1)   # a window of 5 steps in 7 slots
         for k in range(100):
             hist.push(np.array([float(k)]))
         assert hist.value(95, 0.0)[0] == 94.0
-        assert hist.value(93, 0.5)[0] == 92.5
+        assert hist.value(94, 0.5)[0] == 93.5
         with pytest.raises(HistoryUnderrunError):
-            hist.value(92, 0.5)
+            hist.value(93, 0.5)
 
     def test_seeds_cover_window(self):
         tau, dt = 1.0, 0.1
@@ -877,12 +877,11 @@ def _verdicts_with_grid_eigenvalue(net: SwitchedNetwork, grid: Grid):
     of Q with the continuum lambda1, the same with the grid's lambda1_h, and
     the spectral norm of the shift 2 (lambda1 - lambda1_h) D between them)."""
     lam_h = sum(float(lam[0]) for _, lam in grid.sine_basis)
+    shared = dataclasses.replace(net, modes=tuple(
+        Mode(m.D, m.C, m.A, m.B, m.J, grid.domain) for m in net.modes))
     out = []
-    for m in net.modes:
-        shared = Mode(m.D, m.C, m.A, m.B, m.J, grid.domain)
-        Q = mode_margin_matrix(shared, net.activation.G, net.gamma, net.q,
-                               net.tau_max, net.Psi)
-        shift = 2.0 * (shared.lambda1 - lam_h) * shared.D
+    for m, Q in zip(shared.modes, margin_matrices(shared, np.eye(net.N), net.gamma, net.q)):
+        shift = 2.0 * (m.lambda1 - lam_h) * m.D
         out.append((float(np.linalg.eigvalsh(Q).max()),
                     float(np.linalg.eigvalsh(Q + shift).max()),
                     float(np.abs(np.diag(shift)).max())))
