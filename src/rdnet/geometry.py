@@ -1,14 +1,17 @@
 """Rectangular Dirichlet-zero domains and the discrete Laplacian.
 
 Uniform tensor grids in 1D/2D, second-order centered differences,
-Helmholtz solves in the discrete sine basis that diagonalizes them, and
-h-weighted L2 quadrature. Boundary nodes carry the value 0 identically and
-are never stored; every field lives on interior nodes.
+Helmholtz solves in the discrete sine basis that diagonalizes them (a
+stack's large components two at a time, on the caller and one worker
+thread), and h-weighted L2 quadrature. Boundary nodes carry the value 0
+identically and are never stored; every field lives on interior nodes.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,6 +19,49 @@ import numpy as np
 
 # a grid's sine basis is a dense c x c matrix per axis: 32 MB at this count
 MAX_AXIS_NODES = 2000
+# components of at least this many nodes are worked two at a time; below it
+# the worker's round trip (about 20 us) costs more than the second core saves
+SPLIT_MIN_NODES = 64 * 64
+
+_worker = None   # the executor of the one worker thread, made on first use
+_worker_lock = threading.Lock()
+
+
+def _drop_worker() -> None:
+    """Forget the worker in a forked child, which has no copy of its thread."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _each_component(fn, n: int) -> None:
+    """fn(i) for i in range(n): the even i on the calling thread, the odd i
+    on one worker thread shared by all callers.
+
+    The worker is a ThreadPoolExecutor(1), imported on first use, as
+    concurrent.futures loads logging. Returns once the worker has finished
+    this call's jobs, also when the caller's part raises; a worker's error
+    is raised after the caller's part. fn must call no public rdnet function,
+    as perfbench's tracer rebinds those and keeps one span stack for all
+    threads, and must not call _each_component, whose worker would then wait
+    on itself.
+    """
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(1)
+        jobs = [_worker.submit(fn, i) for i in range(1, n, 2)]
+    try:
+        for i in range(0, n, 2):
+            fn(i)
+    finally:
+        for job in jobs:
+            job.exception()   # waits; a caller's error takes precedence
+    for job in jobs:
+        job.result()
 
 
 @dataclass(frozen=True)
@@ -88,21 +134,26 @@ class Grid:
         Column k of S samples sin(k pi x/l), whose 3-point stencil eigenvalue is
         (2/h sin(k pi h/2l))^2 (Buzbee, Golub & Nielson, SIAM J. Numer. Anal.
         7(4), 1970); entry (j, k) is sin(r pi/(c+1)) sqrt(2/(c+1)) with the
-        sine argument reduced mod 2 pi exactly, r = j*k mod 2(c+1) in int32,
-        so S reads its c^2 entries from a table of 2(c+1) values. An axis
-        with the first axis's count and length shares its tuple.
+        sine argument reduced mod 2 pi exactly, r = j*k mod 2(c+1), so S
+        reads its c^2 entries from a table of 2(c+1) values, a block of rows
+        at a time, with no c^2 index array. An axis with the first axis's
+        count and length shares its tuple.
         """
         basis = []
         for c, h, l in zip(self.counts, self.spacing, self.domain.lengths):
             if basis and (c, l) == (self.counts[0], self.domain.lengths[0]):
                 basis.append(basis[0])
                 continue
-            table = np.arange(2 * (c + 1), dtype=float) * (math.pi / (c + 1))
+            period = 2 * (c + 1)
+            table = np.arange(period, dtype=float) * (math.pi / (c + 1))
             table = np.sin(table) * math.sqrt(2.0 / (c + 1))
-            k = np.arange(1, c + 1, dtype=np.int32)   # c <= MAX_AXIS_NODES: k*j fits
-            r = np.outer(k, k)
-            r %= 2 * (c + 1)
-            s = table[r]
+            k = np.arange(1, c + 1)
+            s = np.empty((c, c))
+            rows = max(1, 4096 // c)   # an index block of at most 32 KB
+            for a in range(0, c, rows):
+                r = np.multiply.outer(k[a:a + rows], k)
+                r %= period
+                table.take(r, out=s[a:a + rows], mode="clip")
             lam = (2.0 / h * np.sin(k * math.pi * h / (2.0 * l))) ** 2
             basis.append((s, lam))
         return tuple(basis)
@@ -129,22 +180,55 @@ def apply_laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def helmholtz_solve(grid: Grid, c: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (c I - Delta_h) u = rhs on the grid; c >= 0.
-
-    The grid's sine basis diagonalizes the operator, so u = S (S rhs / (c + lam))
-    per axis in closed form for every c; for c >= 0 every denominator is
-    positive.
-    """
-    if c < 0:
-        raise ValueError("c must be nonnegative")
-    if rhs.shape != grid.shape:
-        raise ValueError(f"rhs shape {rhs.shape} != grid shape {grid.shape}")
+def _sine_solve(grid: Grid, c, rhs: np.ndarray) -> np.ndarray:
+    """(c I - Delta_h)^-1 rhs for one field: u = S (S rhs / (c + lam)) per axis."""
     if grid.domain.dims == 1:
         ((s1, lam1),) = grid.sine_basis
         return s1 @ ((s1 @ rhs) / (c + lam1))
     (s1, lam1), (s2, lam2) = grid.sine_basis
     return s1 @ ((s1 @ rhs @ s2) / (c + lam1[:, None] + lam2)) @ s2
+
+
+def helmholtz_solve(grid: Grid, c, rhs: np.ndarray, out: np.ndarray | None = None
+                    ) -> np.ndarray:
+    """Solve (c I - Delta_h) u = rhs on the grid; c >= 0.
+
+    The grid's sine basis diagonalizes the operator, so u = S (S rhs / (c + lam))
+    per axis in closed form for every c; for c >= 0 every denominator is
+    positive. rhs is one field of the grid's shape, or a stack of n fields of
+    shape (n, *grid.shape) with c one value or one per component. A stack is
+    solved component by component; with n > 1 and at least SPLIT_MIN_NODES
+    nodes, the odd components on a worker thread, which gives the same bits.
+    The solution is written into out when it is given, and returned.
+    """
+    if rhs.shape == grid.shape:
+        if c < 0:
+            raise ValueError("c must be nonnegative")
+        u = _sine_solve(grid, c, rhs)
+        if out is None:
+            return u
+        out[...] = u
+        return out
+    if rhs.shape[1:] != grid.shape:
+        raise ValueError(f"rhs shape {rhs.shape} is neither the grid shape "
+                         f"{grid.shape} nor a stack of fields on it")
+    n = rhs.shape[0]
+    cs = [c] * n if np.ndim(c) == 0 else c
+    if np.ndim(c) > 1 or len(cs) != n:
+        raise ValueError(f"c has shape {np.shape(c)}: a stack of {n} fields needs "
+                         "one value or one per component")
+    if min(cs) < 0:
+        raise ValueError("c must be nonnegative")
+    out = np.empty(rhs.shape) if out is None else out
+
+    def solve(i):
+        out[i] = _sine_solve(grid, cs[i], rhs[i])
+    if n > 1 and grid.size >= SPLIT_MIN_NODES:
+        _each_component(solve, n)
+    else:
+        for i in range(n):
+            solve(i)
+    return out
 
 
 def l2_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:

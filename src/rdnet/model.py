@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .geometry import RectDomain, first_eigenvalue
+from .geometry import SPLIT_MIN_NODES, RectDomain, _each_component, first_eigenvalue
 
 DEFAULT_BOX_HALFWIDTH = 100.0
 DEFAULT_SAMPLES = 10_000
@@ -125,7 +125,7 @@ def piecewise_cbrt(u, d: float, a: float, mu1: float):
     k = d / a * mu1
     u = np.asarray(u, dtype=float)
     core = k * u
-    tails = 3.0 * k * signed_cbrt(u) - 2.0 * k * np.sign(u)
+    tails = 3.0 * k * (np.sign(u) * np.power(np.abs(u), 1.0 / 3.0)) - 2.0 * k * np.sign(u)
     return np.where(np.abs(u) <= 1.0, core, tails)
 
 
@@ -165,10 +165,10 @@ def _scaled_sine(p):
             lambda s: a * s + 0.5 * b * s**2 + c * (1.0 - np.cos(s)))
 
 
-def _piecewise_cbrt(p):
+def _piecewise_cbrt(p, fn=piecewise_cbrt, F=piecewise_cbrt_antiderivative):
+    # bound at import, not looked up by name per call (see ACTIVATIONS)
     d, a, mu1 = _floats(p, "d", "a_weight", "mu1")
-    return (lambda s: piecewise_cbrt(s, d, a, mu1),
-            lambda s: piecewise_cbrt_antiderivative(s, d, a, mu1))
+    return lambda s: fn(s, d, a, mu1), lambda s: F(s, d, a, mu1)
 
 
 def _identity(p):
@@ -196,7 +196,10 @@ def _tabulated(p):
 # before any evaluation. An activation and its antiderivative give the same
 # bits on a Python float, on a 1-element array and elementwise in one call on
 # a longer array (simulate_ode relies on it for the activation: it steps u on
-# floats and evaluates each delay window's g(u(t - tau)) in one array call).
+# floats and evaluates each delay window's g(u(t - tau)) in one array call;
+# Activation relies on it when it splits the components between two threads).
+# A builder's functions call no public rdnet function by name: perfbench's
+# tracer rebinds those names, and the worker thread must not enter its spans.
 ACTIVATIONS = {
     "affine": _affine,
     "identity": _identity,
@@ -250,11 +253,24 @@ class Activation:
         return np.diag(self.lipschitz)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        """Apply componentwise; v has the component index on axis 0."""
+        """Apply componentwise; v has the component index on axis 0.
+
+        With n > 1 components of at least SPLIT_MIN_NODES values each, fn
+        runs on the rows of v, the odd ones on a worker thread; fn is
+        elementwise, so the bits are those of one call on all of v.
+        """
         v = np.asarray(v, dtype=float)
-        if v.shape[0] != len(self.lipschitz):
-            raise ValueError(f"expected {self.n} components, got {v.shape[0]}")
-        return self.fn(v)
+        n = v.shape[0]
+        if n != len(self.lipschitz):
+            raise ValueError(f"expected {self.n} components, got {n}")
+        if n < 2 or v[0].size < SPLIT_MIN_NODES:
+            return self.fn(v)
+        out = np.empty_like(v)
+
+        def row(i):
+            out[i] = self.fn(v[i])
+        _each_component(row, n)
+        return out
 
 
 @dataclass(frozen=True)

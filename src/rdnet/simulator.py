@@ -7,8 +7,10 @@ delay history's next ring slot, snapshots receive copies of the field, and
 a blow-up guard stops a run whose norm leaves the scale of its initial
 data. The lumped scalar ODE has its own forward-Euler integrator by the
 method of steps. Delay lookup interpolates linearly in a window spanning the
-delay, matching the scheme order. A simulation run is single-threaded and
-deterministic.
+delay, matching the scheme order. A simulation run is deterministic: on
+grids of at least SPLIT_MIN_NODES nodes a step's activation and Helmholtz
+solves run the odd components on a second thread, with the bits of running
+them one by one.
 """
 
 from __future__ import annotations
@@ -193,12 +195,12 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     time axis by _lookups, which the ring History indexes. A step picks the
     mode (with config.switching), reads the delayed field at its pair,
     takes the explicit reaction step x = u + dt (-C u + A f(u) +
-    B f(u_delay)) and solves (c - Lap) u_i = c x_i per component straight
-    into the delay history's next ring slot, which the push then stores
-    without a copy; so the history neither allocates nor copies a field
-    per step. The blow-up guard raises BlowUpError once
-    the squared norm exceeds 1e6 times the largest squared norm of five
-    samples of phi. With config.snapshot_stride > 0, snapshot(t, field)
+    B f(u_delay)) and solves (c_i - Lap) u_i = c_i x_i for all components
+    in one helmholtz_solve call, straight into the delay history's next
+    ring slot, which the push then stores without a copy; so the history
+    neither allocates nor copies a field per step. The blow-up guard raises
+    BlowUpError once the squared norm exceeds 1e6 times the largest squared
+    norm of five samples of phi. With config.snapshot_stride > 0, snapshot(t, field)
     receives a copy of the field, which the loop keeps no reference to, at
     t = 0 and every stride-th step as the run reaches it; a stride without
     a snapshot callable raises before phi is sampled.
@@ -215,6 +217,7 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     if not all(np.isfinite(c).all() for c in coef):
         raise ValueError(f"a diffusion coefficient is too small for dt = {dt:.6g}: "
                          "1/(dt D_i) overflows a float")
+    scale = [c.reshape((n,) + (1,) * grid.domain.dims) for c in coef]
     if config.switching:
         shared = replace(network, modes=tuple(shared_modes))
         Q = margin_matrices(shared, np.eye(network.N), network.gamma, network.q)
@@ -256,9 +259,8 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
         m = shared_modes[mode]
         flat, flat_delay = u.reshape(n, -1), u_delay.reshape(n, -1)
         x = u + dt * (-m.C @ flat + m.A @ f(flat) + m.B @ f(flat_delay)).reshape(shape)
-        u = hist.slot()
-        for i, c in enumerate(coef[mode]):
-            u[i] = helmholtz_solve(grid, c, c * x[i])
+        x *= scale[mode]
+        u = helmholtz_solve(grid, coef[mode], x, out=hist.slot())
         del x   # held into the next step, it would add a field to the peak
         t = k * dt
         hist.push(u)

@@ -48,7 +48,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class StationaryProblem:
-    """Elliptic system D Lap y - C y + (A+B) g(y) + J = 0 on a grid."""
+    """Elliptic system D Lap y - C y + (A+B) g(y) + J = 0 on a grid.
+
+    Every C_i/D_i and 1/D_i, which the solvers divide by, must be a finite
+    float, or ValueError.
+    """
 
     mode: Mode
     activation: Activation
@@ -59,6 +63,12 @@ class StationaryProblem:
             raise ValueError("activation/mode dimensions differ")
         if self.grid.domain != self.mode.domain:
             raise ValueError("grid does not discretize the mode's domain")
+        d = np.diag(self.mode.D)
+        with np.errstate(over="ignore", divide="ignore"):
+            scaled = np.concatenate([np.diag(self.mode.C) / d, 1.0 / d])
+        if not np.isfinite(scaled).all():
+            raise ValueError("a diffusion coefficient is too small: C_i/D_i or "
+                             "1/D_i overflows a float")
 
     @property
     def n(self) -> int:
@@ -112,15 +122,14 @@ def fixed_point_solve(problem: StationaryProblem, tol: float = DEFAULT_TOL
     grid = problem.grid
     y = problem.zeros()
     d = np.diag(problem.mode.D)
-    c = np.diag(problem.mode.C)
+    ratio = np.diag(problem.mode.C) / d
     previous = math.inf
     for it in range(1, DEFAULT_MAX_ITER + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             flat = y.reshape(problem.n, -1)
             coupling = problem.W @ problem.activation(flat) + problem.mode.J[:, None]
             rhs = (coupling / d[:, None]).reshape(y.shape)
-            y_new = np.stack([helmholtz_solve(grid, c[i] / d[i], rhs[i])
-                              for i in range(problem.n)])
+            y_new = helmholtz_solve(grid, ratio, rhs)
         update = float(np.max(np.abs(y_new - y)))
         y = y_new
         if not math.isfinite(update):
@@ -375,11 +384,9 @@ def find_stationary_multiplicity(problem: StationaryProblem, inits,
     # inverse (D_i Lap_h - C_i)^-1 = -(C_i/D_i - Lap_h)^-1 / D_i per component
     n, d, c = problem.n, np.diag(problem.mode.D), np.diag(problem.mode.C)
     W = problem.W.reshape((n, n) + (1,) * grid.domain.dims)
+    ratio, neg_d = c / d, -d.reshape((n,) + (1,) * grid.domain.dims)
     def p_inv(x):
-        out = np.empty_like(x)
-        for i in range(n):
-            out[i] = helmholtz_solve(grid, c[i] / d[i], x[i]) / -d[i]
-        return out
+        return helmholtz_solve(grid, ratio, x) / neg_d
 
     def jacobian(y):
         slope = _slope(problem.activation, y.reshape(n, -1)).reshape(y.shape)

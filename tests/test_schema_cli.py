@@ -402,8 +402,10 @@ class TestBitwiseCommandOutputs:
     """SHA-1 of every file that the five reproduce targets (example4_1 on
     31x31), certify --search with and without the theorem constraint, and
     `rdnet --seed 3 simulate --T 4 --switching --snapshots 50` write for
-    case 1 on 31x31. These bytes were the same on one and two BLAS threads.
-    A change that means to move an output changes its digest here and says
+    case 1 on 31x31. These bytes were the same on one and two BLAS threads,
+    which holds only on grids of at most 64 nodes per axis: OpenBLAS splits
+    a dgemm between threads above 64^3, and a 101x101 example4_1 or a 151x151
+    simulate writes other bytes at two BLAS threads than at one. A change that means to move an output changes its digest here and says
     why."""
 
     PINS = {
@@ -629,14 +631,16 @@ class TestCliExitCodes:
         assert not out.exists()
 
     # a domain of 1e300 has grid spacings whose h^2 overflows a float, and a
-    # diffusion entry of 1e-320 makes 1/(dt D_i) overflow at the default dt
+    # diffusion entry of 1e-320 makes 1/(dt D_i), C_i/D_i and 1/D_i overflow
     @pytest.mark.parametrize("entry, value, argv", [
         ("domain", [1e300, 1e300], ["stationary", "--inits", "2"]),
         ("domain", [1e300, 1e300], ["stationary"]),
         ("domain", [1e300, 1e300], ["simulate", "--switching"]),
         ("D", [[1e-320, 0.0], [0.0, 0.055]], ["simulate", "--switching"]),
+        ("D", [[1e-320, 0.0], [0.0, 0.055]], ["stationary"]),
+        ("D", [[1e-320, 0.0], [0.0, 0.055]], ["stationary", "--inits", "2"]),
     ], ids=["huge-domain-inits", "huge-domain-stationary", "huge-domain-simulate",
-            "tiny-D-simulate"])
+            "tiny-D-simulate", "tiny-D-stationary", "tiny-D-inits"])
     def test_out_of_range_system_fails_up_front(self, tmp_path, capsys, entry, value, argv):
         f = tmp_path / "sys.json"
         _write_benchmark(f, counts=(31, 31))

@@ -73,6 +73,14 @@ class TestFixedPoint:
         assert np.max(np.abs(y[0] - exact)) <= max(1e-4, 5 * h**2)
         assert report.residual < 1e-6
 
+    # C/D overflows at D = 1e-300 with C = 1e10, and 1/D at D = 1e-320
+    @pytest.mark.parametrize("d, c", [(1e-300, 1e10), (1e-320, 1.0)])
+    def test_overflowing_ratio_rejected_up_front(self, d, c):
+        mode = Mode([[d]], [[c]], [[0.1]], [[0.1]], [0.0], RectDomain((1.0,)))
+        act = Activation.uniform("identity", {}, 1.0, 1)
+        with pytest.raises(ValueError, match="C_i/D_i or 1/D_i overflows"):
+            StationaryProblem(mode, act, Grid(mode.domain, (21,)))
+
     def test_zero_problem_stays_zero(self):
         mode = Mode([[0.1]], [[1.0]], [[0.1]], [[0.1]], [0.0], RectDomain((1.0,)))
         act = Activation.uniform("identity", {}, 1.0, 1)
