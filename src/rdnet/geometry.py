@@ -3,8 +3,9 @@
 Uniform tensor grids in 1D/2D, second-order centered differences,
 Helmholtz solves in the discrete sine basis that diagonalizes them (a
 stack's large components two at a time, on the caller and one worker
-thread), and h-weighted L2 quadrature. Boundary nodes carry the value 0
-identically and are never stored; every field lives on interior nodes.
+thread, where the process may use two CPUs), and h-weighted L2
+quadrature. Boundary nodes carry the value 0 identically and are never
+stored; every field lives on interior nodes.
 """
 
 from __future__ import annotations
@@ -36,9 +37,20 @@ def _drop_worker() -> None:
 os.register_at_fork(after_in_child=_drop_worker)
 
 
-def _each_component(fn, n: int) -> None:
-    """fn(i) for i in range(n): the even i on the calling thread, the odd i
-    on one worker thread shared by all callers.
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or os.cpu_count()
+    where the platform has none."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _each_component(fn, n: int, nodes: int) -> None:
+    """fn(i) for i in range(n) over components of the given node count: the
+    even i on the calling thread and the odd i on one worker thread shared
+    by all callers, or every i on the calling thread for n = 1, below
+    SPLIT_MIN_NODES nodes, or where the process may run on one CPU only
+    (_cpus, read on each call that would split, as the mask can change).
 
     The worker is a ThreadPoolExecutor(1), imported on first use, as
     concurrent.futures loads logging. Returns once the worker has finished
@@ -49,6 +61,10 @@ def _each_component(fn, n: int) -> None:
     on itself.
     """
     global _worker
+    if n < 2 or nodes < SPLIT_MIN_NODES or _cpus() < 2:
+        for i in range(n):
+            fn(i)
+        return
     with _worker_lock:
         if _worker is None:
             from concurrent.futures import ThreadPoolExecutor
@@ -180,35 +196,35 @@ def apply_laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sine_solve(grid: Grid, c, rhs: np.ndarray) -> np.ndarray:
-    """(c I - Delta_h)^-1 rhs for one field: u = S (S rhs / (c + lam)) per axis."""
+def _sine_solve(grid: Grid, c, rhs: np.ndarray, out: np.ndarray | None = None
+                ) -> np.ndarray:
+    """(c I - Delta_h)^-1 rhs for one field: u = S (S rhs / (c + lam)) per
+    axis, the last product written into out when it is given."""
     if grid.domain.dims == 1:
         ((s1, lam1),) = grid.sine_basis
-        return s1 @ ((s1 @ rhs) / (c + lam1))
+        y = s1 @ rhs
+        y /= c + lam1
+        return np.matmul(s1, y, out=out)
     (s1, lam1), (s2, lam2) = grid.sine_basis
-    return s1 @ ((s1 @ rhs @ s2) / (c + lam1[:, None] + lam2)) @ s2
+    y = s1 @ rhs @ s2
+    y /= c + lam1[:, None] + lam2
+    return np.matmul(s1 @ y, s2, out=out)
 
 
-def helmholtz_solve(grid: Grid, c, rhs: np.ndarray, out: np.ndarray | None = None
-                    ) -> np.ndarray:
+def helmholtz_solve(grid: Grid, c, rhs: np.ndarray) -> np.ndarray:
     """Solve (c I - Delta_h) u = rhs on the grid; c >= 0.
 
     The grid's sine basis diagonalizes the operator, so u = S (S rhs / (c + lam))
     per axis in closed form for every c; for c >= 0 every denominator is
     positive. rhs is one field of the grid's shape, or a stack of n fields of
     shape (n, *grid.shape) with c one value or one per component. A stack is
-    solved component by component; with n > 1 and at least SPLIT_MIN_NODES
-    nodes, the odd components on a worker thread, which gives the same bits.
-    The solution is written into out when it is given, and returned.
+    solved component by component, split between two threads by
+    _each_component, which gives the same bits.
     """
     if rhs.shape == grid.shape:
         if c < 0:
             raise ValueError("c must be nonnegative")
-        u = _sine_solve(grid, c, rhs)
-        if out is None:
-            return u
-        out[...] = u
-        return out
+        return _sine_solve(grid, c, rhs)
     if rhs.shape[1:] != grid.shape:
         raise ValueError(f"rhs shape {rhs.shape} is neither the grid shape "
                          f"{grid.shape} nor a stack of fields on it")
@@ -219,15 +235,8 @@ def helmholtz_solve(grid: Grid, c, rhs: np.ndarray, out: np.ndarray | None = Non
                          "one value or one per component")
     if min(cs) < 0:
         raise ValueError("c must be nonnegative")
-    out = np.empty(rhs.shape) if out is None else out
-
-    def solve(i):
-        out[i] = _sine_solve(grid, cs[i], rhs[i])
-    if n > 1 and grid.size >= SPLIT_MIN_NODES:
-        _each_component(solve, n)
-    else:
-        for i in range(n):
-            solve(i)
+    out = np.empty(rhs.shape)
+    _each_component(lambda i: _sine_solve(grid, cs[i], rhs[i], out=out[i]), n, grid.size)
     return out
 
 

@@ -256,8 +256,8 @@ class Activation:
         """Apply componentwise; v has the component index on axis 0.
 
         With n > 1 components of at least SPLIT_MIN_NODES values each, fn
-        runs on the rows of v, the odd ones on a worker thread; fn is
-        elementwise, so the bits are those of one call on all of v.
+        runs on the rows of v, split between two threads by _each_component;
+        fn is elementwise, so the bits are those of one call on all of v.
         """
         v = np.asarray(v, dtype=float)
         n = v.shape[0]
@@ -269,7 +269,7 @@ class Activation:
 
         def row(i):
             out[i] = self.fn(v[i])
-        _each_component(row, n)
+        _each_component(row, n, v[0].size)
         return out
 
 

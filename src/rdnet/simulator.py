@@ -2,15 +2,16 @@
 
 First-order IMEX stepping: diffusion backward-Euler (unconditionally stable
 against the D/h^2 stiffness), reaction and delay terms forward. Fields step
-in simulate's one loop: its Helmholtz solves write each new field into the
-delay history's next ring slot, snapshots receive copies of the field, and
-a blow-up guard stops a run whose norm leaves the scale of its initial
-data. The lumped scalar ODE has its own forward-Euler integrator by the
-method of steps. Delay lookup interpolates linearly in a window spanning the
-delay, matching the scheme order. A simulation run is deterministic: on
-grids of at least SPLIT_MIN_NODES nodes a step's activation and Helmholtz
-solves run the odd components on a second thread, with the bits of running
-them one by one.
+in simulate's one loop, one job per component per step: a job's Helmholtz
+solve writes its row of the new field into the delay history's next ring
+slot, snapshots receive copies of the field, and a blow-up guard stops a
+run whose norm leaves the scale of its initial data. The lumped scalar ODE
+has its own forward-Euler integrator by the method of steps. Delay lookup
+interpolates linearly in a window spanning the delay, matching the scheme
+order. A simulation run is deterministic: on grids of at least
+SPLIT_MIN_NODES nodes, where the process may use two CPUs, the odd
+components' jobs run on a second thread, with the bits of running them one
+by one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .certificates import margin_matrices
-from .geometry import Grid, helmholtz_solve, l2_inner
+from .geometry import Grid, _each_component, _sine_solve, l2_inner
 from .model import Activation, Mode, SwitchedNetwork, constant_delay
 
 BLOWUP_FACTOR = 1e6
@@ -62,7 +63,7 @@ class History:
     ceil(tau/dt) + 2, room for the ceil(tau/dt) + 1 entries of a window
     spanning tau in steps dt apart and a spare against rounding at the
     window's edge. The slot the next push fills still holds the oldest entry
-    until a stepping loop writes into it.
+    until a stepping loop writes into it, which simulate does after the push.
 
     The slots are views of one float array allocated at the first push, which
     sets the states' shape; a scalar push raises ValueError. A push stores the
@@ -102,12 +103,26 @@ class History:
     def value(self, i: int, w: float) -> np.ndarray:
         """(1 - w) u[i - 1] + w u[i] of the axis entries, as _lookups pairs
         them, in a new array; the newest state for any i past it."""
+        self._check(i)
         ring, count, cap = self._ring, self._count, self._capacity
-        if i <= max(0, count - cap) or not count:
-            raise HistoryUnderrunError(f"axis entry {i - 1} is not in the delay window")
         if i >= count:
             return ring[(count - 1) % cap].copy()
         return (1.0 - w) * ring[(i - 1) % cap] + w * ring[i % cap]
+
+    def _check(self, i: int) -> None:
+        """Raise HistoryUnderrunError unless the pair's entries are stored."""
+        if i <= max(0, self._count - self._capacity) or not self._count:
+            raise HistoryUnderrunError(f"axis entry {i - 1} is not in the delay window")
+
+    def _row(self, i: int, w: float, row: int, out: np.ndarray) -> None:
+        """Component row of value(i, w), by the same rule and bits, written
+        into out, for a pair _check has passed."""
+        ring, count, cap = self._ring, self._count, self._capacity
+        if i >= count:
+            out[...] = ring[(count - 1) % cap][row]
+        else:
+            np.multiply(ring[(i - 1) % cap][row], 1.0 - w, out=out)
+            out += w * ring[i % cap][row]
 
 
 @dataclass
@@ -192,18 +207,33 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     shape (n, *grid.shape). The delay is network.delay, or the constant
     tau_max where the network gives none; before phi is sampled, it is
     range-checked at every step time and each lookup paired on the run's
-    time axis by _lookups, which the ring History indexes. A step picks the
-    mode (with config.switching), reads the delayed field at its pair,
-    takes the explicit reaction step x = u + dt (-C u + A f(u) +
-    B f(u_delay)) and solves (c_i - Lap) u_i = c_i x_i for all components
-    in one helmholtz_solve call, straight into the delay history's next
-    ring slot, which the push then stores without a copy; so the history
-    neither allocates nor copies a field per step. The blow-up guard raises
-    BlowUpError once the squared norm exceeds 1e6 times the largest squared
-    norm of five samples of phi. With config.snapshot_stride > 0, snapshot(t, field)
-    receives a copy of the field, which the loop keeps no reference to, at
-    t = 0 and every stride-th step as the run reaches it; a stride without
-    a snapshot callable raises before phi is sampled.
+    time axis by _lookups, which the ring History indexes.
+
+    A step picks the mode (with config.switching) and mixes the reaction
+    R = -C u + A f(u) + B f(u_delay) on the calling thread, three n x n
+    products over the whole field summed in that order, as they couple the
+    components. One round trip through _each_component then runs each
+    component's job: the explicit step x_j = (u_j + dt R_j) c_j with
+    c_j = 1 / (dt D_j), the solve of (c_j - Lap) u_j' = x_j straight into
+    row j of the delay history's next ring slot, which the loop has pushed
+    already, and, if a step follows, that step's rows of f(u') and
+    f(u_delay), the delayed row read by History's rule from the ring that
+    holds u'. The calling thread keeps the switching decision, the mixing,
+    the underrun check, the norm, the guard and the snapshots; a job calls
+    only private functions and the registry closure, since perfbench's
+    tracer wraps the public ones. The working memory, f(u), f(u_delay), the
+    update and the partial products, is four fields allocated once, and the
+    history neither allocates nor copies a field per step. One round trip
+    before the first step evaluates its f(u) and f(u_delay); those and the
+    first scaled update, of the mode step 1 takes, must be finite floats,
+    or ValueError before the first solve and the first snapshot.
+
+    The blow-up guard raises BlowUpError once the squared norm exceeds 1e6
+    times the largest squared norm of five samples of phi. With
+    config.snapshot_stride > 0, snapshot(t, field) receives a copy of the
+    field, which the loop keeps no reference to, at t = 0 and every
+    stride-th step as the run reaches it; a stride without a snapshot
+    callable raises before phi is sampled.
     """
     stride, dt = config.snapshot_stride, config.dt
     if stride and snapshot is None:
@@ -222,7 +252,6 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
         shared = replace(network, modes=tuple(shared_modes))
         Q = margin_matrices(shared, np.eye(network.N), network.gamma, network.q)
     g0 = network.activation(np.zeros((n, 1)))   # f(u) = g(u) - g(0): f(0) = 0 exactly
-    f = lambda flat: network.activation(flat) - g0
     steps, delay = config.steps, network.delay or constant_delay(tau)
     ts, zero = _time_axis(tau, dt, steps)
     reads = [0.0] + (np.linspace(-tau, 0, 5).tolist() if tau > 0 else [0.0])
@@ -243,33 +272,83 @@ def simulate(network: SwitchedNetwork, grid: Grid, config: SimConfig,
     norms = [l2_inner(grid, w, w) for w in (hist.value(*p) for p in pairs[1:sampled])]
     bound = BLOWUP_FACTOR * max(max(norms), 1e-300)
 
+    # a run's working memory: f(u) and f(u_delay) of the next step, its
+    # explicit update X, which first holds the reaction R, and the partial
+    # products T of R; a component's job reads its delayed row into X
+    F, X, T = np.empty(shape), np.empty(shape), np.empty(shape)
+    FD = np.empty(shape) if tau > 0 else F
+    R, partial = X.reshape(n, -1), T.reshape(n, -1)
+    neg_C, g = [-m.C for m in shared_modes], network.activation.fn
+
+    def activate(j, field, k):
+        """Component j's rows of F and FD for step k from the field it starts from."""
+        np.subtract(g(field), g0[j], out=F[j])
+        if tau > 0:
+            hist._row(*pairs[sampled + k - 1], j, X[j])
+            np.subtract(g(X[j]), g0[j], out=FD[j])
+
+    def mix(mode):
+        """R = -C u + A F + B FD, summed in that order."""
+        np.matmul(neg_C[mode], u.reshape(n, -1), out=R)
+        np.matmul(shared_modes[mode].A, F.reshape(n, -1), out=partial)
+        np.add(R, partial, out=R)
+        np.matmul(shared_modes[mode].B, FD.reshape(n, -1), out=partial)
+        np.add(R, partial, out=R)
+
+    def step(j):
+        """Component j's update, solve into the new entry, next activations."""
+        x, c = X[j], coef[mode][j]
+        x *= dt
+        x += u[j]
+        x *= c
+        _sine_solve(grid, c, x, out=new[j])
+        if k < steps:
+            activate(j, new[j], k + 1)
+
+    def first(j):
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            activate(j, u[j], 1)
+
     times = np.empty(steps + 1)
     V = np.empty(steps + 1)
     modes = np.zeros(steps + 1, dtype=int)
     mode = 0
 
-    t = 0.0
-    times[0], V[0] = t, l2_inner(grid, u, u)
-    if stride:
-        snapshot(t, u.copy())
-    for k in range(1, steps + 1):
+    times[0], V[0] = 0.0, l2_inner(grid, u, u)
+    if steps:   # step 1's activations, mode and reaction, checked before a solve
+        if tau > 0:
+            hist._check(pairs[sampled][0])
+        _each_component(first, n, grid.size)
         if config.switching:
             mode = switching_decide(u, Q, mode)
-        u_delay = hist.value(*pairs[sampled + k - 1]) if tau > 0 else u
-        m = shared_modes[mode]
-        flat, flat_delay = u.reshape(n, -1), u_delay.reshape(n, -1)
-        x = u + dt * (-m.C @ flat + m.A @ f(flat) + m.B @ f(flat_delay)).reshape(shape)
-        x *= scale[mode]
-        u = helmholtz_solve(grid, coef[mode], x, out=hist.slot())
-        del x   # held into the next step, it would add a field to the peak
-        t = k * dt
-        hist.push(u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mix(mode)
+            np.multiply(X, dt, out=T)
+            T += u
+            T *= scale[mode]
+        if not all(np.isfinite(a).all() for a in (F, FD, T)):
+            raise ValueError("the first step overflows a float: f(u), f(u_delay) or "
+                             "the scaled update (u + dt (-C u + A f(u) + B f(u_delay))) "
+                             "/ (dt D) is not finite")
+    if stride:
+        snapshot(0.0, u.copy())
+    for k in range(1, steps + 1):
+        new = hist.slot()
+        hist.push(new)   # the slot is stored as is; the jobs below fill it
+        if tau > 0 and k < steps:
+            hist._check(pairs[sampled + k][0])
+        _each_component(step, n, grid.size)
+        u, t = new, k * dt
         v = l2_inner(grid, u, u)
         if not math.isfinite(v) or v > bound:
             raise BlowUpError(f"norm blew up at t={t:.4g} (V={v:.3e})")
         times[k], V[k], modes[k] = t, v, mode
         if stride and k % stride == 0:
             snapshot(t, u.copy())
+        if k < steps:
+            if config.switching:
+                mode = switching_decide(u, Q, mode)
+            mix(mode)
     return Trajectory(times, V, modes)
 
 

@@ -630,22 +630,27 @@ class TestCliExitCodes:
         assert "gamma*tau = 709.5" in err
         assert not out.exists()
 
-    # a domain of 1e300 has grid spacings whose h^2 overflows a float, and a
-    # diffusion entry of 1e-320 makes 1/(dt D_i), C_i/D_i and 1/D_i overflow
-    @pytest.mark.parametrize("entry, value, argv", [
-        ("domain", [1e300, 1e300], ["stationary", "--inits", "2"]),
-        ("domain", [1e300, 1e300], ["stationary"]),
-        ("domain", [1e300, 1e300], ["simulate", "--switching"]),
-        ("D", [[1e-320, 0.0], [0.0, 0.055]], ["simulate", "--switching"]),
-        ("D", [[1e-320, 0.0], [0.0, 0.055]], ["stationary"]),
-        ("D", [[1e-320, 0.0], [0.0, 0.055]], ["stationary", "--inits", "2"]),
+    # a domain of 1e300 has grid spacings whose h^2 overflows a float, a
+    # diffusion entry of 1e-320 makes 1/(dt D_i), C_i/D_i and 1/D_i overflow,
+    # and an activation term 1e308 sin(s) overflows the first scaled update
+    @pytest.mark.parametrize("path, value, argv", [
+        (("modes", 0, "domain"), [1e300, 1e300], ["stationary", "--inits", "2"]),
+        (("modes", 0, "domain"), [1e300, 1e300], ["stationary"]),
+        (("modes", 0, "domain"), [1e300, 1e300], ["simulate", "--switching"]),
+        (("modes", 0, "D"), [[1e-320, 0.0], [0.0, 0.055]], ["simulate", "--switching"]),
+        (("modes", 0, "D"), [[1e-320, 0.0], [0.0, 0.055]], ["stationary"]),
+        (("modes", 0, "D"), [[1e-320, 0.0], [0.0, 0.055]], ["stationary", "--inits", "2"]),
+        (("activation", "params", "c"), 1e308, ["simulate", "--switching"]),
     ], ids=["huge-domain-inits", "huge-domain-stationary", "huge-domain-simulate",
-            "tiny-D-simulate", "tiny-D-stationary", "tiny-D-inits"])
-    def test_out_of_range_system_fails_up_front(self, tmp_path, capsys, entry, value, argv):
+            "tiny-D-simulate", "tiny-D-stationary", "tiny-D-inits", "huge-c-simulate"])
+    def test_out_of_range_system_fails_up_front(self, tmp_path, capsys, path, value, argv):
         f = tmp_path / "sys.json"
         _write_benchmark(f, counts=(31, 31))
         doc = json.loads(f.read_text())
-        doc["modes"][0][entry] = value
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
         f.write_text(json.dumps(doc))
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
