@@ -3,9 +3,8 @@
 Uniform tensor grids in 1D/2D, second-order centered differences,
 Helmholtz solves in the discrete sine basis that diagonalizes them (a
 stack's large components two at a time, on the caller and one worker
-thread, where the process may use two CPUs), and h-weighted L2
-quadrature. Boundary nodes carry the value 0 identically and are never
-stored; every field lives on interior nodes.
+thread), and h-weighted L2 quadrature. Boundary nodes carry the value 0
+identically and are never stored; every field lives on interior nodes.
 """
 
 from __future__ import annotations
@@ -37,20 +36,11 @@ def _drop_worker() -> None:
 os.register_at_fork(after_in_child=_drop_worker)
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on: its affinity mask, or os.cpu_count()
-    where the platform has none."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _each_component(fn, n: int, nodes: int) -> None:
     """fn(i) for i in range(n) over components of the given node count: the
     even i on the calling thread and the odd i on one worker thread shared
-    by all callers, or every i on the calling thread for n = 1, below
-    SPLIT_MIN_NODES nodes, or where the process may run on one CPU only
-    (_cpus, read on each call that would split, as the mask can change).
+    by all callers, or every i on the calling thread for n = 1 or below
+    SPLIT_MIN_NODES nodes.
 
     The worker is a ThreadPoolExecutor(1), imported on first use, as
     concurrent.futures loads logging. Returns once the worker has finished
@@ -61,7 +51,7 @@ def _each_component(fn, n: int, nodes: int) -> None:
     on itself.
     """
     global _worker
-    if n < 2 or nodes < SPLIT_MIN_NODES or _cpus() < 2:
+    if n < 2 or nodes < SPLIT_MIN_NODES:
         for i in range(n):
             fn(i)
         return

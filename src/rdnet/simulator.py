@@ -9,9 +9,8 @@ run whose norm leaves the scale of its initial data. The lumped scalar ODE
 has its own forward-Euler integrator by the method of steps. Delay lookup
 interpolates linearly in a window spanning the delay, matching the scheme
 order. A simulation run is deterministic: on grids of at least
-SPLIT_MIN_NODES nodes, where the process may use two CPUs, the odd
-components' jobs run on a second thread, with the bits of running them one
-by one.
+SPLIT_MIN_NODES nodes the odd components' jobs run on a second thread,
+with the bits of running them one by one.
 """
 
 from __future__ import annotations
@@ -104,19 +103,19 @@ class History:
         """(1 - w) u[i - 1] + w u[i] of the axis entries, as _lookups pairs
         them, in a new array; the newest state for any i past it."""
         self._check(i)
-        ring, count, cap = self._ring, self._count, self._capacity
-        if i >= count:
-            return ring[(count - 1) % cap].copy()
-        return (1.0 - w) * ring[(i - 1) % cap] + w * ring[i % cap]
+        out = np.empty_like(self._ring[0])
+        self._row(i, w, ..., out)
+        return out
 
     def _check(self, i: int) -> None:
         """Raise HistoryUnderrunError unless the pair's entries are stored."""
         if i <= max(0, self._count - self._capacity) or not self._count:
             raise HistoryUnderrunError(f"axis entry {i - 1} is not in the delay window")
 
-    def _row(self, i: int, w: float, row: int, out: np.ndarray) -> None:
-        """Component row of value(i, w), by the same rule and bits, written
-        into out, for a pair _check has passed."""
+    def _row(self, i: int, w: float, row, out: np.ndarray) -> None:
+        """Row `row` of the lookup (1 - w) u[i - 1] + w u[i], or of the
+        newest state for any i past it, written into out, for a pair _check
+        has passed; value takes row ... for the whole state."""
         ring, count, cap = self._ring, self._count, self._capacity
         if i >= count:
             out[...] = ring[(count - 1) % cap][row]

@@ -2,9 +2,9 @@
 
 helmholtz_solve on a stack, Activation.__call__ and each simulate step run
 the odd components on one worker thread once a component has
-SPLIT_MIN_NODES nodes, which the 31x31 pins never reach, and where the
-process may use two CPUs. Each split result is checked byte for byte
-against serial calls in the same process, at one and two BLAS threads.
+SPLIT_MIN_NODES nodes, which the 31x31 pins never reach. Each split result
+is checked byte for byte against serial calls in the same process, at one
+and two BLAS threads.
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdnet import cli, presets
+from rdnet import cli, geometry, presets
 from rdnet.certificates import margin_matrices
 from rdnet.geometry import (SPLIT_MIN_NODES, Grid, RectDomain, _each_component,
                             eigenfunction, helmholtz_solve, l2_inner)
@@ -204,12 +204,7 @@ def test_callers_at_once_get_the_serial_bits():
     assert got == [[want] * 20] * 3
 
 
-def _two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-def test_caller_error_waits_for_the_worker(monkeypatch):
-    _two_cpus(monkeypatch)
+def test_caller_error_waits_for_the_worker():
     done = []
 
     def fn(i):
@@ -222,9 +217,7 @@ def test_caller_error_waits_for_the_worker(monkeypatch):
     assert done == [1]
 
 
-def test_worker_error_reaches_the_caller(monkeypatch):
-    _two_cpus(monkeypatch)
-
+def test_worker_error_reaches_the_caller():
     def fn(i):
         if i == 1:
             raise KeyError(i)
@@ -232,8 +225,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
         _each_component(fn, 3, SPLIT_MIN_NODES)
 
 
-def test_each_component_runs_every_index_once(monkeypatch):
-    _two_cpus(monkeypatch)
+def test_each_component_runs_every_index_once():
     for n, nodes in ((1, SPLIT_MIN_NODES), (2, SPLIT_MIN_NODES - 1), (3, SPLIT_MIN_NODES),
                      (4, SPLIT_MIN_NODES)):
         seen = []
@@ -241,42 +233,13 @@ def test_each_component_runs_every_index_once(monkeypatch):
         assert sorted(seen) == list(range(n))
 
 
-ONE_CPU = """
-import os, sys, threading
-import test_threads
-name, mask = sys.argv[1:]
-if mask == "affinity":
-    os.sched_getaffinity = lambda pid: {0}
-else:   # a platform without affinity masks, on one CPU
-    if hasattr(os, "sched_getaffinity"):
-        del os.sched_getaffinity
-    os.cpu_count = lambda: 1
-before = threading.active_count()
-test_threads._check_run(name)
-single = threading.active_count()
-os.sched_getaffinity = lambda pid: {0, 1}
-test_threads._check_run(name)
-print(before, single, threading.active_count())
-"""
-
-
-@pytest.mark.parametrize("mask", ["affinity", "cpu_count"])
-def test_one_cpu_runs_on_the_caller_alone(mask):
-    # the same 71^2 run gives the serial bits on one CPU without a thread
-    # and on two CPUs with the worker, which then starts
-    run = _run_fresh(ONE_CPU, "simulate", mask, **_blas_threads(1))
-    assert run.returncode == 0, run.stderr
-    before, single, split = map(int, run.stdout.split()[-3:])
-    assert single == before and split == before + 1
-
-
 def test_step_working_set(monkeypatch):
     # beyond its delay ring and sine basis, a 71^2 run holds its four working
     # fields (f(u), f(u_delay), the explicit update and the partial
     # products), the initial field and one component's temporaries at a
-    # time: 7.4 fields on one CPU with numpy 2.4; the peak of a run does not
-    # grow with its step count
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    # time: 7.4 fields on the calling thread alone with numpy 2.4; the peak
+    # of a run does not grow with its step count
+    monkeypatch.setattr(geometry, "SPLIT_MIN_NODES", 72 * 72)
     net = presets.switched_benchmark(1)
     grid = Grid(net.modes[0].domain, (71, 71))
     grid.sine_basis
